@@ -35,17 +35,10 @@ from .channels import (
     maximally_entangled,
 )
 from .errors import ChancapError, DomainError, PreconditionViolated, ShapeMismatch
-from .qmath import binary_entropy, embed_operator, partial_trace, von_neumann_entropy
-from .sampling import STREAM_DIAMOND_SEARCH, STREAM_QUANTUM_PROTOCOL, stream_rng
+from .qmath import binary_entropy, check_prob, embed_operator, partial_trace, von_neumann_entropy
+from .sampling import STREAM_QUANTUM_PROTOCOL, stream_rng
 
 GRID_STEP = 0.1  # coarse Bloch-ball scan used before pattern refinement
-
-
-def _check_prob(name: str, value: float) -> float:
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    return v
 
 
 def _check_degradable_lambda(lam: float) -> float:
@@ -155,22 +148,18 @@ def _ic_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarray]:
     return evaluate
 
 
-def maximize_coherent_information(
-    lam: float, p: float, tol: float = 1e-6
+def _maximize_over_bloch_ball(
+    evaluate: Callable[[np.ndarray], np.ndarray], tol: float, slack: float = 1e-12
 ) -> tuple[float, np.ndarray]:
-    """Maximize the one-shot coherent information over the Bloch ball.
+    """Maximize a batched objective of Bloch vectors (n, 3) over the unit ball.
 
     Coarse grid scan (step 0.1) followed by a coordinate pattern search that
     halves the step down to ``tol``.  Returns (value, argmax Bloch vector).
-    Ties are broken toward the smallest Bloch norm so that flat landscapes
-    report the maximally mixed input.
+    Values within ``slack`` of each other count as ties, which are broken
+    toward the smallest Bloch norm so that flat landscapes report the
+    maximally mixed input; the default suits objectives built from O(1)
+    entropies, whose roundoff is absolute.
     """
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
-    if tol < 1e-8:
-        raise DomainError(f"tol must be >= 1e-8, got {tol!r}")
-    evaluate = _ic_evaluator(lam, p)
-
     axis = np.arange(-10, 11) / 10.0
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
@@ -178,9 +167,9 @@ def maximize_coherent_information(
     pts = pts[norms <= 1.0 + 1e-12]
     pts = pts[np.argsort(np.linalg.norm(pts, axis=1), kind="stable")]
     vals = evaluate(pts)
-    # smallest-norm point within roundoff of the grid maximum, so that flat
+    # smallest-norm point within slack of the grid maximum, so that flat
     # landscapes resolve to the maximally mixed input
-    best = int(np.argmax(vals >= vals.max() - 1e-12))
+    best = int(np.argmax(vals >= vals.max() - slack))
     r, f = pts[best].copy(), float(vals[best])
 
     step = GRID_STEP
@@ -196,11 +185,26 @@ def maximize_coherent_information(
                     if nrm > 1.0:
                         cand /= nrm
                     fc = float(evaluate(cand[None, :])[0])
-                    if fc > f + 1e-12:
+                    if fc > f + slack:
                         r, f = cand, fc
                         improved = True
         step /= 2.0
     return f, r
+
+
+def maximize_coherent_information(
+    lam: float, p: float, tol: float = 1e-6
+) -> tuple[float, np.ndarray]:
+    """Maximize the one-shot coherent information over the Bloch ball.
+
+    Returns (value, argmax Bloch vector); see ``_maximize_over_bloch_ball``
+    for the search and its tie-breaking toward the maximally mixed input.
+    """
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
+    if tol < 1e-8:
+        raise DomainError(f"tol must be >= 1e-8, got {tol!r}")
+    return _maximize_over_bloch_ball(_ic_evaluator(lam, p), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -210,47 +214,47 @@ def maximize_coherent_information(
 def one_way_capacity(lam: float, p: float) -> float:
     """1 - lam (2 - H(p)); certified only in the degradable regime lam <= 1/2."""
     lam = _check_degradable_lambda(lam)
-    p = _check_prob("p", p)
+    p = check_prob("p", p)
     return 1.0 - lam * (2.0 - binary_entropy(p))
 
 
 def two_way_capacity(lam: float) -> float:
     """1 - lam, for every lam in [0, 1] (independent of the dephasing weight)."""
-    lam = _check_prob("lambda", lam)
+    lam = check_prob("lambda", lam)
     return 1.0 - lam
 
 
 def complement_one_way_capacity(lam: float, p: float) -> float:
     """Zero: the environment channel is antidegradable when lam <= 1/2."""
     _check_degradable_lambda(lam)
-    _check_prob("p", p)
+    check_prob("p", p)
     return 0.0
 
 
 def complement_two_way_capacity(lam: float, p: float) -> float:
     """lam (1 - H(p)), certified for lam <= 1/2."""
     lam = _check_degradable_lambda(lam)
-    p = _check_prob("p", p)
+    p = check_prob("p", p)
     return lam * (1.0 - binary_entropy(p))
 
 
 def er_bound_complement(lam: float, p: float) -> float:
     """Relative-entropy upper bound lam (1 - H(p)), valid for every lam."""
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     return lam * (1.0 - binary_entropy(p))
 
 
 def erasure_capacities(lam: float) -> tuple[float, float]:
     """(one-way, two-way) reference values for the plain erasure channel."""
-    lam = _check_prob("lambda", lam)
+    lam = check_prob("lambda", lam)
     return max(0.0, 1.0 - 2.0 * lam), 1.0 - lam
 
 
 def coherent_info_lower_bound(lam: float, p: float) -> float:
     """max(0, 1 - lam (2 - H(p))), valid for every lam."""
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     return max(0.0, 1.0 - lam * (2.0 - binary_entropy(p)))
 
 
@@ -266,8 +270,8 @@ def continuity_upper_bound(lam: float, p: float) -> float:
     trace-and-replace comparison channel is antidegradable); below 1/2 the
     expression is still well defined but no longer bounds the capacity.
     """
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     return min(1.0 - lam, _continuity_entropic(lam, p))
 
 
@@ -275,74 +279,51 @@ def continuity_upper_bound(lam: float, p: float) -> float:
 # distance to the antidegradable comparison channel
 
 
-def diamond_distance_to_T(
-    lam: float, p: float, restarts: int = 200, tol: float = 1e-6, seed: int = 0
-) -> tuple[float, float]:
+def _diamond_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarray]:
+    # N and T agree on output block {0,1}, so (N - T) (x) id lives on block
+    # {2,3} (x) R: rows 4..7 of the channel-then-reference output
+    i2 = np.eye(2, dtype=complex)
+    kn = np.stack([np.kron(k, i2)[4:] for k in channel_N(lam, p).kraus])
+    kt = np.stack([np.kron(k, i2)[4:] for k in comparison_channel_T(lam, p).kraus])
+
+    def evaluate(rs: np.ndarray) -> np.ndarray:
+        # purification vec(sqrt(rho)), with sqrt(rho) = (rho + s I)/sqrt(1 + 2s)
+        # and s = sqrt(det rho) = sqrt(1 - |r|^2)/2 for a qubit
+        s = np.sqrt(np.clip(1.0 - (rs * rs).sum(axis=1), 0.0, None)) / 2.0
+        roots = _bloch_states(rs) + s[:, None, None] * np.eye(2)
+        psis = (roots / np.sqrt(1.0 + 2.0 * s)[:, None, None]).reshape(-1, 4)
+
+        def output(kraus: np.ndarray) -> np.ndarray:
+            # the input is pure, so each Kraus branch is a vector
+            branches = np.einsum("aij,nj->nai", kraus, psis)
+            return np.einsum("nai,naj->nij", branches, branches.conj())
+
+        delta = output(kn) - output(kt)
+        return np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
+
+    return evaluate
+
+
+def diamond_distance_to_T(lam: float, p: float) -> tuple[float, float]:
     """Estimate the stabilized distance between the glued channel and its
     antidegradable comparison channel.
 
     Returns ``(estimate, analytic)`` where ``analytic = 4 lam sqrt(p(1-p))``
-    is the exact value and ``estimate`` maximizes the trace-norm difference
-    over sampled-and-refined pure two-qubit inputs (channel on the first
-    qubit, reference on the second).  The estimate never exceeds the analytic
-    value beyond roundoff and reaches it to ~1e-3 at the default restarts: the
-    optimum sits at inputs carrying full weight on |1>.
+    is the exact value.  For a qubit-input channel the stabilized trace
+    distance is attained on purifications (sqrt(rho) (x) I)|Phi+> sqrt(2) of
+    single-qubit states rho (channel on the first qubit, reference on the
+    second), so ``estimate`` runs the same Bloch-ball search as
+    ``maximize_coherent_information`` over rho, scoring each input by the
+    trace norm of the output difference.  The optimum rho = |1><1| is a grid
+    point, so the estimate matches the analytic value to roundoff.  Ties get
+    no slack: the objective scales with lam sqrt(p), so an absolute tie width
+    would flatten it for tiny lam or p.
     """
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts!r}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     analytic = 4.0 * lam * float(np.sqrt(p * (1.0 - p)))
-
-    i2 = np.eye(2, dtype=complex)
-    kn = np.stack([np.kron(k, i2) for k in channel_N(lam, p).kraus])
-    kt = np.stack([np.kron(k, i2) for k in comparison_channel_T(lam, p).kraus])
-
-    def objective(psis: np.ndarray) -> np.ndarray:
-        rhos = np.einsum("ni,nj->nij", psis, psis.conj())
-        delta = _apply_stack(kn, rhos) - _apply_stack(kt, rhos)
-        return np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
-
-    rng = stream_rng(seed, STREAM_DIAMOND_SEARCH)
-    psis = rng.normal(size=(restarts, 4)) + 1j * rng.normal(size=(restarts, 4))
-    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-    f = objective(psis)
-
-    step = 0.5
-    floor = max(tol, 1e-7)
-    idle_levels = 0
-    while step >= floor:
-        if step < 0.1 and f.size > 32:
-            # the surviving climbers all chase the same optimum; keep the best
-            keep = np.argpartition(f, -32)[-32:]
-            psis, f = psis[keep], f[keep]
-        moved = False
-        for _ in range(32):  # sweeps at this step size
-            improved = False
-            for coord in range(8):
-                for sign in (1.0, -1.0):
-                    cand = psis.copy()
-                    if coord < 4:
-                        cand[:, coord] += sign * step
-                    else:
-                        cand[:, coord - 4] += 1j * sign * step
-                    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-                    fc = objective(cand)
-                    mask = fc > f + 1e-12
-                    if mask.any():
-                        psis[mask] = cand[mask]
-                        f[mask] = fc[mask]
-                        improved = True
-                        moved = True
-            if not improved:
-                break
-        idle_levels = 0 if moved else idle_levels + 1
-        if idle_levels >= 2 and step <= 1e-4:
-            break  # every restart is stationary well below the target scale
-        step /= 2.0
-    return float(f.max()), analytic
+    estimate, _ = _maximize_over_bloch_ball(_diamond_evaluator(lam, p), 1e-6, slack=0.0)
+    return estimate, analytic
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +343,7 @@ def degrading_map(lam: float, p: float) -> KrausChannel:
         raise DomainError(
             f"degrading map exists for lambda in [0, 1/2], got {lam!r}"
         )
-    p = _check_prob("p", p)
+    p = check_prob("p", p)
     x = (1.0 - 2.0 * lam) / (1.0 - lam)
     flag = ket(0, 3)
 
@@ -447,22 +428,22 @@ def derivative_condition_margin(p_of_lambda, lam: float) -> float:
 # alternating-bounds sequence (discrete family construction)
 
 
-def _bisect_increasing(f, target: float, lo: float, hi: float) -> float:
-    """Solve f(t) = target for nondecreasing f with f(lo) <= target <= f(hi).
+def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Point where f turns from negative to nonnegative, with f(lo) < 0 <= f(hi).
 
-    Bisects until the bracket can no longer be split in floating point, which
-    is far tighter than the 1e-12 interval contract; the doubly exponential
-    shrinkage of the sequence makes an absolute stop useless after two terms.
+    Bisects on ``f(mid) < 0`` until the bracket can no longer be split in
+    floating point and returns the midpoint of the final bracket.  Having no
+    absolute stop keeps it exact on the doubly exponentially shrinking
+    brackets of the alternating-bounds sequence.
     """
-    for _ in range(4096):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if f(mid) < target:
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def alternating_bounds_sequence(
@@ -515,7 +496,7 @@ def alternating_bounds_sequence(
     x_prev = b
     for n in range(1, n_terms + 1):
         target = q_lb(x_prev)
-        t = _bisect_increasing(q_ub, target, a, x_prev)
+        t = bisect(lambda x: q_ub(x) - target, a, x_prev)
         x_n = 0.5 * (t + a)
         if not a < x_n < x_prev:
             raise PreconditionViolated(
@@ -571,20 +552,12 @@ def sequence_upper_crossing() -> float:
     def gap(p: float) -> float:
         return _continuity_entropic(0.5 + p, p) - (0.5 - p)
 
-    lo, hi = 0.0, 1e-4
+    hi = 1e-4
     while gap(hi) < 0.0:
         hi *= 2.0
         if hi > 0.125:
             raise PreconditionViolated("no crossing of the upper bound with 1 - lambda")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(gap, 0.0, hi)
 
 
 def default_sequence(n_terms: int) -> tuple[list[SequenceItem], dict]:
@@ -676,7 +649,7 @@ def sweep_custom(
     if points < 2:
         raise DomainError(f"points must be >= 2, got {points!r}")
     for name, v in (("lambda", lam_min), ("lambda", lam_max), ("p", p_min), ("p", p_max)):
-        _check_prob(name, v)
+        check_prob(name, v)
     sweep_lambda = lam_min < lam_max
     sweep_p = p_min < p_max
     if sweep_lambda == sweep_p:
@@ -709,8 +682,8 @@ def sweep_custom(
 def two_way_postselected_fidelity(lam: float, p: float) -> float:
     """Fidelity of the kept-block post-selected state with the maximally
     entangled target; 1 by construction, recomputed as a consistency check."""
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     n = channel_N(lam, p)
     k0 = n.kraus[0]
     if np.abs(k0).max() == 0.0:  # lam = 1: the kept branch never fires
@@ -733,8 +706,8 @@ def simulate_two_way_protocol(
     block) rounds transmit noiselessly.  Returns (rate estimate, std error)
     with the Bernoulli standard error sqrt(lam (1 - lam) / uses).
     """
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     uses = int(uses)
     if uses < 1:
         raise DomainError(f"uses must be >= 1, got {uses!r}")

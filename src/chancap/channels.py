@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import qmath
-from .errors import DomainError, NotAState, ShapeMismatch
-from .qmath import embed_operator, partial_trace, von_neumann_entropy
+from .errors import NotAState, ShapeMismatch
+from .qmath import check_prob, embed_operator, partial_trace, von_neumann_entropy
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,13 +35,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 COMPLETENESS_TOL = 1e-10
 BLOCK_SUPPORT_TOL = 1e-12
-
-
-def _check_prob(name: str, value: float) -> float:
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -193,7 +186,7 @@ def ket(index: int, dim: int) -> np.ndarray:
 
 def phi_states(p: float) -> tuple[np.ndarray, np.ndarray]:
     """The conditional output vectors |phi0>, |phi1> for dephasing weight p."""
-    p = _check_prob("p", p)
+    p = check_prob("p", p)
     a, b = np.sqrt(1.0 - p), np.sqrt(p)
     return np.array([a, b], dtype=complex), np.array([a, -b], dtype=complex)
 
@@ -215,7 +208,7 @@ def maximally_entangled(dim: int) -> PureState:
 
 def dephasing_channel(p: float) -> KrausChannel:
     """Phase flip with probability p: rho -> (1-p) rho + p Z rho Z."""
-    p = _check_prob("p", p)
+    p = check_prob("p", p)
     kraus = (np.sqrt(1.0 - p) * I2, np.sqrt(p) * PAULI_Z)
     return KrausChannel(2, 2, kraus)
 
@@ -226,7 +219,7 @@ def complementary_dephasing(p: float) -> KrausChannel:
     Measures the input in the computational basis and prepares |phi0> or
     |phi1>: rho -> <0|rho|0> phi0 + <1|rho|1> phi1.
     """
-    p = _check_prob("p", p)
+    p = check_prob("p", p)
     phi0, phi1 = phi_states(p)
     kraus = (np.outer(phi0, ket(0, 2).conj()), np.outer(phi1, ket(1, 2).conj()))
     return KrausChannel(2, 2, kraus)
@@ -237,8 +230,8 @@ def channel_N(lam: float, p: float) -> KrausChannel:
 
     Output blocks: {0,1} identity, {2,3} dephasing complement.
     """
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     phi0, phi1 = phi_states(p)
     kraus = (
         np.sqrt(1.0 - lam) * embed_operator(I2, 0, 4),
@@ -253,8 +246,8 @@ def complement_N(lam: float, p: float) -> KrausChannel:
 
     Output blocks: {0} flag (weight 1-lam), {1,2} dephasing (weight lam).
     """
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     flag = ket(0, 3)
     kraus = (
         np.sqrt(1.0 - lam) * np.outer(flag, ket(0, 2).conj()),
@@ -271,8 +264,8 @@ def isometry_N(lam: float, p: float) -> Isometry:
     Tracing out C reproduces ``channel_N``; tracing out B reproduces
     ``complement_N``, with the block layouts documented in the module header.
     """
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     v = np.zeros((12, 2), dtype=complex)  # index (b, c) -> 3*b + c
     sl, cl = np.sqrt(lam), np.sqrt(1.0 - lam)
     sp, cp = np.sqrt(p), np.sqrt(1.0 - p)
@@ -293,8 +286,8 @@ def comparison_channel_T(lam: float, p: float) -> KrausChannel:
 
     Shares the output block convention of ``channel_N``.
     """
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     phi0, _ = phi_states(p)
     kraus = (
         np.sqrt(1.0 - lam) * embed_operator(I2, 0, 4),
@@ -306,7 +299,7 @@ def comparison_channel_T(lam: float, p: float) -> KrausChannel:
 
 def erasure_channel(lam: float) -> KrausChannel:
     """Transmit with probability 1-lam, output the flag at index 2 otherwise."""
-    lam = _check_prob("lambda", lam)
+    lam = check_prob("lambda", lam)
     flag = ket(2, 3)
     kraus = (
         np.sqrt(1.0 - lam) * embed_operator(I2, 0, 3),

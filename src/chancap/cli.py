@@ -79,6 +79,13 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _cast(cast, value: str, what: str):
+    try:
+        return cast(value)
+    except ValueError:
+        raise DomainError(f"{what} must be of type {cast.__name__}, got {value!r}") from None
+
+
 def _resolve(args: argparse.Namespace) -> RunConfig:
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
 
@@ -87,27 +94,29 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             return flag
         if name in file_values:
-            return cast(file_values[name])
+            return _cast(cast, file_values[name], f"config value {name}")
         return default
 
-    seed_default = 0
-    env_seed = os.environ.get("CHANCAP_SEED")
-    if env_seed is not None:
-        seed_default = int(env_seed)
+    seed = pick("seed", int, None)
+    if seed is None:  # the environment is read only when flag and file are silent
+        env_seed = os.environ.get("CHANCAP_SEED")
+        seed = 0 if env_seed is None else _cast(int, env_seed, "CHANCAP_SEED")
 
+    # simulate runs at (0.3, 0.1) unless a flag or the config file says otherwise
+    lam_default, p_default = (0.3, 0.1) if args.command == "simulate" else (0.0, 0.0)
     lam = getattr(args, "lam", None)
     p = getattr(args, "p", None)
     cfg = RunConfig(
         command=args.command,
         scenario=pick("scenario", str, "fig3"),
-        lambda_min=lam if lam is not None else pick("lambda_min", float, 0.0),
-        lambda_max=lam if lam is not None else pick("lambda_max", float, 0.0),
-        p_min=p if p is not None else pick("p_min", float, 0.0),
-        p_max=p if p is not None else pick("p_max", float, 0.0),
+        lambda_min=lam if lam is not None else pick("lambda_min", float, lam_default),
+        lambda_max=lam if lam is not None else pick("lambda_max", float, lam_default),
+        p_min=p if p is not None else pick("p_min", float, p_default),
+        p_max=p if p is not None else pick("p_max", float, p_default),
         points=pick("points", int, 100),
         terms=pick("terms", int, 5),
         uses=pick("uses", int, 100_000),
-        seed=pick("seed", int, seed_default),
+        seed=seed,
         kind=pick("kind", str, "both"),
         out_path=pick("out", str, None),
         fmt=pick("format", str, "csv"),
@@ -302,11 +311,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        if cfg.command == "simulate":
-            if getattr(args, "lam", None) is None and cfg.lambda_min == 0.0:
-                cfg.lambda_min = cfg.lambda_max = 0.3
-            if getattr(args, "p", None) is None and cfg.p_min == 0.0:
-                cfg.p_min = cfg.p_max = 0.1
         if cfg.command == "verify":
             return cmd_verify(cfg)
         if cfg.command == "sweep":

@@ -101,6 +101,14 @@ def von_neumann_entropy(rho) -> float:
     return _entropy_bits(state_eigenvalues(rho))
 
 
+def check_prob(name: str, value: float) -> float:
+    """``value`` as a float, or DomainError unless it lies in [0, 1]."""
+    v = float(value)
+    if not 0.0 <= v <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    return v
+
+
 def binary_entropy(p: float) -> float:
     """H(p) = -p*log2(p) - (1-p)*log2(1-p), with H(0) = H(1) = 0."""
     if not 0.0 <= p <= 1.0:

@@ -14,7 +14,6 @@ import numpy as np
 # Fixed stream indices, one per independent consumer of randomness.
 STREAM_QUANTUM_PROTOCOL = 0
 STREAM_WIRETAP_PROTOCOL = 1
-STREAM_DIAMOND_SEARCH = 2
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -26,11 +25,6 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (g + g.conj().T) / 2
-
-
-def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -7,7 +7,7 @@ are cached so that value/argmax style check pairs share one run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -49,10 +49,11 @@ def _register(name: str):
     return wrap
 
 
-def _result(name, residual, threshold, detail="", passed=None) -> CheckResult:
+def _result(residual, threshold, detail="", passed=None) -> CheckResult:
+    """A check's outcome; ``run_checks`` fills in the registered name."""
     if passed is None:
         passed = residual <= threshold
-    return CheckResult(name, bool(passed), float(residual), float(threshold), detail)
+    return CheckResult("", bool(passed), float(residual), float(threshold), detail)
 
 
 def check_names() -> list[str]:
@@ -65,9 +66,10 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
         if only and only not in name:
             continue
         try:
-            results.append(fn())
+            result = fn()
         except Exception as exc:  # a crashed check is a failed check
-            results.append(_result(name, float("inf"), 0.0, f"{type(exc).__name__}: {exc}"))
+            result = _result(float("inf"), 0.0, f"{type(exc).__name__}: {exc}")
+        results.append(replace(result, name=name))
     return results
 
 
@@ -88,7 +90,7 @@ def _check_eig_reconstruction() -> CheckResult:
         worst = max(worst, float(np.abs(gram - np.eye(d)).max()))
         if np.any(np.diff(spectrum.eigenvalues) < 0):
             worst = max(worst, 1.0)
-    return _result("qmath.eig_reconstruction", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 @_register("qmath.entropy_unitary_invariance")
@@ -102,7 +104,7 @@ def _check_entropy_unitary() -> CheckResult:
         worst = max(
             worst, abs(von_neumann_entropy(u @ rho @ u.conj().T) - von_neumann_entropy(rho))
         )
-    return _result("qmath.entropy_unitary_invariance", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 @_register("qmath.entropy_diagonal_matches_shannon")
@@ -113,7 +115,7 @@ def _check_entropy_diagonal() -> CheckResult:
         d = int(rng.integers(2, 9))
         w = rng.dirichlet(np.ones(d))
         worst = max(worst, abs(von_neumann_entropy(np.diag(w.astype(complex))) - shannon_entropy(w)))
-    return _result("qmath.entropy_diagonal_matches_shannon", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
 @_register("qmath.trace_norm_dominates_trace")
@@ -124,7 +126,7 @@ def _check_trace_norm() -> CheckResult:
         d = int(rng.integers(2, 9))
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         worst = max(worst, abs(np.trace(m)) - trace_norm(m))
-    return _result("qmath.trace_norm_dominates_trace", max(0.0, worst), 1e-12)
+    return _result(max(0.0, worst), 1e-12)
 
 
 @_register("qmath.partial_trace_factorization")
@@ -138,7 +140,7 @@ def _check_partial_trace() -> CheckResult:
         prod = tensor(rho, sigma)
         worst = max(worst, float(np.abs(partial_trace(prod, (da, db), "second") - rho).max()))
         worst = max(worst, float(np.abs(partial_trace(prod, (da, db), "first") - sigma).max()))
-    return _result("qmath.partial_trace_factorization", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,7 @@ def _check_completeness() -> CheckResult:
                 worst = max(worst, float(resid))
             v = chn.isometry_N(lam, p)
             worst = max(worst, float(np.abs(v.matrix.conj().T @ v.matrix - np.eye(2)).max()))
-    return _result("channels.kraus_completeness_grid", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 @_register("channels.complement_consistency")
@@ -183,13 +185,14 @@ def _check_complement_consistency() -> CheckResult:
             keep_c = chn.channel_from_isometry(v, (4, 3), "second")
             worst = max(worst, chn.channel_distance(keep_b, chn.channel_N(lam, p)))
             worst = max(worst, chn.channel_distance(keep_c, chn.complement_N(lam, p)))
-    return _result("channels.complement_consistency", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def _entropy_decomposition_residuals(n_states: int = 100) -> tuple[float, float]:
+@lru_cache(maxsize=1)
+def _entropy_decomposition_residuals() -> tuple[float, float]:
     rng = np.random.default_rng(106)
     worst_out, worst_env = 0.0, 0.0
-    for _ in range(n_states):
+    for _ in range(100):
         lam, p = rng.uniform(0.0, 1.0, size=2)
         rho = random_density_matrix(rng, 2)
         h_rho = von_neumann_entropy(rho)
@@ -207,13 +210,13 @@ def _entropy_decomposition_residuals(n_states: int = 100) -> tuple[float, float]
 @_register("channels.entropy_decomposition_output")
 def _check_entropy_decomposition_output() -> CheckResult:
     worst, _ = _entropy_decomposition_residuals()
-    return _result("channels.entropy_decomposition_output", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 @_register("channels.entropy_decomposition_complement")
 def _check_entropy_decomposition_complement() -> CheckResult:
     _, worst = _entropy_decomposition_residuals()
-    return _result("channels.entropy_decomposition_complement", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 @_register("channels.block_orthogonality")
@@ -234,7 +237,7 @@ def _check_block_orthogonality() -> CheckResult:
             for off, size in c.blocks:
                 mask[off : off + size, off : off + size] = False
             worst = max(worst, float(np.abs(out[mask]).max()))
-    return _result("channels.block_orthogonality", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +260,13 @@ def _oneway_oracle_samples() -> tuple[float, float]:
 @_register("capacity.oneway_oracle_value")
 def _check_oneway_value() -> CheckResult:
     worst, _ = _oneway_oracle_samples()
-    return _result("capacity.oneway_oracle_value", worst, 1e-5)
+    return _result(worst, 1e-5)
 
 
 @_register("capacity.oneway_oracle_argmax")
 def _check_oneway_argmax() -> CheckResult:
     _, worst = _oneway_oracle_samples()
-    return _result("capacity.oneway_oracle_argmax", worst, 1e-3)
+    return _result(worst, 1e-3)
 
 
 @_register("capacity.degradable_composition")
@@ -272,7 +275,7 @@ def _check_degradable() -> CheckResult:
     for lam in np.linspace(0.0, 0.5, 6):
         for p in np.linspace(0.0, 1.0, 5):
             worst = max(worst, cap.verify_degradable(lam, p))
-    return _result("capacity.degradable_composition", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 @_register("capacity.pauli_conjugation_invariance")
@@ -285,7 +288,7 @@ def _check_pauli_invariance() -> CheckResult:
             rho = random_density_matrix(rng, 2)
             dz, dx = cap.ic_conjugation_residual(lam, p, rho)
             worst = max(worst, dz, dx)
-    return _result("capacity.pauli_conjugation_invariance", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
 @_register("capacity.bounds_ordering")
@@ -299,7 +302,7 @@ def _check_bounds_ordering() -> CheckResult:
                 worst,
                 cap.coherent_info_lower_bound(lam, p) - cap.continuity_upper_bound(lam, p),
             )
-    return _result("capacity.bounds_ordering", max(0.0, worst), 1e-9)
+    return _result(max(0.0, worst), 1e-9)
 
 
 @_register("capacity.oneway_below_twoway")
@@ -308,7 +311,7 @@ def _check_oneway_below_twoway() -> CheckResult:
     for lam in np.linspace(0.0, 0.5, 11):
         for p in np.linspace(0.0, 1.0, 11):
             worst = max(worst, cap.one_way_capacity(lam, p) - cap.two_way_capacity(lam))
-    return _result("capacity.oneway_below_twoway", max(0.0, worst), 1e-12)
+    return _result(max(0.0, worst), 1e-12)
 
 
 @_register("capacity.fig3_opposite_monotonicity")
@@ -318,7 +321,6 @@ def _check_fig3_monotonicity() -> CheckResult:
     two = np.array([p.two_way for p in pts])
     margin = min(float(np.diff(one).min()), float(-np.diff(two).max()))
     return _result(
-        "capacity.fig3_opposite_monotonicity",
         margin,
         1e-9,
         "residual is the smallest step (must exceed threshold)",
@@ -335,7 +337,7 @@ def _check_fig3_endpoints() -> CheckResult:
         abs(pts[-1].one_way - 0.628524413893479),
         abs(pts[-1].two_way - 0.6875),
     )
-    return _result("capacity.fig3_endpoints", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
 @lru_cache(maxsize=1)
@@ -344,7 +346,7 @@ def _diamond_samples() -> tuple[float, float]:
     worst_over, worst_under = 0.0, 0.0
     for _ in range(10):
         lam, p = rng.uniform(0.0, 1.0, size=2)
-        est, ana = cap.diamond_distance_to_T(lam, p, restarts=200)
+        est, ana = cap.diamond_distance_to_T(lam, p)
         worst_over = max(worst_over, est - ana)
         worst_under = max(worst_under, ana - est)
     return worst_over, worst_under
@@ -353,13 +355,13 @@ def _diamond_samples() -> tuple[float, float]:
 @_register("capacity.diamond_estimate_is_lower_bound")
 def _check_diamond_lower() -> CheckResult:
     over, _ = _diamond_samples()
-    return _result("capacity.diamond_estimate_is_lower_bound", max(0.0, over), 1e-9)
+    return _result(max(0.0, over), 1e-9)
 
 
 @_register("capacity.diamond_estimate_reaches_value")
 def _check_diamond_reach() -> CheckResult:
     _, under = _diamond_samples()
-    return _result("capacity.diamond_estimate_reaches_value", max(0.0, under), 1e-3)
+    return _result(max(0.0, under), 1e-3)
 
 
 @_register("capacity.sequence_invariants")
@@ -371,7 +373,6 @@ def _check_sequence() -> CheckResult:
     ok = ok and items[0].q_ub < q_lb(meta["b_used"])
     ok = ok and all(b.q_two_way >= a.q_two_way for a, b in zip(items, items[1:]))
     return _result(
-        "capacity.sequence_invariants",
         0.0 if ok else 1.0,
         0.5,
         f"upper_crossing={meta['upper_crossing']:.6e} (nominal 2e-4), 5 terms",
@@ -386,7 +387,7 @@ def _check_derivative() -> CheckResult:
     for lam in np.linspace(0.2525, 0.31, 15):
         analytic, numeric = cap.derivative_check(curve, float(lam))
         worst = max(worst, abs(analytic - numeric))
-    return _result("capacity.derivative_consistency", worst, 1e-5)
+    return _result(worst, 1e-5)
 
 
 @_register("capacity.choi_state_ic_consistency")
@@ -401,14 +402,14 @@ def _check_choi_ic() -> CheckResult:
         via_state = cap.coherent_information_state(chn.choi(n).state.matrix, (2, 4))
         via_channel = cap.coherent_information(n, nb, pi)
         worst = max(worst, abs(via_state - via_channel))
-    return _result("capacity.choi_state_ic_consistency", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 @_register("capacity.fig4_endpoint_equality")
 def _check_fig4_endpoint() -> CheckResult:
     pts = cap.sweep_fig4(100)
     worst = max(abs(pts[-1].one_way - 0.5), abs(pts[-1].two_way - 0.5))
-    return _result("capacity.fig4_endpoint_equality", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
 @_register("capacity.two_way_protocol_concentration")
@@ -419,7 +420,7 @@ def _check_quantum_protocol() -> CheckResult:
     for seed in range(10):
         rate, _ = cap.simulate_two_way_protocol(lam, p, uses, seed)
         worst = max(worst, abs(rate - (1.0 - lam)))
-    return _result("capacity.two_way_protocol_concentration", worst, 3.0 * sigma)
+    return _result(worst, 3.0 * sigma)
 
 
 @_register("capacity.two_way_postselect_fidelity")
@@ -428,7 +429,7 @@ def _check_postselect_fidelity() -> CheckResult:
     for lam in np.linspace(0.0, 1.0, 6):
         for p in np.linspace(0.0, 1.0, 5):
             worst = max(worst, abs(1.0 - cap.two_way_postselected_fidelity(lam, p)))
-    return _result("capacity.two_way_postselect_fidelity", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +452,13 @@ def _wiretap_samples() -> tuple[float, float]:
 @_register("wiretap.bruteforce_oracle_value")
 def _check_wiretap_value() -> CheckResult:
     worst, _ = _wiretap_samples()
-    return _result("wiretap.bruteforce_oracle_value", worst, 1e-4)
+    return _result(worst, 1e-4)
 
 
 @_register("wiretap.bruteforce_oracle_argmax")
 def _check_wiretap_argmax() -> CheckResult:
     _, worst = _wiretap_samples()
-    return _result("wiretap.bruteforce_oracle_argmax", worst, 1e-4)
+    return _result(worst, 1e-4)
 
 
 @_register("wiretap.degraded_composition")
@@ -466,7 +467,7 @@ def _check_wiretap_degraded() -> CheckResult:
     for lam in np.linspace(0.0, 0.5, 6):
         for p in np.linspace(0.0, 1.0, 5):
             worst = max(worst, wt.verify_degraded(wt.build_wiretap(lam, p)))
-    return _result("wiretap.degraded_composition", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
 @_register("wiretap.oneway_below_twoway")
@@ -477,7 +478,7 @@ def _check_wiretap_ordering() -> CheckResult:
             worst = max(
                 worst, wt.one_way_secrecy_capacity(lam, p) - wt.two_way_secrecy_capacity(lam)
             )
-    return _result("wiretap.oneway_below_twoway", max(0.0, worst), 1e-12)
+    return _result(max(0.0, worst), 1e-12)
 
 
 @_register("wiretap.fig6_opposite_monotonicity")
@@ -487,7 +488,6 @@ def _check_fig6_monotonicity() -> CheckResult:
     two = np.array([p.two_way for p in pts])
     margin = min(float(np.diff(one).min()), float(-np.diff(two).max()))
     return _result(
-        "wiretap.fig6_opposite_monotonicity",
         margin,
         1e-9,
         "residual is the smallest step (must exceed threshold)",
@@ -499,7 +499,7 @@ def _check_fig6_monotonicity() -> CheckResult:
 def _check_fig6_endpoint() -> CheckResult:
     pts = wt.sweep_fig6(100)
     worst = max(abs(pts[-1].one_way - 0.806574), abs(pts[-1].two_way - 0.806574))
-    return _result("wiretap.fig6_endpoint_equality", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
 @_register("wiretap.mi_decomposition_identity")
@@ -510,27 +510,29 @@ def _check_mi_decomposition() -> CheckResult:
         lam, p = rng.uniform(0.0, 1.0, size=2)
         q = rng.uniform(0.0, 1.0)
         worst = max(worst, wt.decomposition_residual(wt.build_wiretap(lam, p), q))
-    return _result("wiretap.mi_decomposition_identity", worst, 1e-12)
+    return _result(worst, 1e-12)
+
+
+@lru_cache(maxsize=1)
+def _feedback_samples() -> tuple[float, float, float]:
+    """Worst throughput deviation, its 3-sigma threshold and worst leakage."""
+    lam, p, uses = 0.3, 0.1, 100_000
+    runs = [wt.simulate_feedback_protocol(lam, p, uses, seed) for seed in range(10)]
+    sigma = float(np.sqrt(lam * (1.0 - lam) / uses))
+    worst_throughput = max(abs(throughput - (1.0 - lam)) for throughput, _ in runs)
+    return worst_throughput, 3.0 * sigma, max(leakage for _, leakage in runs)
 
 
 @_register("wiretap.feedback_throughput_concentration")
 def _check_wiretap_protocol() -> CheckResult:
-    lam, p, uses = 0.3, 0.1, 100_000
-    sigma = float(np.sqrt(lam * (1.0 - lam) / uses))
-    worst = 0.0
-    for seed in range(10):
-        throughput, _ = wt.simulate_feedback_protocol(lam, p, uses, seed)
-        worst = max(worst, abs(throughput - (1.0 - lam)))
-    return _result("wiretap.feedback_throughput_concentration", worst, 3.0 * sigma)
+    worst, threshold, _ = _feedback_samples()
+    return _result(worst, threshold)
 
 
 @_register("wiretap.feedback_leakage_small")
 def _check_wiretap_leakage() -> CheckResult:
-    worst = 0.0
-    for seed in range(10):
-        _, leakage = wt.simulate_feedback_protocol(0.3, 0.1, 100_000, seed)
-        worst = max(worst, leakage)
-    return _result("wiretap.feedback_leakage_small", worst, 1e-2)
+    _, _, worst = _feedback_samples()
+    return _result(worst, 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +546,7 @@ def _check_byte_determinism() -> CheckResult:
     c = output.sweep_json(wt.sweep_fig6(50), "fig6", {"scenario": "fig6"})
     d = output.sweep_json(wt.sweep_fig6(50), "fig6", {"scenario": "fig6"})
     ok = a == b and c == d
-    return _result("cli.sweep_byte_determinism", 0.0 if ok else 1.0, 0.5, passed=ok)
+    return _result(0.0 if ok else 1.0, 0.5, passed=ok)
 
 
 @_register("cli.csv_roundtrip_reevaluation")
@@ -563,4 +565,4 @@ def _check_csv_roundtrip() -> CheckResult:
         ):
             scale = max(1.0, abs(fresh))
             worst = max(worst, abs(stored - fresh) / scale)
-    return _result("cli.csv_roundtrip_reevaluation", worst, 1e-15)
+    return _result(worst, 1e-15)

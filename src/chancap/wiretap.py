@@ -22,19 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityCurvePoint
+from .capacity import CapacityCurvePoint, bisect
 from .errors import DomainError, NotADistribution
-from .qmath import binary_entropy
+from .qmath import binary_entropy, check_prob
 from .sampling import STREAM_WIRETAP_PROTOCOL, stream_rng
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _check_prob(name: str, value: float) -> float:
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,7 @@ class InputDistribution:
     q: float
 
     def __post_init__(self):
-        _check_prob("q", self.q)
+        check_prob("q", self.q)
 
     def weights(self) -> np.ndarray:
         return np.array([self.q, 1.0 - self.q])
@@ -83,8 +76,8 @@ class InputDistribution:
 
 def build_wiretap(lam: float, p: float) -> WiretapChannel:
     """Assemble the joint conditional table for parameters (lam, p)."""
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     t = np.zeros((2, 2, 2, 2))
     for x in range(2):
         for y in range(2):
@@ -173,13 +166,13 @@ def one_way_secrecy_capacity(lam: float, p: float) -> float:
     lam = float(lam)
     if not 0.0 <= lam <= 0.5:
         raise DomainError(f"lambda must lie in [0, 1/2], got {lam!r}")
-    p = _check_prob("p", p)
+    p = check_prob("p", p)
     return 1.0 - lam * (1.0 + binary_entropy(p))
 
 
 def two_way_secrecy_capacity(lam: float) -> float:
     """1 - lam for every lam in [0, 1]."""
-    lam = _check_prob("lambda", lam)
+    lam = check_prob("lambda", lam)
     return 1.0 - lam
 
 
@@ -223,8 +216,8 @@ def simulate_feedback_protocol(
     leakage is the plug-in empirical mutual information between Alice's bit
     and Eve's observation on accepted rounds.
     """
-    lam = _check_prob("lambda", lam)
-    p = _check_prob("p", p)
+    lam = check_prob("lambda", lam)
+    p = check_prob("p", p)
     uses = int(uses)
     if uses < 1:
         raise DomainError(f"uses must be >= 1, got {uses!r}")
@@ -294,12 +287,4 @@ def fig6_crossover() -> float:
             break
     if lo is None:
         raise DomainError("no slope sign change found on [0.6, 0.99]")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(slope, lo, hi)

@@ -98,7 +98,7 @@ def test_criterion_6_diamond_distance_estimator():
     worst_over, worst_under = 0.0, 0.0
     for _ in range(10):
         lam, p = rng.uniform(0.0, 1.0, size=2)
-        est, ana = cap.diamond_distance_to_T(lam, p, restarts=200)
+        est, ana = cap.diamond_distance_to_T(lam, p)
         worst_over = max(worst_over, est - ana)
         worst_under = max(worst_under, ana - est)
     assert worst_over <= 1e-9

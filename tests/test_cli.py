@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from chancap import capacity as cap
@@ -188,6 +189,46 @@ def test_simulate_json(capsys):
     assert row["target"] == 0.8
     assert row["leakage"] <= 1e-2
     assert doc["meta"]["version"]
+
+
+def test_simulate_config_zero_parameters_are_kept(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda_min = 0\np_min = 0\n")
+    path = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(cfg), "--uses", "1000", "--out", str(path)]) == 0
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [(float(row[1]), float(row[2])) for row in rows] == [(0.0, 0.0), (0.0, 0.0)]
+
+
+def test_malformed_env_seed_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CHANCAP_SEED", "abc")
+    code, _, err = run(["simulate", "--uses", "1000"], capsys)
+    assert code == 2
+    assert "CHANCAP_SEED" in err
+    # a seed flag wins, so the environment is never read
+    code, _, _ = run(["simulate", "--uses", "1000", "--seed", "5"], capsys)
+    assert code == 0
+
+
+def test_malformed_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = abc\n")
+    code, _, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "points" in err
+
+
+def test_default_output_digests(capsys):
+    # seq and the fig6 crossover in the JSON meta both come out of a bisection
+    expected = {
+        ("seq",): "315d40e4c0366f0c83612d0ffa028aa17b290e1759b84020c0a07a667a41f4df",
+        ("sweep", "--scenario", "fig6", "--format", "json"):
+            "9410f92cd34235558633801d59d2395f011cec6362cc34c89e4dd6b095edbbb7",
+    }
+    for argv, digest in expected.items():
+        code, out, _ = run(list(argv), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_simulate_env_seed(tmp_path, monkeypatch):
