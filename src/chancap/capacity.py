@@ -17,6 +17,7 @@ Closed forms implemented here, all in qubits (or private bits) per use:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,7 +36,14 @@ from .channels import (
     maximally_entangled,
 )
 from .errors import ChancapError, DomainError, PreconditionViolated, ShapeMismatch
-from .qmath import binary_entropy, check_prob, embed_operator, partial_trace, von_neumann_entropy
+from .qmath import (
+    binary_entropy,
+    check_prob,
+    embed_operator,
+    entropies_bits,
+    partial_trace,
+    von_neumann_entropy,
+)
 from .sampling import STREAM_QUANTUM_PROTOCOL, stream_rng
 
 GRID_STEP = 0.1  # coarse Bloch-ball scan used before pattern refinement
@@ -94,25 +102,34 @@ class SequenceItem:
 # coherent information
 
 
-def _entropies_bits(stack: np.ndarray) -> np.ndarray:
-    """Von Neumann entropies (bits) of a stack of Hermitian PSD matrices."""
-    w = np.clip(np.linalg.eigvalsh(stack), 0.0, None)
-    logs = np.where(w > 0.0, np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
-    return -(w * logs).sum(axis=-1)
+def _superoperator(kraus) -> np.ndarray:
+    """Natural representation sum_a K_a (x) conj(K_a), shape (dout^2, din^2).
+
+    Row-major vec turns the channel action into one matrix product:
+    vec(sum_a K_a rho K_a^dag) = S vec(rho).
+    """
+    k = np.stack(kraus)
+    _, dout, din = k.shape
+    return np.einsum("aij,alk->iljk", k, k.conj()).reshape(dout * dout, din * din)
 
 
-def _apply_stack(kraus: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Apply one channel (Kraus stack, shape (m, dout, din)) to stacked states."""
-    return np.einsum("aij,njk,alk->nil", kraus, rhos, kraus.conj(), optimize=True)
+def _apply_stack(superop: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Apply one channel, given as a superoperator, to stacked states (n, din, din)."""
+    dout = math.isqrt(superop.shape[0])
+    return (rhos.reshape(rhos.shape[0], -1) @ superop.T).reshape(-1, dout, dout)
+
+
+def _ic_stack(sn: np.ndarray, sc: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """H(ch(rho)) - H(comp(rho)) for stacked, already validated states."""
+    return entropies_bits(_apply_stack(sn, rhos)) - entropies_bits(_apply_stack(sc, rhos))
 
 
 def coherent_information(ch: KrausChannel, comp: KrausChannel, rho) -> float:
     """H(ch(rho)) - H(comp(rho)) for a channel/complement pair, in bits."""
     if ch.dim_in != comp.dim_in:
         raise ShapeMismatch("channel and complement act on different input spaces")
-    out = chn.apply(ch, rho)
-    env = chn.apply(comp, rho)
-    return out.entropy() - env.entropy()
+    m = chn.checked_input(ch, rho)
+    return float(_ic_stack(_superoperator(ch.kraus), _superoperator(comp.kraus), m[None])[0])
 
 
 def coherent_information_state(rho_ab, dims: tuple[int, int]) -> float:
@@ -138,14 +155,9 @@ def _bloch_states(rs: np.ndarray) -> np.ndarray:
 
 
 def _ic_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarray]:
-    kn = np.stack(channel_N(lam, p).kraus)
-    kc = np.stack(complement_N(lam, p).kraus)
-
-    def evaluate(rs: np.ndarray) -> np.ndarray:
-        rhos = _bloch_states(rs)
-        return _entropies_bits(_apply_stack(kn, rhos)) - _entropies_bits(_apply_stack(kc, rhos))
-
-    return evaluate
+    sn = _superoperator(channel_N(lam, p).kraus)
+    sc = _superoperator(complement_N(lam, p).kraus)
+    return lambda rs: _ic_stack(sn, sc, _bloch_states(rs))
 
 
 def _maximize_over_bloch_ball(
@@ -283,8 +295,9 @@ def _diamond_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarra
     # N and T agree on output block {0,1}, so (N - T) (x) id lives on block
     # {2,3} (x) R: rows 4..7 of the channel-then-reference output
     i2 = np.eye(2, dtype=complex)
-    kn = np.stack([np.kron(k, i2)[4:] for k in channel_N(lam, p).kraus])
-    kt = np.stack([np.kron(k, i2)[4:] for k in comparison_channel_T(lam, p).kraus])
+    kn = [np.kron(k, i2)[4:] for k in channel_N(lam, p).kraus]
+    kt = [np.kron(k, i2)[4:] for k in comparison_channel_T(lam, p).kraus]
+    delta = _superoperator(kn) - _superoperator(kt)  # 16 x 16
 
     def evaluate(rs: np.ndarray) -> np.ndarray:
         # purification vec(sqrt(rho)), with sqrt(rho) = (rho + s I)/sqrt(1 + 2s)
@@ -292,14 +305,8 @@ def _diamond_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarra
         s = np.sqrt(np.clip(1.0 - (rs * rs).sum(axis=1), 0.0, None)) / 2.0
         roots = _bloch_states(rs) + s[:, None, None] * np.eye(2)
         psis = (roots / np.sqrt(1.0 + 2.0 * s)[:, None, None]).reshape(-1, 4)
-
-        def output(kraus: np.ndarray) -> np.ndarray:
-            # the input is pure, so each Kraus branch is a vector
-            branches = np.einsum("aij,nj->nai", kraus, psis)
-            return np.einsum("nai,naj->nij", branches, branches.conj())
-
-        delta = output(kn) - output(kt)
-        return np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
+        projectors = psis[:, :, None] * psis[:, None, :].conj()
+        return np.abs(np.linalg.eigvalsh(_apply_stack(delta, projectors))).sum(axis=-1)
 
     return evaluate
 
@@ -372,12 +379,11 @@ def verify_degradable(lam: float, p: float) -> float:
 
 def ic_conjugation_residual(lam: float, p: float, rho) -> tuple[float, float]:
     """Coherent-information change under Z and X conjugation of the input."""
-    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
     n, nb = channel_N(lam, p), complement_N(lam, p)
-    base = coherent_information(n, nb, m)
-    dz = abs(base - coherent_information(n, nb, PAULI_Z @ m @ PAULI_Z))
-    dx = abs(base - coherent_information(n, nb, PAULI_X @ m @ PAULI_X))
-    return dz, dx
+    m = chn.checked_input(n, rho)
+    stack = np.stack([m, PAULI_Z @ m @ PAULI_Z, PAULI_X @ m @ PAULI_X])
+    base, z, x = _ic_stack(_superoperator(n.kraus), _superoperator(nb.kraus), stack)
+    return float(abs(base - z)), float(abs(base - x))
 
 
 # ---------------------------------------------------------------------------

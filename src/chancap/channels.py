@@ -336,13 +336,18 @@ def apply_kraus(kraus: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     return sum(k @ rho @ k.conj().T for k in kraus)
 
 
-def apply(ch: KrausChannel, rho) -> DensityMatrix:
-    """Apply a channel to a state: rho -> sum_i K_i rho K_i^dag."""
+def checked_input(ch: KrausChannel, rho) -> np.ndarray:
+    """``rho`` as a matrix, validated as a density operator on the channel's input."""
     m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
     if m.shape != (ch.dim_in, ch.dim_in):
         raise ShapeMismatch(f"state shape {m.shape} != channel input {ch.dim_in}")
     qmath.state_eigenvalues(m)
-    return DensityMatrix(apply_kraus(ch.kraus, m))
+    return m
+
+
+def apply(ch: KrausChannel, rho) -> DensityMatrix:
+    """Apply a channel to a state: rho -> sum_i K_i rho K_i^dag."""
+    return DensityMatrix(apply_kraus(ch.kraus, checked_input(ch, rho)))
 
 
 def apply_with_reference(ch: KrausChannel, rho_ar, dim_ref: int) -> DensityMatrix:

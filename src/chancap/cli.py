@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 precondition/domain violation,
 3 I/O error.  ``CHANCAP_SEED`` supplies the default seed; an optional config
-file of ``key = value`` lines mirrors the long flags, with flags winning.
+file of ``key = value`` lines mirrors the long flags, with flags winning, and
+rejects any key it does not read.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_IO = 3
+
+SCENARIOS = ("fig3", "fig4", "fig6", "custom")
+FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -63,6 +67,25 @@ class RunConfig:
             raise DomainError(f"--terms must lie in [1, 64], got {self.terms!r}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"--seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if self.scenario not in SCENARIOS:
+            raise DomainError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        if self.fmt not in FORMATS:
+            raise DomainError(f"format must be one of {FORMATS}, got {self.fmt!r}")
+        if self.emit_plot_script and (self.out_path is None or self.fmt != "csv"):
+            raise DomainError("--emit-plot-script needs --out and the csv format")
+
+
+# keys a config file may set: one per long flag read from it, with ``lambda``
+# and ``p`` mirroring --lambda and --p
+CONFIG_KEYS = frozenset(
+    ("scenario", "lambda", "lambda_min", "lambda_max", "p", "p_min", "p_max", "points",
+     "terms", "uses", "seed", "kind", "out", "format")
+)
+# sweep flags that only a custom sweep reads
+CUSTOM_SWEEP_FLAGS = (
+    ("lam", "--lambda"), ("p", "--p"), ("lambda_min", "--lambda-min"),
+    ("lambda_max", "--lambda-max"), ("p_min", "--p-min"), ("p_max", "--p-max"),
+)
 
 
 def _read_config_file(path: str) -> dict:
@@ -75,7 +98,10 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key not in CONFIG_KEYS:
+                raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = value
     return values
 
 
@@ -102,17 +128,31 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         env_seed = os.environ.get("CHANCAP_SEED")
         seed = 0 if env_seed is None else _cast(int, env_seed, "CHANCAP_SEED")
 
+    def pick_range(name: str, flag: str, default: float) -> tuple[float, float]:
+        # a flag beats every config key; at each level the fixed value
+        # (--lambda, or the key lambda) beats the range ends
+        lo, hi = f"{name}_min", f"{name}_max"
+        fixed = getattr(args, flag, None)
+        ends_given = getattr(args, lo, None) is not None or getattr(args, hi, None) is not None
+        if fixed is not None and ends_given:
+            raise DomainError(f"--{name} excludes --{name}-min and --{name}-max")
+        if fixed is None and not ends_given:
+            fixed = pick(name, float, None)
+        if fixed is not None:
+            return fixed, fixed
+        return pick(lo, float, default), pick(hi, float, default)
+
     # simulate runs at (0.3, 0.1) unless a flag or the config file says otherwise
     lam_default, p_default = (0.3, 0.1) if args.command == "simulate" else (0.0, 0.0)
-    lam = getattr(args, "lam", None)
-    p = getattr(args, "p", None)
+    lambda_min, lambda_max = pick_range("lambda", "lam", lam_default)
+    p_min, p_max = pick_range("p", "p", p_default)
     cfg = RunConfig(
         command=args.command,
         scenario=pick("scenario", str, "fig3"),
-        lambda_min=lam if lam is not None else pick("lambda_min", float, lam_default),
-        lambda_max=lam if lam is not None else pick("lambda_max", float, lam_default),
-        p_min=p if p is not None else pick("p_min", float, p_default),
-        p_max=p if p is not None else pick("p_max", float, p_default),
+        lambda_min=lambda_min,
+        lambda_max=lambda_max,
+        p_min=p_min,
+        p_max=p_max,
         points=pick("points", int, 100),
         terms=pick("terms", int, 5),
         uses=pick("uses", int, 100_000),
@@ -123,6 +163,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         emit_plot_script=bool(getattr(args, "emit_plot_script", False)),
         only=getattr(args, "only", None),
     )
+    if cfg.command == "sweep" and cfg.scenario != "custom":
+        for attr, flag in CUSTOM_SWEEP_FLAGS:
+            if getattr(args, attr, None) is not None:
+                raise DomainError(f"{flag} applies only to --scenario custom, not {cfg.scenario}")
     cfg.validate()
     return cfg
 
@@ -133,7 +177,7 @@ def _write(cfg: RunConfig, text: str, plot_scenario: Optional[str] = None) -> No
     else:
         with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    if cfg.emit_plot_script and cfg.out_path and plot_scenario and cfg.fmt == "csv":
+    if cfg.emit_plot_script and plot_scenario:
         script = output.gnuplot_script(os.path.basename(cfg.out_path), plot_scenario)
         with open(cfg.out_path + ".gp", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(script)
@@ -271,16 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file of 'key = value' lines (flags win)")
     common.add_argument("--out", "-o", dest="out", help="output path (default: stdout)")
-    common.add_argument("--format", dest="format", choices=("csv", "json"), help="output format")
+    common.add_argument("--format", dest="format", choices=FORMATS, help="output format")
     common.add_argument("--seed", dest="seed", type=int, help="RNG seed (default: $CHANCAP_SEED or 0)")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the invariant suites")
     p_verify.add_argument("--only", help="run only checks whose name contains this substring")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="emit a capacity-curve data file")
-    p_sweep.add_argument(
-        "--scenario", choices=("fig3", "fig4", "fig6", "custom"), default="fig3"
-    )
+    p_sweep.add_argument("--scenario", choices=SCENARIOS, help="curve to sweep (default fig3)")
     p_sweep.add_argument("--points", type=int, help="grid size (default 100)")
     p_sweep.add_argument("--lambda-min", dest="lambda_min", type=float)
     p_sweep.add_argument("--lambda-max", dest="lambda_max", type=float)

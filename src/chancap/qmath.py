@@ -57,11 +57,11 @@ def _require_square(a: np.ndarray) -> int:
     return a.shape[0]
 
 
-def hermitian_eig(m) -> HermitianSpectrum:
-    """Eigendecompose a Hermitian matrix (dimension <= 16).
+def _checked_hermitian(m) -> np.ndarray:
+    """``m`` as a complex matrix after the checks shared by the eigen routines.
 
-    Raises NonHermitian if max|m - m^dag| exceeds 1e-10 and DimensionTooLarge
-    above dimension 16.
+    Raises ShapeMismatch unless square, DimensionTooLarge above dimension 16,
+    and NonHermitian on a non-finite entry or max|m - m^dag| above 1e-10.
     """
     a = _as_matrix(m)
     d = _require_square(a)
@@ -72,6 +72,16 @@ def hermitian_eig(m) -> HermitianSpectrum:
     asym = np.abs(a - a.conj().T).max()
     if asym > HERMITIAN_TOL:
         raise NonHermitian(f"symmetry residual {asym:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    return a
+
+
+def hermitian_eig(m) -> HermitianSpectrum:
+    """Eigendecompose a Hermitian matrix (dimension <= 16).
+
+    Raises NonHermitian if max|m - m^dag| exceeds 1e-10 and DimensionTooLarge
+    above dimension 16.
+    """
+    a = _checked_hermitian(m)
     w, v = np.linalg.eigh((a + a.conj().T) / 2)
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
@@ -83,14 +93,25 @@ def _entropy_bits(weights: np.ndarray) -> float:
     return float(max(0.0, -np.sum(w * np.log2(w))))
 
 
+def entropies_bits(stack: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies (bits) of a stack (n, d, d) of unchecked states.
+
+    The batched kernel behind every optimizer and stacked evaluation; callers
+    validate their inputs once at the public boundary.  Eigenvalues below 0
+    are roundoff and count as 0.
+    """
+    w = np.clip(np.linalg.eigvalsh(stack), 0.0, None)
+    logs = np.log2(np.where(w > 0.0, w, 1.0))
+    return -(w * logs).sum(axis=-1)
+
+
 def state_eigenvalues(rho) -> np.ndarray:
     """Eigenvalues of a density operator, validated and clamped to >= 0."""
-    a = _as_matrix(rho)
-    spectrum = hermitian_eig(a)
+    a = _checked_hermitian(rho)
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotAState(f"trace {tr!r} is not 1 within {TRACE_TOL:.0e}")
-    w = spectrum.eigenvalues
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2)
     if w[0] < STATE_EIG_FLOOR:
         raise NotAState(f"smallest eigenvalue {w[0]:.3e} below {STATE_EIG_FLOOR:.0e}")
     return np.clip(w, 0.0, None)

@@ -3,7 +3,7 @@ import pytest
 
 from chancap import capacity as cap
 from chancap import channels as chn
-from chancap.errors import DomainError, PreconditionViolated
+from chancap.errors import DomainError, NonHermitian, NotAState, PreconditionViolated, ShapeMismatch
 from chancap.qmath import binary_entropy, von_neumann_entropy
 from chancap.sampling import random_density_matrix
 
@@ -50,6 +50,76 @@ def test_coherent_information_basis_state_below_mixed():
     for lam, p in [(0.2, 0.3), (0.4, 0.1), (0.5, 0.7)]:
         n, nb = chn.channel_N(lam, p), chn.complement_N(lam, p)
         assert cap.coherent_information(n, nb, ket0) <= cap.coherent_information(n, nb, PI) + 1e-12
+
+
+def _ic_block_decomposition(lam, p, rho):
+    """(1-lam) H(rho) + lam (H(Dbar rho) - H(D rho)), the block form of the IC."""
+    a, b = np.sqrt(1.0 - p), np.sqrt(p)
+    phi0, phi1 = np.array([a, b]), np.array([a, -b])
+    dbar = rho[0, 0] * np.outer(phi0, phi0) + rho[1, 1] * np.outer(phi1, phi1)
+    z = np.diag([1.0, -1.0])
+    deph = (1.0 - p) * rho + p * (z @ rho @ z)
+    return (1.0 - lam) * von_neumann_entropy(rho) + lam * (
+        von_neumann_entropy(dbar) - von_neumann_entropy(deph)
+    )
+
+
+def test_coherent_information_block_decomposition():
+    rng = np.random.default_rng(31)
+    states = [PI, np.diag([1.0, 0.0]).astype(complex)]
+    states += [random_density_matrix(rng, 2) for _ in range(6)]
+    for lam in (0.0, 0.5, 1.0, 0.37):
+        for p in (0.0, 0.5, 1.0, 5e-324, 0.2):
+            n, nb = chn.channel_N(lam, p), chn.complement_N(lam, p)
+            for rho in states:
+                val = cap.coherent_information(n, nb, rho)
+                assert abs(val - _ic_block_decomposition(lam, p, rho)) <= 1e-12, (lam, p)
+
+
+def test_ic_functions_reject_bad_input():
+    n, nb = chn.channel_N(0.3, 0.2), chn.complement_N(0.3, 0.2)
+    nan_state = PI.copy()
+    nan_state[1, 1] = np.nan
+    bad = [
+        (np.eye(3, dtype=complex) / 3, ShapeMismatch),
+        (np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex), NonHermitian),
+        (1.1 * PI, NotAState),
+        (np.diag([1.05, -0.05]).astype(complex), NotAState),
+        (nan_state, NonHermitian),
+    ]
+    for rho, error in bad:
+        with pytest.raises(error):
+            cap.coherent_information(n, nb, rho)
+        with pytest.raises(error):
+            cap.ic_conjugation_residual(0.3, 0.2, rho)
+    for lam in (-0.25, 1.5, np.nan):
+        with pytest.raises(DomainError):
+            cap.coherent_information(chn.channel_N(lam, 0.2), nb, PI)
+        with pytest.raises(DomainError):
+            cap.ic_conjugation_residual(lam, 0.2, PI)
+
+
+def test_superoperator_matches_apply():
+    lam, p = 0.37, 0.2
+    iso = chn.isometry_N(lam, p)
+    channels = [
+        chn.dephasing_channel(p),
+        chn.complementary_dephasing(p),
+        chn.channel_N(lam, p),
+        chn.complement_N(lam, p),
+        chn.comparison_channel_T(lam, p),
+        chn.erasure_channel(lam),
+        chn.channel_from_isometry(iso, (4, 3), "first"),
+        chn.channel_from_isometry(iso, (4, 3), "second"),
+        cap.degrading_map(lam, p),
+        chn.compose(cap.degrading_map(lam, p), chn.channel_N(lam, p)),
+    ]
+    rng = np.random.default_rng(32)
+    for ch in channels:
+        rhos = np.stack([random_density_matrix(rng, ch.dim_in) for _ in range(5)])
+        out = cap._apply_stack(cap._superoperator(ch.kraus), rhos)
+        for rho, got in zip(rhos, out):
+            assert np.abs(got - chn.apply(ch, rho).matrix).max() <= 1e-14
 
 
 def test_coherent_information_state():

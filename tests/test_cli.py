@@ -1,6 +1,9 @@
 import hashlib
 import json
 
+import numpy as np
+import pytest
+
 from chancap import capacity as cap
 from chancap import output
 from chancap.cli import main
@@ -262,6 +265,77 @@ def test_emit_plot_script(tmp_path):
     script = (path.parent / "fig6.csv.gp").read_text()
     assert "set datafile separator" in script
     assert "fig6.csv" in script
+
+
+@pytest.mark.parametrize(
+    "scenario, flag",
+    [("fig3", "--lambda"), ("fig4", "--p"), ("fig6", "--lambda-min"),
+     ("fig3", "--lambda-max"), ("fig4", "--p-min"), ("fig6", "--p-max")],
+)
+def test_sweep_custom_only_flag_exits_2(scenario, flag, capsys):
+    code, out, err = run(["sweep", "--scenario", scenario, "--points", "3", flag, "0.4"], capsys)
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+def test_fixed_value_and_range_flags_exit_2(capsys):
+    code, out, err = run(["sweep", "--scenario", "custom", "--lambda", "0.3", "--lambda-min", "0.1",
+                          "--lambda-max", "0.5", "--p-min", "0", "--p-max", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "--lambda excludes" in err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--format", "json", "--out", "fig6.json"], []], ids=["json", "stdout"]
+)
+def test_emit_plot_script_without_csv_file_exits_2(extra, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(["sweep", "--scenario", "fig6", "--points", "3", "--emit-plot-script"]
+                       + extra, capsys)
+    assert code == 2
+    assert "--emit-plot-script" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_lambda_and_p_keys(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.9\np = 0.2\n")
+    path = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(cfg), "--uses", "1000", "--out", str(path)]) == 0
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [(float(row[1]), float(row[2])) for row in rows] == [(0.9, 0.2), (0.9, 0.2)]
+    # flags win over the config keys
+    assert main(["simulate", "--config", str(cfg), "--uses", "1000", "--lambda", "0.3",
+                 "--out", str(path)]) == 0
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [(float(row[1]), float(row[2])) for row in rows] == [(0.3, 0.2), (0.3, 0.2)]
+    # a range flag also wins over the fixed-value key
+    out = tmp_path / "custom.csv"
+    assert main(["sweep", "--scenario", "custom", "--config", str(cfg), "--lambda-min", "0.1",
+                 "--lambda-max", "0.4", "--points", "4", "--out", str(out)]) == 0
+    _, sweep_rows = output.parse_csv(out.read_text())
+    assert [r[1] for r in sweep_rows] == [float(v) for v in np.linspace(0.1, 0.4, 4)]
+    assert all(r[2] == 0.2 for r in sweep_rows)
+
+
+def test_config_unknown_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.9\nbogus = 1\n")
+    code, out, err = run(["simulate", "--config", str(cfg), "--uses", "1000"], capsys)
+    assert code == 2 and out == ""
+    assert "bogus" in err and ":2:" in err
+
+
+def test_config_scenario_is_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = fig6\npoints = 3\n")
+    code, out, _ = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0
+    header, _ = output.parse_csv(out)
+    assert header == ["x", "lambda", "p", "one_way", "two_way"]
+    cfg.write_text("scenario = fig5\n")
+    code, _, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2 and "fig5" in err
 
 
 def test_domain_errors_exit_2(capsys):

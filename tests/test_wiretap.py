@@ -64,6 +64,16 @@ def test_secrecy_capacity_bruteforce():
         wt.secrecy_capacity_bruteforce(wt.build_wiretap(0.2, 0.1), grid=50)
 
 
+def test_secrecy_objective_grid_matches_scalar():
+    qs = np.linspace(0.0, 1.0, 201)
+    for lam in (0.0, 0.5, 1.0):
+        for p in (0.0, 0.5, 1.0):
+            ch = wt.build_wiretap(lam, p)
+            grid = wt._secrecy_objective_grid(ch, qs)
+            scalar = np.array([wt.secrecy_objective(ch, q) for q in qs])
+            assert np.abs(grid - scalar).max() <= 1e-14, (lam, p)
+
+
 def test_secrecy_closed_forms():
     assert abs(wt.one_way_secrecy_capacity(0.2, 0.1) - 0.706201) < 1e-6
     assert wt.one_way_secrecy_capacity(0.0, 0.9) == 1.0
