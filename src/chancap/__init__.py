@@ -21,13 +21,17 @@ from .channels import (
     isometry_N,
 )
 from .capacity import (
+    FIG3,
+    FIG4,
     CapacityCurvePoint,
+    Curve,
     SequenceItem,
     coherent_info_lower_bound,
     coherent_information,
     coherent_information_state,
     complement_two_way_capacity,
     continuity_upper_bound,
+    custom_curve,
     degrading_map,
     diamond_distance_to_T,
     er_bound_complement,
@@ -36,8 +40,7 @@ from .capacity import (
     one_way_capacity,
     alternating_bounds_sequence,
     simulate_two_way_protocol,
-    sweep_fig3,
-    sweep_fig4,
+    sweep,
     two_way_capacity,
     verify_degradable,
 )
@@ -61,13 +64,13 @@ from .qmath import (
     von_neumann_entropy,
 )
 from .wiretap import (
+    FIG6,
     WiretapChannel,
     build_wiretap,
     mutual_information,
     one_way_secrecy_capacity,
     secrecy_capacity_bruteforce,
     simulate_feedback_protocol,
-    sweep_fig6,
     two_way_secrecy_capacity,
     verify_degraded,
 )

@@ -1,4 +1,4 @@
-"""Coherent information, capacity closed forms, bounds, and figure sweeps.
+"""Coherent information, capacity closed forms, bounds, and the sweep builder.
 
 Closed forms implemented here, all in qubits (or private bits) per use:
 
@@ -40,9 +40,10 @@ from .qmath import (
     binary_entropy,
     check_prob,
     embed_operator,
+    _entropy_bits,
     entropies_bits,
     partial_trace,
-    von_neumann_entropy,
+    state_eigenvalues,
 )
 from .sampling import STREAM_QUANTUM_PROTOCOL, stream_rng
 
@@ -50,12 +51,10 @@ GRID_STEP = 0.1  # coarse Bloch-ball scan used before pattern refinement
 
 
 def _check_degradable_lambda(lam: float) -> float:
+    """``lam`` as a float, or DomainError outside the degradable regime [0, 1/2]."""
     lam = float(lam)
     if not 0.0 <= lam <= 0.5:
-        raise DomainError(
-            f"lambda must lie in [0, 1/2] for a certified value, got {lam!r}; "
-            "use the lower/upper bounds above 1/2"
-        )
+        raise DomainError(f"lambda must lie in the degradable regime [0, 1/2], got {lam!r}")
     return lam
 
 
@@ -85,6 +84,27 @@ class CapacityCurvePoint:
                 raise DomainError("lower bound exceeds certified one-way value")
             if self.one_way > self.two_way + 1e-9:
                 raise DomainError("certified one-way value exceeds two-way value")
+
+
+# sweep columns, in file order; a curve without bounds writes the first five
+SWEEP_COLUMNS = ("x", "lambda", "p", "one_way", "two_way", "lower_bound", "upper_bound")
+
+
+@dataclass(frozen=True)
+class Curve:
+    """One sweep scenario: the rows that ``sweep`` builds and how they are written.
+
+    ``params`` maps a grid value x in ``x_range`` to (lam, p); ``row`` maps
+    (lam, p) to (one_way, two_way, lower_bound, upper_bound); ``meta`` works
+    out the scenario's metadata when called; ``columns`` are the CSV/JSON
+    columns its rows fill.
+    """
+
+    x_range: tuple[float, float]
+    params: Callable[[float], tuple[float, float]]
+    row: Callable[[float, float], tuple[Optional[float], float, Optional[float], Optional[float]]]
+    meta: Callable[[], dict]
+    columns: tuple[str, ...] = SWEEP_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -138,8 +158,10 @@ def coherent_information_state(rho_ab, dims: tuple[int, int]) -> float:
     da, db = int(dims[0]), int(dims[1])
     if m.shape != (da * db, da * db):
         raise ShapeMismatch(f"state shape {m.shape} does not match dims {dims}")
-    marg_b = partial_trace(m, (da, db), "first")
-    return von_neumann_entropy(marg_b) - von_neumann_entropy(m)
+    # the marginal of a validated state is a state: its entropy needs no checks
+    h_ab = _entropy_bits(state_eigenvalues(m))
+    h_b = entropies_bits(partial_trace(m, (da, db), "first")[None])[0]
+    return float(h_b - h_ab)
 
 
 def _bloch_states(rs: np.ndarray) -> np.ndarray:
@@ -345,11 +367,7 @@ def degrading_map(lam: float, p: float) -> KrausChannel:
     otherwise dephases the qubit into the environment's dephasing block.
     Only defined for lam <= 1/2 (above that x would be negative).
     """
-    lam = float(lam)
-    if not 0.0 <= lam <= 0.5:
-        raise DomainError(
-            f"degrading map exists for lambda in [0, 1/2], got {lam!r}"
-        )
+    lam = _check_degradable_lambda(lam)
     p = check_prob("p", p)
     x = (1.0 - 2.0 * lam) / (1.0 - lam)
     flag = ket(0, 3)
@@ -390,6 +408,17 @@ def ic_conjugation_residual(lam: float, p: float, rho) -> tuple[float, float]:
 # derivative condition along a parameter curve
 
 
+def _check_stencil_lambda(lam: float, h: float) -> float:
+    """``lam`` as a float, or DomainError unless [lam - h, lam + h] lies in [0, 1/2].
+
+    Written as one chained comparison so that NaN fails it too.
+    """
+    lam = float(lam)
+    if not h <= lam <= 0.5 - h:
+        raise DomainError(f"lambda must sit inside [0, 1/2] by at least {h!r}, got {lam!r}")
+    return lam
+
+
 def derivative_check(
     p_of_lambda: Callable[[float], float], lam: float
 ) -> tuple[float, float]:
@@ -401,9 +430,7 @@ def derivative_check(
     (step 1e-5).  Diverges near p in {0, 1}, hence the domain guard.
     """
     h_curve, h_cap = 1e-6, 1e-5
-    lam = float(lam)
-    if lam - h_cap < 0.0 or lam + h_cap > 0.5:
-        raise DomainError("lambda must sit inside [0, 1/2] by at least 1e-5")
+    lam = _check_stencil_lambda(lam, h_cap)
     p0 = float(p_of_lambda(lam))
     if min(p0, 1.0 - p0) <= 1e-6:
         raise DomainError("derivative of the binary entropy diverges near p in {0, 1}")
@@ -425,6 +452,7 @@ def derivative_check(
 def derivative_condition_margin(p_of_lambda, lam: float) -> float:
     """p'(lam) - 2 p(lam)/lam: positive margin certifies an increasing capacity."""
     h = 1e-6
+    lam = _check_stencil_lambda(lam, h)
     p0 = float(p_of_lambda(lam))
     p_prime = (float(p_of_lambda(lam + h)) - float(p_of_lambda(lam - h))) / (2.0 * h)
     return p_prime - 2.0 * p0 / lam
@@ -585,26 +613,38 @@ def default_sequence(n_terms: int) -> tuple[list[SequenceItem], dict]:
 # figure sweeps
 
 
-def sweep_fig3(points: int) -> list[CapacityCurvePoint]:
-    """Uniform lambda grid on [0.25, 0.3125] with p = 4 lambda - 1."""
+def sweep(curve: Curve, points: int) -> list[CapacityCurvePoint]:
+    """Rows of ``curve`` on a uniform grid of ``points`` x values over its range."""
     if points < 2:
         raise DomainError(f"points must be >= 2, got {points!r}")
     out = []
-    for lam in np.linspace(0.25, 0.3125, points):
-        lam = float(lam)
-        p = 4.0 * lam - 1.0
-        out.append(
-            CapacityCurvePoint(
-                x=lam,
-                lam=lam,
-                p=p,
-                one_way=one_way_capacity(lam, p),
-                two_way=two_way_capacity(lam),
-                lower_bound=coherent_info_lower_bound(lam, p),
-                upper_bound=continuity_upper_bound(lam, p),
-            )
-        )
+    for x in np.linspace(*curve.x_range, points):
+        x = float(x)
+        lam, p = curve.params(x)
+        out.append(CapacityCurvePoint(x, lam, p, *curve.row(lam, p)))
     return out
+
+
+def _glued_row(lam: float, p: float) -> tuple[Optional[float], float, float, float]:
+    """One-way value only where certified (lambda <= 1/2), two-way and both bounds."""
+    one_way = one_way_capacity(lam, p) if lam <= 0.5 else None
+    return (one_way, two_way_capacity(lam), coherent_info_lower_bound(lam, p),
+            continuity_upper_bound(lam, p))
+
+
+_UPPER_BOUND_NOTE = "continuity bound certifies the capacity only for lambda >= 1/2"
+
+FIG3 = Curve(
+    x_range=(0.25, 0.3125),
+    params=lambda lam: (lam, 4.0 * lam - 1.0),
+    row=_glued_row,
+    meta=lambda: {
+        "scenario": "fig3",
+        "p_of_lambda": "4*lambda - 1",
+        "lambda_range": [0.25, 0.3125],
+        "upper_bound_note": _UPPER_BOUND_NOTE,
+    },
+)
 
 
 def fig4_lambda(p: float) -> float:
@@ -622,63 +662,47 @@ def fig4_lambda(p: float) -> float:
     return p / float(np.log2(1.0 / p))
 
 
-def sweep_fig4(points: int) -> list[CapacityCurvePoint]:
-    """Uniform p grid on [0.35, 0.5] with lam = p / log2(1/p)."""
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points!r}")
-    out = []
-    for p in np.linspace(0.35, 0.5, points):
-        p = float(p)
-        lam = fig4_lambda(p)
-        out.append(
-            CapacityCurvePoint(
-                x=p,
-                lam=lam,
-                p=p,
-                one_way=one_way_capacity(lam, p),
-                two_way=two_way_capacity(lam),
-                lower_bound=coherent_info_lower_bound(lam, p),
-                upper_bound=continuity_upper_bound(lam, p),
-            )
-        )
-    return out
+FIG4 = Curve(
+    x_range=(0.35, 0.5),
+    params=lambda p: (fig4_lambda(p), p),
+    row=_glued_row,
+    meta=lambda: {
+        "scenario": "fig4",
+        "lambda_of_p": "p / log2(1/p)",
+        "p_range": [0.35, 0.5],
+        "log_base_note": (
+            "log read base-2 via p/log2(1/p) so the weight stays in [0, 1/2]. "
+            "Under this reading the one-way curve is not monotone on the "
+            "range; only the p=1/2 endpoint equality is asserted."
+        ),
+        "upper_bound_note": _UPPER_BOUND_NOTE,
+    },
+)
 
 
-def sweep_custom(
-    lam_min: float, lam_max: float, p_min: float, p_max: float, points: int
-) -> list[CapacityCurvePoint]:
-    """Sweep lambda at fixed p, or p at fixed lambda.
+def custom_curve(lam_min: float, lam_max: float, p_min: float, p_max: float) -> Curve:
+    """Curve sweeping lambda at fixed p = p_min, or p at fixed lambda = lam_min.
 
-    The one-way column is populated only where the closed form is certified
-    (lambda <= 1/2); elsewhere callers get the bound columns.
+    Exactly one parameter must vary (min < max).  The one-way column is
+    populated only where the closed form is certified (lambda <= 1/2);
+    elsewhere the rows carry the bound columns.
     """
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points!r}")
-    for name, v in (("lambda", lam_min), ("lambda", lam_max), ("p", p_min), ("p", p_max)):
-        check_prob(name, v)
+    lam_min, lam_max = check_prob("lambda", lam_min), check_prob("lambda", lam_max)
+    p_min, p_max = check_prob("p", p_min), check_prob("p", p_max)
     sweep_lambda = lam_min < lam_max
-    sweep_p = p_min < p_max
-    if sweep_lambda == sweep_p:
+    if sweep_lambda == (p_min < p_max):
         raise DomainError("custom sweep needs exactly one varying parameter")
-    out = []
-    if sweep_lambda:
-        grid = [(float(lv), p_min) for lv in np.linspace(lam_min, lam_max, points)]
-    else:
-        grid = [(lam_min, float(pv)) for pv in np.linspace(p_min, p_max, points)]
-    for lam, p in grid:
-        one_way = one_way_capacity(lam, p) if lam <= 0.5 else None
-        out.append(
-            CapacityCurvePoint(
-                x=lam if sweep_lambda else p,
-                lam=lam,
-                p=p,
-                one_way=one_way,
-                two_way=two_way_capacity(lam),
-                lower_bound=coherent_info_lower_bound(lam, p),
-                upper_bound=continuity_upper_bound(lam, p),
-            )
-        )
-    return out
+    return Curve(
+        x_range=(lam_min, lam_max) if sweep_lambda else (p_min, p_max),
+        params=(lambda lam: (lam, p_min)) if sweep_lambda else (lambda p: (lam_min, p)),
+        row=_glued_row,
+        meta=lambda: {
+            "scenario": "custom",
+            "lambda_range": [lam_min, lam_max],
+            "p_range": [p_min, p_max],
+            "one_way_note": "one-way column is empty where lambda > 1/2 (no certified value)",
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,16 @@ from . import output
 from . import verify as verify_mod
 from . import wiretap as wt
 from .errors import ChancapError, DomainError, PreconditionViolated
+from .qmath import check_prob
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_IO = 3
 
-SCENARIOS = ("fig3", "fig4", "fig6", "custom")
+# the fixed curves by scenario name; "custom" is built from the range flags
+CURVES = {"fig3": cap.FIG3, "fig4": cap.FIG4, "fig6": wt.FIG6}
+SCENARIOS = (*CURVES, "custom")
 FORMATS = ("csv", "json")
 
 
@@ -57,8 +60,7 @@ class RunConfig:
             ("p-min", self.p_min),
             ("p-max", self.p_max),
         ):
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"--{name} must lie in [0, 1], got {v!r}")
+            check_prob(f"--{name}", v)
         if self.points < 2:
             raise DomainError(f"--points must be >= 2, got {self.points!r}")
         if self.uses < 1:
@@ -171,14 +173,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write(cfg: RunConfig, text: str, plot_scenario: Optional[str] = None) -> None:
+def _write(cfg: RunConfig, text: str, plot_columns: Optional[tuple] = None) -> None:
     if cfg.out_path is None:
         sys.stdout.write(text)
     else:
         with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    if cfg.emit_plot_script and plot_scenario:
-        script = output.gnuplot_script(os.path.basename(cfg.out_path), plot_scenario)
+    if cfg.emit_plot_script and plot_columns:
+        script = output.gnuplot_script(os.path.basename(cfg.out_path), plot_columns)
         with open(cfg.out_path + ".gp", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(script)
 
@@ -199,57 +201,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-def _sweep_points_meta(cfg: RunConfig):
-    if cfg.scenario == "fig3":
-        points = cap.sweep_fig3(cfg.points)
-        meta = {
-            "scenario": "fig3",
-            "p_of_lambda": "4*lambda - 1",
-            "lambda_range": [0.25, 0.3125],
-            "upper_bound_note": "continuity bound certifies the capacity only for lambda >= 1/2",
-        }
-    elif cfg.scenario == "fig4":
-        points = cap.sweep_fig4(cfg.points)
-        meta = {
-            "scenario": "fig4",
-            "lambda_of_p": "p / log2(1/p)",
-            "p_range": [0.35, 0.5],
-            "log_base_note": (
-                "log read base-2 via p/log2(1/p) so the weight stays in [0, 1/2]. "
-                "Under this reading the one-way curve is not monotone on the "
-                "range; only the p=1/2 endpoint equality is asserted."
-            ),
-            "upper_bound_note": "continuity bound certifies the capacity only for lambda >= 1/2",
-        }
-    elif cfg.scenario == "fig6":
-        points = wt.sweep_fig6(cfg.points)
-        meta = {
-            "scenario": "fig6",
-            "lambda_of_p": "p / (2*log2(6/p))",
-            "p_range": [0.8687, 1.0],
-            "slope_crossover_p": wt.fig6_crossover(),
-            "crossover_note": "display range endpoint 0.8687 is not asserted equal to the crossover",
-        }
-    else:
-        points = cap.sweep_custom(cfg.lambda_min, cfg.lambda_max, cfg.p_min, cfg.p_max, cfg.points)
-        meta = {
-            "scenario": "custom",
-            "lambda_range": [cfg.lambda_min, cfg.lambda_max],
-            "p_range": [cfg.p_min, cfg.p_max],
-            "one_way_note": "one-way column is empty where lambda > 1/2 (no certified value)",
-        }
-    meta["tool"] = "chancap"
-    meta["version"] = __version__
-    return points, meta
-
-
 def cmd_sweep(cfg: RunConfig) -> int:
-    points, meta = _sweep_points_meta(cfg)
-    if cfg.fmt == "json":
-        text = output.sweep_json(points, cfg.scenario, meta)
+    if cfg.scenario == "custom":
+        curve = cap.custom_curve(cfg.lambda_min, cfg.lambda_max, cfg.p_min, cfg.p_max)
     else:
-        text = output.sweep_csv(points, cfg.scenario)
-    _write(cfg, text, plot_scenario=cfg.scenario)
+        curve = CURVES[cfg.scenario]
+    points = cap.sweep(curve, cfg.points)
+    if cfg.fmt == "json":
+        meta = {**curve.meta(), "tool": "chancap", "version": __version__}
+        text = output.sweep_json(points, curve.columns, meta)
+    else:
+        text = output.sweep_csv(points, curve.columns)
+    _write(cfg, text, plot_columns=curve.columns)
     return EXIT_OK
 
 
@@ -258,7 +221,7 @@ def cmd_seq(cfg: RunConfig) -> int:
     meta["tool"] = "chancap"
     meta["version"] = __version__
     text = output.seq_json(items, meta) if cfg.fmt == "json" else output.seq_csv(items, meta)
-    _write(cfg, text, plot_scenario="seq")
+    _write(cfg, text, plot_columns=tuple(output.SEQ_HEADER.split(",")))
     return EXIT_OK
 
 

@@ -12,8 +12,6 @@ from typing import Optional, Sequence
 
 from .capacity import CapacityCurvePoint, SequenceItem
 
-QUANTUM_HEADER = "x,lambda,p,one_way,two_way,lower_bound,upper_bound"
-FIG6_HEADER = "x,lambda,p,one_way,two_way"
 SIM_HEADER = "kind,lambda,p,uses,seed,estimate,std_error,target,leakage"
 SEQ_HEADER = "n,x_n,q_lb,q_ub,q_two_way"
 
@@ -25,29 +23,21 @@ def fmt(x: Optional[float]) -> str:
     return f"{float(x):.17g}"
 
 
-def _point_fields(pt: CapacityCurvePoint, with_bounds: bool) -> list:
-    fields = [pt.x, pt.lam, pt.p, pt.one_way, pt.two_way]
-    if with_bounds:
-        fields += [pt.lower_bound, pt.upper_bound]
-    return fields
+def _point_fields(pt: CapacityCurvePoint, columns: Sequence[str]) -> list:
+    return [getattr(pt, "lam" if c == "lambda" else c) for c in columns]
 
 
-def sweep_csv(points: Sequence[CapacityCurvePoint], scenario: str) -> str:
-    with_bounds = scenario != "fig6"
-    header = QUANTUM_HEADER if with_bounds else FIG6_HEADER
-    lines = [header]
+def sweep_csv(points: Sequence[CapacityCurvePoint], columns: Sequence[str]) -> str:
+    """CSV of sweep rows with the given columns (a curve's ``columns``)."""
+    lines = [",".join(columns)]
     for pt in points:
-        lines.append(",".join(fmt(v) for v in _point_fields(pt, with_bounds)))
+        lines.append(",".join(fmt(v) for v in _point_fields(pt, columns)))
     return "\n".join(lines) + "\n"
 
 
-def sweep_json(points: Sequence[CapacityCurvePoint], scenario: str, meta: dict) -> str:
-    with_bounds = scenario != "fig6"
-    keys = (QUANTUM_HEADER if with_bounds else FIG6_HEADER).split(",")
-    rows = [
-        dict(zip(keys, _point_fields(pt, with_bounds)))
-        for pt in points
-    ]
+def sweep_json(points: Sequence[CapacityCurvePoint], columns: Sequence[str], meta: dict) -> str:
+    """JSON document ``{"meta": meta, "rows": [...]}`` of sweep rows with the given columns."""
+    rows = [dict(zip(columns, _point_fields(pt, columns))) for pt in points]
     return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
@@ -107,26 +97,23 @@ def parse_csv(text: str) -> tuple[list[str], list[list[Optional[float]]]]:
     return header, rows
 
 
-def gnuplot_script(csv_name: str, scenario: str) -> str:
-    """Generic plotting companion referencing the CSV columns by position."""
-    with_bounds = scenario not in ("fig6", "seq")
+def gnuplot_script(csv_name: str, columns: Sequence[str]) -> str:
+    """Plotting companion of a sweep or sequence CSV, given its columns.
+
+    Columns are referenced by position: a sweep plots every rate column
+    (from ``one_way`` on) against x, the sequence its three values against
+    x_n on a log axis.
+    """
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
         "set xlabel 'x'",
         "set ylabel 'rate (bits/use)'",
     ]
-    if scenario == "seq":
+    if ",".join(columns) == SEQ_HEADER:
         lines.append("set logscale x")
-        lines.append(
-            f"plot '{csv_name}' using 2:3 with points, '' using 2:4 with points, "
-            "'' using 2:5 with points"
-        )
-    elif with_bounds:
-        lines.append(
-            f"plot '{csv_name}' using 1:4 with lines, '' using 1:5 with lines, "
-            "'' using 1:6 with lines, '' using 1:7 with lines"
-        )
+        plots = [f"using 2:{i} with points" for i in range(3, len(columns) + 1)]
     else:
-        lines.append(f"plot '{csv_name}' using 1:4 with lines, '' using 1:5 with lines")
+        plots = [f"using 1:{i} with lines" for i in range(4, len(columns) + 1)]
+    lines.append(f"plot '{csv_name}' " + ", '' ".join(plots))
     return "\n".join(lines) + "\n"

@@ -316,7 +316,7 @@ def _check_oneway_below_twoway() -> CheckResult:
 
 @_register("capacity.fig3_opposite_monotonicity")
 def _check_fig3_monotonicity() -> CheckResult:
-    pts = cap.sweep_fig3(100)
+    pts = cap.sweep(cap.FIG3, 100)
     one = np.array([p.one_way for p in pts])
     two = np.array([p.two_way for p in pts])
     margin = min(float(np.diff(one).min()), float(-np.diff(two).max()))
@@ -330,7 +330,7 @@ def _check_fig3_monotonicity() -> CheckResult:
 
 @_register("capacity.fig3_endpoints")
 def _check_fig3_endpoints() -> CheckResult:
-    pts = cap.sweep_fig3(100)
+    pts = cap.sweep(cap.FIG3, 100)
     worst = max(
         abs(pts[0].one_way - 0.5),
         abs(pts[0].two_way - 0.75),
@@ -407,7 +407,7 @@ def _check_choi_ic() -> CheckResult:
 
 @_register("capacity.fig4_endpoint_equality")
 def _check_fig4_endpoint() -> CheckResult:
-    pts = cap.sweep_fig4(100)
+    pts = cap.sweep(cap.FIG4, 100)
     worst = max(abs(pts[-1].one_way - 0.5), abs(pts[-1].two_way - 0.5))
     return _result(worst, 1e-9)
 
@@ -483,7 +483,7 @@ def _check_wiretap_ordering() -> CheckResult:
 
 @_register("wiretap.fig6_opposite_monotonicity")
 def _check_fig6_monotonicity() -> CheckResult:
-    pts = wt.sweep_fig6(100)
+    pts = cap.sweep(wt.FIG6, 100)
     one = np.array([p.one_way for p in pts])
     two = np.array([p.two_way for p in pts])
     margin = min(float(np.diff(one).min()), float(-np.diff(two).max()))
@@ -497,7 +497,7 @@ def _check_fig6_monotonicity() -> CheckResult:
 
 @_register("wiretap.fig6_endpoint_equality")
 def _check_fig6_endpoint() -> CheckResult:
-    pts = wt.sweep_fig6(100)
+    pts = cap.sweep(wt.FIG6, 100)
     worst = max(abs(pts[-1].one_way - 0.806574), abs(pts[-1].two_way - 0.806574))
     return _result(worst, 1e-6)
 
@@ -541,17 +541,17 @@ def _check_wiretap_leakage() -> CheckResult:
 
 @_register("cli.sweep_byte_determinism")
 def _check_byte_determinism() -> CheckResult:
-    a = output.sweep_csv(cap.sweep_fig3(50), "fig3")
-    b = output.sweep_csv(cap.sweep_fig3(50), "fig3")
-    c = output.sweep_json(wt.sweep_fig6(50), "fig6", {"scenario": "fig6"})
-    d = output.sweep_json(wt.sweep_fig6(50), "fig6", {"scenario": "fig6"})
+    a = output.sweep_csv(cap.sweep(cap.FIG3, 50), cap.FIG3.columns)
+    b = output.sweep_csv(cap.sweep(cap.FIG3, 50), cap.FIG3.columns)
+    c = output.sweep_json(cap.sweep(wt.FIG6, 50), wt.FIG6.columns, {"scenario": "fig6"})
+    d = output.sweep_json(cap.sweep(wt.FIG6, 50), wt.FIG6.columns, {"scenario": "fig6"})
     ok = a == b and c == d
     return _result(0.0 if ok else 1.0, 0.5, passed=ok)
 
 
 @_register("cli.csv_roundtrip_reevaluation")
 def _check_csv_roundtrip() -> CheckResult:
-    text = output.sweep_csv(cap.sweep_fig3(50), "fig3")
+    text = output.sweep_csv(cap.sweep(cap.FIG3, 50), cap.FIG3.columns)
     _, rows = output.parse_csv(text)
     worst = 0.0
     for x, lam, p, one_way, two_way, lower, upper in rows:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityCurvePoint, bisect
+from .capacity import SWEEP_COLUMNS, Curve, _check_degradable_lambda, bisect
 from .errors import DomainError, NotADistribution
 from .qmath import binary_entropy, check_prob
 from .sampling import STREAM_WIRETAP_PROTOCOL, stream_rng
@@ -180,9 +180,7 @@ def secrecy_capacity_bruteforce(ch: WiretapChannel, grid: int = 201) -> tuple[fl
 
 def one_way_secrecy_capacity(lam: float, p: float) -> float:
     """1 - lam (1 + H(p)); certified in the degraded regime lam <= 1/2."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 0.5:
-        raise DomainError(f"lambda must lie in [0, 1/2], got {lam!r}")
+    lam = _check_degradable_lambda(lam)
     p = check_prob("p", p)
     return 1.0 - lam * (1.0 + binary_entropy(p))
 
@@ -201,9 +199,7 @@ def degrading_stochastic_map(lam: float) -> np.ndarray:
     under L' = 2 otherwise.  Indexing: map[y, l, z, l'].  Requires lam <= 1/2
     so the mixing probability stays in [0, 1].
     """
-    lam = float(lam)
-    if not 0.0 <= lam <= 0.5:
-        raise DomainError(f"degrading map exists for lambda in [0, 1/2], got {lam!r}")
+    lam = _check_degradable_lambda(lam)
     mix = lam / (1.0 - lam)
     t = np.zeros((2, 2, 2, 2))
     for y in range(2):
@@ -262,26 +258,6 @@ def fig6_lambda(p: float) -> float:
     return p / (2.0 * float(np.log2(6.0 / p)))
 
 
-def sweep_fig6(points: int) -> list[CapacityCurvePoint]:
-    """Uniform p grid on [0.8687, 1] with lam = p / (2 log2(6/p))."""
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points!r}")
-    out = []
-    for p in np.linspace(0.8687, 1.0, points):
-        p = float(p)
-        lam = fig6_lambda(p)
-        out.append(
-            CapacityCurvePoint(
-                x=p,
-                lam=lam,
-                p=p,
-                one_way=one_way_secrecy_capacity(lam, p),
-                two_way=two_way_secrecy_capacity(lam),
-            )
-        )
-    return out
-
-
 def fig6_crossover() -> float:
     """Parameter where the one-way curve turns from decreasing to increasing.
 
@@ -305,3 +281,20 @@ def fig6_crossover() -> float:
     if lo is None:
         raise DomainError("no slope sign change found on [0.6, 0.99]")
     return bisect(slope, lo, hi)
+
+
+FIG6 = Curve(
+    x_range=(0.8687, 1.0),
+    params=lambda p: (fig6_lambda(p), p),
+    row=lambda lam, p: (
+        one_way_secrecy_capacity(lam, p), two_way_secrecy_capacity(lam), None, None
+    ),
+    meta=lambda: {
+        "scenario": "fig6",
+        "lambda_of_p": "p / (2*log2(6/p))",
+        "p_range": [0.8687, 1.0],
+        "slope_crossover_p": fig6_crossover(),
+        "crossover_note": "display range endpoint 0.8687 is not asserted equal to the crossover",
+    },
+    columns=SWEEP_COLUMNS[:5],
+)

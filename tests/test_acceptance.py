@@ -34,7 +34,7 @@ def test_criterion_1_degradable_regime_capacity_oracle():
 
 
 def test_criterion_2_fig3_reproduction():
-    pts = cap.sweep_fig3(100)
+    pts = cap.sweep(cap.FIG3, 100)
     endpoint_err = max(
         abs(pts[0].one_way - 0.5),
         abs(pts[0].two_way - 0.75),
@@ -154,7 +154,7 @@ def test_criterion_8_wiretap_capacity_oracle():
 
 
 def test_criterion_9_fig6_reproduction():
-    pts = wt.sweep_fig6(100)
+    pts = cap.sweep(wt.FIG6, 100)
     one = np.array([p.one_way for p in pts])
     two = np.array([p.two_way for p in pts])
     assert np.all(np.diff(one) > 0.0)
@@ -203,7 +203,7 @@ def test_criterion_11_disclosure_and_fig4_endpoint():
     # deliberately NOT asserted: under the base-2 reading of its lambda(p) the
     # one-way curve is non-monotone (see capacity.fig4_lambda docstring), so
     # only the p = 1/2 endpoint equality is checked.
-    pts = cap.sweep_fig4(100)
+    pts = cap.sweep(cap.FIG4, 100)
     endpoint_err = max(abs(pts[-1].one_way - 0.5), abs(pts[-1].two_way - 0.5))
     assert endpoint_err <= 1e-9
     one = np.array([p.one_way for p in pts])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chancap import capacity as cap
 from chancap import channels as chn
@@ -92,6 +94,10 @@ def test_ic_functions_reject_bad_input():
             cap.coherent_information(n, nb, rho)
         with pytest.raises(error):
             cap.ic_conjugation_residual(0.3, 0.2, rho)
+        # the same defects on a (2, 4) bipartite state; a 3x3 input cannot factor
+        rho_ab = rho if rho.shape != (2, 2) else np.kron(rho, np.eye(4) / 4)
+        with pytest.raises(error):
+            cap.coherent_information_state(rho_ab, (2, 4))
     for lam in (-0.25, 1.5, np.nan):
         with pytest.raises(DomainError):
             cap.coherent_information(chn.channel_N(lam, 0.2), nb, PI)
@@ -288,6 +294,12 @@ def test_derivative_check():
         cap.derivative_check(curve, 0.2500001)  # p(lam) too close to 0
     with pytest.raises(DomainError):
         cap.derivative_check(lambda l: 0.3, 0.4999999)  # stencil leaves [0, 1/2]
+    # the stencil guard rejects NaN and the ends of [0, 1/2] on both functions
+    for lam in (0.0, np.nan, -0.1, 0.6):
+        with pytest.raises(DomainError):
+            cap.derivative_check(lambda l: 0.3, lam)
+        with pytest.raises(DomainError):
+            cap.derivative_condition_margin(lambda l: 0.3, lam)
 
 
 def test_sequence_golden_values():
@@ -329,7 +341,7 @@ def test_sequence_underflow_raises():
 
 
 def test_sweep_fig3():
-    pts = cap.sweep_fig3(100)
+    pts = cap.sweep(cap.FIG3, 100)
     assert len(pts) == 100
     assert pts[0].x == 0.25 and abs(pts[0].one_way - 0.5) < 1e-9 and pts[0].two_way == 0.75
     assert abs(pts[-1].one_way - 0.628524) < 1e-6 and pts[-1].two_way == 0.6875
@@ -338,11 +350,11 @@ def test_sweep_fig3():
     assert np.all(np.diff(one) > 1e-9)
     assert np.all(np.diff(two) < -1e-9)
     with pytest.raises(DomainError):
-        cap.sweep_fig3(1)
+        cap.sweep(cap.FIG3, 1)
 
 
 def test_sweep_fig4():
-    pts = cap.sweep_fig4(100)
+    pts = cap.sweep(cap.FIG4, 100)
     assert abs(pts[-1].lam - 0.5) < 1e-12
     assert abs(pts[-1].one_way - 0.5) < 1e-9
     assert abs(pts[-1].two_way - 0.5) < 1e-9
@@ -354,12 +366,38 @@ def test_sweep_fig4():
 
 
 def test_sweep_custom():
-    pts = cap.sweep_custom(0.5, 1.0, 0.1, 0.1, 5)
+    pts = cap.sweep(cap.custom_curve(0.5, 1.0, 0.1, 0.1), 5)
     assert pts[0].one_way is not None
     assert all(p.one_way is None for p in pts[1:])
     assert all(p.lower_bound is not None and p.upper_bound is not None for p in pts)
     with pytest.raises(DomainError):
-        cap.sweep_custom(0.2, 0.2, 0.1, 0.1, 5)  # nothing varies
+        cap.custom_curve(0.2, 0.2, 0.1, 0.1)  # nothing varies
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    vary_lambda=st.booleans(),
+    fixed=st.floats(0.0, 1.0),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda e: e[0] != e[1]),
+    points=st.integers(2, 9),
+)
+@example(vary_lambda=True, fixed=0.0, ends=(0.0, 1.0), points=3)
+@example(vary_lambda=True, fixed=1.0, ends=(0.5, 1.0), points=2)
+@example(vary_lambda=True, fixed=5e-324, ends=(0.0, 0.5), points=5)
+@example(vary_lambda=False, fixed=0.5, ends=(0.0, 1.0), points=3)
+@example(vary_lambda=False, fixed=0.0, ends=(0.0, 5e-324), points=4)
+@example(vary_lambda=False, fixed=1.0, ends=(5e-324, 0.5), points=3)
+def test_custom_curve_rows(vary_lambda, fixed, ends, points):
+    lo, hi = sorted(ends)
+    lam_ends, p_ends = ((lo, hi), (fixed, fixed)) if vary_lambda else ((fixed, fixed), (lo, hi))
+    pts = cap.sweep(cap.custom_curve(*lam_ends, *p_ends), points)
+    assert len(pts) == points
+    for pt in pts:
+        assert pt.x == (pt.lam if vary_lambda else pt.p)
+        assert (pt.p if vary_lambda else pt.lam) == fixed
+        assert (pt.one_way is None) == (pt.lam > 0.5)
+        if pt.one_way is not None:
+            assert pt.lower_bound <= pt.one_way <= pt.two_way
 
 
 def test_simulate_two_way_protocol():

@@ -227,6 +227,28 @@ def test_default_output_digests(capsys):
         ("seq",): "315d40e4c0366f0c83612d0ffa028aa17b290e1759b84020c0a07a667a41f4df",
         ("sweep", "--scenario", "fig6", "--format", "json"):
             "9410f92cd34235558633801d59d2395f011cec6362cc34c89e4dd6b095edbbb7",
+        ("sweep", "--scenario", "fig6"):
+            "b778b226a5633641b8e2433a39b163b9cfc5910836f3aaa54448182999baeac0",
+        ("sweep", "--scenario", "fig3"):
+            "9b31f008fd58a11ed5c87edb6fe610d232ed2f7474e76ab48f32e9ee4cce9474",
+        ("sweep", "--scenario", "fig3", "--format", "json"):
+            "ade95b68a1bdfb5fcf1a090fad5238787b93d46ac788fefb5b8c5b209430d584",
+        ("sweep", "--scenario", "fig4"):
+            "0e55b00b3d3595dd7f30c59f1654a40eb01497152f5164c61df738c952da7353",
+        ("sweep", "--scenario", "fig4", "--format", "json"):
+            "0e590067fc5516f8f2fef56b6d4a3179357947e2bbd7748f6ca72f07154e1536",
+        # a lambda sweep across 1/2 (one-way column ends) and a p sweep at lambda > 1/2
+        ("sweep", "--scenario", "custom", "--lambda-min", "0.1", "--lambda-max", "0.9",
+         "--p", "0.2"):
+            "c0488572d54fb85957616a7fc4789500807a2d23eaff1e1f0e66680a9c7bac77",
+        ("sweep", "--scenario", "custom", "--lambda-min", "0.1", "--lambda-max", "0.9",
+         "--p", "0.2", "--format", "json"):
+            "d1b571e5e7b44760c39d88ecf583a2770560d2c182a8885fa26efe4f171a6390",
+        ("sweep", "--scenario", "custom", "--lambda", "0.7", "--p-min", "0", "--p-max", "1"):
+            "560cb16b1a1182d46c97c118ac22c58b8def0696891ca96d8fa12e8f80867622",
+        ("sweep", "--scenario", "custom", "--lambda", "0.7", "--p-min", "0", "--p-max", "1",
+         "--format", "json"):
+            "39247b86863cf713b6a86cd1be65840516ed1db18d85a96c1704140d818d9000",
     }
     for argv, digest in expected.items():
         code, out, _ = run(list(argv), capsys)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chancap import capacity as cap
 from chancap import wiretap as wt
 from chancap.errors import DomainError, NotADistribution
 from chancap.qmath import binary_entropy
@@ -131,7 +132,7 @@ def test_simulate_feedback_protocol():
 
 
 def test_sweep_fig6():
-    pts = wt.sweep_fig6(100)
+    pts = cap.sweep(wt.FIG6, 100)
     assert len(pts) == 100
     assert abs(pts[0].x - 0.8687) < 1e-15
     assert abs(pts[0].lam - 0.155790863611258) < 1e-12
