@@ -26,6 +26,7 @@ from .capacity import (
     CapacityCurvePoint,
     Curve,
     SequenceItem,
+    SweepTable,
     coherent_info_lower_bound,
     coherent_information,
     coherent_information_state,
@@ -55,6 +56,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .qmath import (
+    binary_entropies,
     binary_entropy,
     hermitian_eig,
     partial_trace,

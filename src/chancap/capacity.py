@@ -18,6 +18,7 @@ Closed forms implemented here, all in qubits (or private bits) per use:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,6 +38,7 @@ from .channels import (
 )
 from .errors import ChancapError, DomainError, PreconditionViolated, ShapeMismatch
 from .qmath import (
+    binary_entropies,
     binary_entropy,
     check_prob,
     embed_operator,
@@ -90,19 +92,58 @@ class CapacityCurvePoint:
 SWEEP_COLUMNS = ("x", "lambda", "p", "one_way", "two_way", "lower_bound", "upper_bound")
 
 
+@dataclass(frozen=True, eq=False)
+class SweepTable(Sequence):
+    """The rows of a figure sweep as read-only float64 columns.
+
+    ``one_way`` is NaN where no certified value exists; a curve without bounds
+    has no ``lower_bound``/``upper_bound`` columns.  It reads as the sequence
+    of its rows: ``len``, iteration and ``table[i]`` build CapacityCurvePoint
+    rows on demand, with None where a value is absent.
+    """
+
+    x: np.ndarray
+    lam: np.ndarray
+    p: np.ndarray
+    one_way: np.ndarray
+    two_way: np.ndarray
+    lower_bound: Optional[np.ndarray] = None
+    upper_bound: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        one_way = float(self.one_way[i])
+        lower, upper = (
+            None if c is None else float(c[i]) for c in (self.lower_bound, self.upper_bound)
+        )
+        return CapacityCurvePoint(
+            float(self.x[i]), float(self.lam[i]), float(self.p[i]),
+            None if math.isnan(one_way) else one_way, float(self.two_way[i]), lower, upper,
+        )
+
+    def column(self, name: str) -> Optional[np.ndarray]:
+        """The column written under ``name`` (one of ``SWEEP_COLUMNS``)."""
+        return getattr(self, "lam" if name == "lambda" else name)
+
+
 @dataclass(frozen=True)
 class Curve:
     """One sweep scenario: the rows that ``sweep`` builds and how they are written.
 
-    ``params`` maps a grid value x in ``x_range`` to (lam, p); ``row`` maps
-    (lam, p) to (one_way, two_way, lower_bound, upper_bound); ``meta`` works
-    out the scenario's metadata when called; ``columns`` are the CSV/JSON
-    columns its rows fill.
+    ``params`` maps the grid, an array of x values in ``x_range``, to arrays
+    (lam, p); ``row`` maps those to the arrays (one_way, two_way, lower_bound,
+    upper_bound), with NaN where one_way is not certified and None for bound
+    columns the curve lacks; ``meta`` works out the scenario's metadata when
+    called; ``columns`` are the CSV/JSON columns its rows fill.
     """
 
     x_range: tuple[float, float]
-    params: Callable[[float], tuple[float, float]]
-    row: Callable[[float, float], tuple[Optional[float], float, Optional[float], Optional[float]]]
+    params: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    row: Callable[[np.ndarray, np.ndarray], tuple]
     meta: Callable[[], dict]
     columns: tuple[str, ...] = SWEEP_COLUMNS
 
@@ -613,23 +654,57 @@ def default_sequence(n_terms: int) -> tuple[list[SequenceItem], dict]:
 # figure sweeps
 
 
-def sweep(curve: Curve, points: int) -> list[CapacityCurvePoint]:
-    """Rows of ``curve`` on a uniform grid of ``points`` x values over its range."""
+def _check_rows(t: SweepTable) -> None:
+    """CapacityCurvePoint's conditions, once over the columns of a table.
+
+    Every present value lies in [0, 1] (to 1e-12); one_way is absent only
+    where lambda > 1/2, and where present it is at least the lower bound
+    (to 1e-12) and at most the two-way value (to 1e-9).  NaN fails the range.
+    """
+    certified = ~np.isnan(t.one_way)
+    present = [t.x, t.lam, t.p, t.two_way, t.one_way[certified]]
+    present += [c for c in (t.lower_bound, t.upper_bound) if c is not None]
+    if not all(np.all((c >= -1e-12) & (c <= 1.0 + 1e-12)) for c in present):
+        raise DomainError("sweep has a value outside [0, 1]")
+    if not np.all(certified | (t.lam > 0.5)):
+        raise DomainError("sweep lacks a one-way value at lambda <= 1/2")
+    one = t.one_way[certified]
+    if t.lower_bound is not None and np.any(t.lower_bound[certified] > one + 1e-12):
+        raise DomainError("lower bound exceeds certified one-way value")
+    if np.any(one > t.two_way[certified] + 1e-9):
+        raise DomainError("certified one-way value exceeds two-way value")
+
+
+def sweep(curve: Curve, points: int) -> SweepTable:
+    """Rows of ``curve`` on a uniform grid of ``points`` x values over its range.
+
+    One batched pass over the whole grid; the columns equal the scalar closed
+    forms bit for bit.
+    """
     if points < 2:
         raise DomainError(f"points must be >= 2, got {points!r}")
-    out = []
-    for x in np.linspace(*curve.x_range, points):
-        x = float(x)
-        lam, p = curve.params(x)
-        out.append(CapacityCurvePoint(x, lam, p, *curve.row(lam, p)))
-    return out
+    x = np.linspace(*curve.x_range, points)
+    lam, p = curve.params(x)
+    table = SweepTable(x, lam, p, *curve.row(lam, p))
+    _check_rows(table)
+    for col in vars(table).values():
+        if col is not None:
+            col.flags.writeable = False
+    return table
 
 
-def _glued_row(lam: float, p: float) -> tuple[Optional[float], float, float, float]:
-    """One-way value only where certified (lambda <= 1/2), two-way and both bounds."""
-    one_way = one_way_capacity(lam, p) if lam <= 0.5 else None
-    return (one_way, two_way_capacity(lam), coherent_info_lower_bound(lam, p),
-            continuity_upper_bound(lam, p))
+def _glued_row(lam: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One-way value only where certified (lambda <= 1/2), two-way and both bounds.
+
+    The scalar closed forms' operations in their order; Python's max/min are
+    written as selections so that ties resolve as they do.
+    """
+    one = 1.0 - lam * (2.0 - binary_entropies(p))
+    two = 1.0 - lam
+    eps = 4.0 * lam * np.sqrt(p * (1.0 - p))
+    entropic = 4.0 * eps + 2.0 * (2.0 + eps) * binary_entropies(eps / (2.0 + eps))
+    return (np.where(lam <= 0.5, one, np.nan), two, np.where(one > 0.0, one, 0.0),
+            np.where(entropic < two, entropic, two))
 
 
 _UPPER_BOUND_NOTE = "continuity bound certifies the capacity only for lambda >= 1/2"
@@ -664,7 +739,7 @@ def fig4_lambda(p: float) -> float:
 
 FIG4 = Curve(
     x_range=(0.35, 0.5),
-    params=lambda p: (fig4_lambda(p), p),
+    params=lambda p: (p / np.log2(1.0 / p), p),
     row=_glued_row,
     meta=lambda: {
         "scenario": "fig4",
@@ -683,7 +758,8 @@ FIG4 = Curve(
 def custom_curve(lam_min: float, lam_max: float, p_min: float, p_max: float) -> Curve:
     """Curve sweeping lambda at fixed p = p_min, or p at fixed lambda = lam_min.
 
-    Exactly one parameter must vary (min < max).  The one-way column is
+    Exactly one parameter must vary (min < max); the fixed one needs min ==
+    max, so that no range end is silently dropped.  The one-way column is
     populated only where the closed form is certified (lambda <= 1/2);
     elsewhere the rows carry the bound columns.
     """
@@ -692,9 +768,15 @@ def custom_curve(lam_min: float, lam_max: float, p_min: float, p_max: float) -> 
     sweep_lambda = lam_min < lam_max
     if sweep_lambda == (p_min < p_max):
         raise DomainError("custom sweep needs exactly one varying parameter")
+    fixed, lo, hi = ("p", p_min, p_max) if sweep_lambda else ("lambda", lam_min, lam_max)
+    if lo != hi:
+        raise DomainError(
+            f"custom sweep fixes {fixed}, so its min and max must be equal, got {lo!r} and {hi!r}"
+        )
     return Curve(
         x_range=(lam_min, lam_max) if sweep_lambda else (p_min, p_max),
-        params=(lambda lam: (lam, p_min)) if sweep_lambda else (lambda p: (lam_min, p)),
+        params=((lambda lam: (lam, np.full_like(lam, p_min))) if sweep_lambda
+                else (lambda p: (np.full_like(p, lam_min), p))),
         row=_glued_row,
         meta=lambda: {
             "scenario": "custom",
@@ -751,11 +833,11 @@ def simulate_two_way_protocol(
     probs = np.array([float(np.trace(k @ pi @ k.conj().T).real) for k in n.kraus])
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    block_of_branch = n.kraus_block_index()
 
+    # inverse-CDF branch sampling: u falls in branch 0, the only Kraus
+    # operator into the identity block, exactly when u < cum[0]
     rng = stream_rng(seed, STREAM_QUANTUM_PROTOCOL)
-    branch = np.searchsorted(cum, rng.random(uses), side="right")
-    kept = int(np.count_nonzero(block_of_branch[branch] == 0))
+    kept = int(np.count_nonzero(rng.random(uses) < cum[0]))
     rate = kept / uses
     std_error = float(np.sqrt(lam * (1.0 - lam) / uses))
     return rate, std_error

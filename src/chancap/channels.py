@@ -130,14 +130,6 @@ class KrausChannel:
                 return i
         raise ShapeMismatch(f"row {row} outside output space")
 
-    def kraus_block_index(self) -> np.ndarray:
-        """Block each Kraus operator writes into (-1 for zero operators)."""
-        out = []
-        for k in self.kraus:
-            rows = np.flatnonzero(np.abs(k).max(axis=1) > BLOCK_SUPPORT_TOL)
-            out.append(self.block_of_row(int(rows[0])) if rows.size else -1)
-        return np.asarray(out, dtype=int)
-
 
 @dataclass(frozen=True)
 class Isometry:

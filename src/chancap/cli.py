@@ -33,6 +33,8 @@ EXIT_IO = 3
 CURVES = {"fig3": cap.FIG3, "fig4": cap.FIG4, "fig6": wt.FIG6}
 SCENARIOS = (*CURVES, "custom")
 FORMATS = ("csv", "json")
+# the alternating-bounds sequence shrinks doubly exponentially: term 6 underflows
+MAX_TERMS = 5
 
 
 @dataclass
@@ -65,8 +67,11 @@ class RunConfig:
             raise DomainError(f"--points must be >= 2, got {self.points!r}")
         if self.uses < 1:
             raise DomainError(f"--uses must be >= 1, got {self.uses!r}")
-        if not 1 <= self.terms <= 64:
-            raise DomainError(f"--terms must lie in [1, 64], got {self.terms!r}")
+        if not 1 <= self.terms <= MAX_TERMS:
+            raise DomainError(
+                f"--terms must lie in [1, {MAX_TERMS}] (later terms underflow float64), "
+                f"got {self.terms!r}"
+            )
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"--seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.scenario not in SCENARIOS:
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_seq = sub.add_parser("seq", parents=[common], help="emit the alternating-bounds sequence")
-    p_seq.add_argument("--terms", type=int, help="number of terms (default 5, max 64)")
+    p_seq.add_argument("--terms", type=int, help=f"number of terms (default 5, max {MAX_TERMS})")
     p_seq.add_argument("--emit-plot-script", action="store_true")
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run the Monte Carlo protocols")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .capacity import CapacityCurvePoint, SequenceItem
+from .capacity import SequenceItem, SweepTable
 
 SIM_HEADER = "kind,lambda,p,uses,seed,estimate,std_error,target,leakage"
 SEQ_HEADER = "n,x_n,q_lb,q_ub,q_two_way"
@@ -23,22 +23,35 @@ def fmt(x: Optional[float]) -> str:
     return f"{float(x):.17g}"
 
 
-def _point_fields(pt: CapacityCurvePoint, columns: Sequence[str]) -> list:
-    return [getattr(pt, "lam" if c == "lambda" else c) for c in columns]
+def _sweep_rows(points: SweepTable, keys: Sequence[str], row: str, sep: str, absent: str) -> str:
+    """``row % values`` for each row of the table's columns ``keys``, joined by ``sep``.
+
+    Only an absent one-way value is NaN in a sweep table, and neither a finite
+    float nor a column name contains the letters "nan", so one replace writes
+    ``absent`` there.
+    """
+    cells = zip(*[points.column(k).tolist() for k in keys])
+    return sep.join([row % values for values in cells]).replace("nan", absent)
 
 
-def sweep_csv(points: Sequence[CapacityCurvePoint], columns: Sequence[str]) -> str:
-    """CSV of sweep rows with the given columns (a curve's ``columns``)."""
-    lines = [",".join(columns)]
-    for pt in points:
-        lines.append(",".join(fmt(v) for v in _point_fields(pt, columns)))
-    return "\n".join(lines) + "\n"
+def sweep_csv(points: SweepTable, columns: Sequence[str]) -> str:
+    """CSV of a sweep table's given columns (a curve's ``columns``); absent values are empty."""
+    rows = _sweep_rows(points, columns, ",".join(["%.17g"] * len(columns)), "\n", "")
+    return ",".join(columns) + "\n" + rows + "\n"
 
 
-def sweep_json(points: Sequence[CapacityCurvePoint], columns: Sequence[str], meta: dict) -> str:
-    """JSON document ``{"meta": meta, "rows": [...]}`` of sweep rows with the given columns."""
-    rows = [dict(zip(columns, _point_fields(pt, columns))) for pt in points]
-    return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+def sweep_json(points: SweepTable, columns: Sequence[str], meta: dict) -> str:
+    """JSON document ``{"meta": meta, "rows": [...]}`` of a sweep table's given columns.
+
+    The bytes of ``json.dumps(doc, indent=2, sort_keys=True)``: ``meta`` goes
+    through ``json``; each row fills one template of its sorted keys with
+    ``repr`` of each float (what ``json`` writes for a finite float) or null.
+    """
+    keys = sorted(columns)
+    row = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %r" for k in keys) + "\n    }"
+    head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    rows = _sweep_rows(points, keys, row, ",\n", "null")
+    return '{\n  "meta": ' + head + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
 def seq_csv(items: Sequence[SequenceItem], meta: dict) -> str:

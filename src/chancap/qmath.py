@@ -143,6 +143,20 @@ def binary_entropy(p: float) -> float:
     return float(out)
 
 
+def binary_entropies(p: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` of every entry of a float64 array, bit for bit.
+
+    The same ``log2``/``log1p`` operations in the same order; entries at 0
+    or 1 take the scalar's skipped terms as exact zeros.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise DomainError("binary_entropies requires every p in [0, 1]")
+    head = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+    tail = np.where(p < 1.0, (1.0 - p) * np.log1p(-np.where(p < 1.0, p, 0.0)) / np.log(2.0), 0.0)
+    return (0.0 - head) - tail
+
+
 def shannon_entropy(dist) -> float:
     """Shannon entropy of a probability vector, in bits."""
     d = np.asarray(dist, dtype=float).ravel()

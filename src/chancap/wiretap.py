@@ -24,7 +24,7 @@ import numpy as np
 
 from .capacity import SWEEP_COLUMNS, Curve, _check_degradable_lambda, bisect
 from .errors import DomainError, NotADistribution
-from .qmath import binary_entropy, check_prob
+from .qmath import binary_entropies, binary_entropy, check_prob
 from .sampling import STREAM_WIRETAP_PROTOCOL, stream_rng
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -285,10 +285,8 @@ def fig6_crossover() -> float:
 
 FIG6 = Curve(
     x_range=(0.8687, 1.0),
-    params=lambda p: (fig6_lambda(p), p),
-    row=lambda lam, p: (
-        one_way_secrecy_capacity(lam, p), two_way_secrecy_capacity(lam), None, None
-    ),
+    params=lambda p: (p / (2.0 * np.log2(6.0 / p)), p),
+    row=lambda lam, p: (1.0 - lam * (1.0 + binary_entropies(p)), 1.0 - lam, None, None),
     meta=lambda: {
         "scenario": "fig6",
         "lambda_of_p": "p / (2*log2(6/p))",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from chancap import capacity as cap
 from chancap import channels as chn
+from chancap import wiretap as wt
 from chancap.errors import DomainError, NonHermitian, NotAState, PreconditionViolated, ShapeMismatch
 from chancap.qmath import binary_entropy, von_neumann_entropy
 from chancap.sampling import random_density_matrix
@@ -398,6 +399,107 @@ def test_custom_curve_rows(vary_lambda, fixed, ends, points):
         assert (pt.one_way is None) == (pt.lam > 0.5)
         if pt.one_way is not None:
             assert pt.lower_bound <= pt.one_way <= pt.two_way
+
+
+def _glued_scalar_row(lam, p):
+    one = cap.one_way_capacity(lam, p) if lam <= 0.5 else None
+    return (lam, p, one, cap.two_way_capacity(lam), cap.coherent_info_lower_bound(lam, p),
+            cap.continuity_upper_bound(lam, p))
+
+
+def _fig6_scalar_row(p):
+    lam = wt.fig6_lambda(p)
+    return (lam, p, wt.one_way_secrecy_capacity(lam, p), wt.two_way_secrecy_capacity(lam),
+            None, None)
+
+
+# each figure's x -> scalar (lam, p, one_way, two_way, lower_bound, upper_bound)
+SCALAR_FIGURES = {
+    "fig3": (cap.FIG3, lambda x: _glued_scalar_row(x, 4.0 * x - 1.0)),
+    "fig4": (cap.FIG4, lambda x: _glued_scalar_row(cap.fig4_lambda(x), x)),
+    "fig6": (wt.FIG6, _fig6_scalar_row),
+}
+
+
+def _assert_rows_bitwise(pts, expected):
+    """Every row of a sweep equals the scalar closed forms bit for bit, None where absent."""
+    def bits(v):
+        return None if v is None else v.hex()
+
+    assert len(pts) == len(expected)
+    for pt, (x, *row) in zip(pts, expected):
+        got = (pt.x, pt.lam, pt.p, pt.one_way, pt.two_way, pt.lower_bound, pt.upper_bound)
+        assert [bits(v) for v in got] == [bits(v) for v in (x, *row)], x
+
+
+@pytest.mark.parametrize("points", [2, 100, 777])
+@pytest.mark.parametrize("name", sorted(SCALAR_FIGURES))
+def test_figure_sweeps_match_scalar_closed_forms(name, points):
+    curve, scalar_row = SCALAR_FIGURES[name]
+    xs = np.linspace(*curve.x_range, points).tolist()
+    _assert_rows_bitwise(cap.sweep(curve, points), [(x, *scalar_row(x)) for x in xs])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    vary_lambda=st.booleans(),
+    fixed=st.floats(0.0, 1.0),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda e: e[0] != e[1]),
+    points=st.integers(2, 40),
+)
+@example(vary_lambda=True, fixed=0.0, ends=(0.0, 1.0), points=3)
+@example(vary_lambda=True, fixed=0.5, ends=(0.0, 1.0), points=5)
+@example(vary_lambda=True, fixed=1.0, ends=(0.0, 1.0), points=3)
+@example(vary_lambda=True, fixed=5e-324, ends=(0.0, 1.0), points=9)
+@example(vary_lambda=False, fixed=0.0, ends=(0.0, 1.0), points=3)
+@example(vary_lambda=False, fixed=0.5, ends=(0.0, 1.0), points=5)
+@example(vary_lambda=False, fixed=1.0, ends=(0.0, 5e-324), points=4)
+def test_custom_sweeps_match_scalar_closed_forms(vary_lambda, fixed, ends, points):
+    lo, hi = sorted(ends)
+    lam_ends, p_ends = ((lo, hi), (fixed, fixed)) if vary_lambda else ((fixed, fixed), (lo, hi))
+    xs = np.linspace(lo, hi, points).tolist()
+    expected = [(x, *_glued_scalar_row(*((x, fixed) if vary_lambda else (fixed, x)))) for x in xs]
+    _assert_rows_bitwise(cap.sweep(cap.custom_curve(*lam_ends, *p_ends), points), expected)
+
+
+def test_sweep_table_reads_as_rows():
+    pts = cap.sweep(cap.custom_curve(0.25, 0.75, 0.3, 0.3), 3)
+    assert isinstance(pts, cap.SweepTable)
+    rows = list(pts)
+    assert [pt.x for pt in rows] == [0.25, 0.5, 0.75]
+    assert pts[-1] == rows[2] and pts[1:] == rows[1:]
+    assert [pt.one_way is None for pt in pts] == [False, False, True]
+    assert np.isnan(pts.one_way[2]) and pts.column("lambda") is pts.lam
+    assert pts.lower_bound is not None and cap.sweep(wt.FIG6, 2).upper_bound is None
+    with pytest.raises(IndexError):
+        pts[3]
+    with pytest.raises(ValueError):
+        pts.two_way[0] = 0.0  # the columns are read-only
+
+
+@pytest.mark.parametrize("row", [
+    # NaN outside the absent one-way slots, a missing certified value, broken orderings
+    lambda lam, p: (1.0 - lam, np.full_like(lam, np.nan), None, None),
+    lambda lam, p: (np.full_like(lam, np.nan), 1.0 - lam, None, None),
+    lambda lam, p: (1.0 - lam, 1.0 - lam, np.full_like(lam, np.nan), 0.0 * lam),
+    lambda lam, p: (1.0 - lam, 1.0 - lam, 1.0 - lam + 1e-6, 0.0 * lam),
+    lambda lam, p: (1.0 - lam + 1e-6, 1.0 - lam, None, None),
+    lambda lam, p: (1.0 - lam, 1.5 - lam, None, None),
+])
+def test_sweep_rejects_invalid_rows(row):
+    curve = cap.Curve(x_range=(0.1, 0.4), params=lambda x: (x, x), row=row, meta=dict)
+    with pytest.raises(DomainError):
+        cap.sweep(curve, 4)
+
+
+@pytest.mark.parametrize("ends", [
+    (0.8, 0.2, 0.0, 1.0),  # a p sweep with a reversed lambda range
+    (0.1, 0.9, 0.7, 0.3),  # a lambda sweep with a reversed p range
+])
+def test_custom_curve_fixed_parameter_needs_one_value(ends):
+    fixed = "lambda" if ends[2] < ends[3] else "p"
+    with pytest.raises(DomainError, match=f"fixes {fixed}"):
+        cap.custom_curve(*ends)
 
 
 def test_simulate_two_way_protocol():

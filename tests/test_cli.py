@@ -158,6 +158,24 @@ def test_seq_term_limits(capsys):
     assert "underflow" in err
 
 
+def test_seq_terms_contract_is_five(capsys):
+    code, out, _ = run(["seq", "--terms", "5"], capsys)
+    assert code == 0 and len(output.parse_csv(out)[1]) == 5
+    code, out, err = run(["seq", "--terms", "6"], capsys)
+    assert code == 2 and out == ""
+    assert "--terms must lie in [1, 5]" in err
+
+
+@pytest.mark.parametrize("ranges", [
+    ("--lambda-min", "0.8", "--lambda-max", "0.2", "--p-min", "0", "--p-max", "1"),
+    ("--lambda-min", "0.1", "--lambda-max", "0.9", "--p-min", "0.7", "--p-max", "0.3"),
+])
+def test_custom_sweep_fixed_range_exits_2(ranges, capsys):
+    code, out, err = run(["sweep", "--scenario", "custom", "--points", "3", *ranges], capsys)
+    assert code == 2 and out == ""
+    assert ("fixes lambda" if ranges[1] == "0.8" else "fixes p") in err
+
+
 def test_simulate_outputs(tmp_path):
     path = tmp_path / "sim.csv"
     argv = ["simulate", "--lambda", "0.3", "--p", "0.1", "--uses", "20000",
@@ -249,6 +267,37 @@ def test_default_output_digests(capsys):
         ("sweep", "--scenario", "custom", "--lambda", "0.7", "--p-min", "0", "--p-max", "1",
          "--format", "json"):
             "39247b86863cf713b6a86cd1be65840516ed1db18d85a96c1704140d818d9000",
+        # both protocols at three seeds and two (lambda, p) pairs pin the Philox streams
+        **{
+            ("simulate", "--kind", "both", "--lambda", lam, "--p", p, "--uses", "20000",
+             "--seed", seed, "--format", fmt): digest
+            for (lam, p, seed, fmt), digest in {
+                ("0.3", "0.1", "0", "csv"):
+                    "da169284c7c3cb497e6ab1d2a2711a8cfdac3c9195c623a2b33f8dd884bf52cf",
+                ("0.3", "0.1", "0", "json"):
+                    "108a816acd7ccd01ba67f1de87391483609dbacaf7fc81e453c2e573e7c3b070",
+                ("0.45", "0.8", "0", "csv"):
+                    "e292c931da8b5fde16c3db1b7c9ff89dc4a8e1126dee264ddd78e2a65db1128b",
+                ("0.45", "0.8", "0", "json"):
+                    "219f7f8f1dddb7e0abd75ff807891b6a44b7fc3311a72d7c85b83a7432e90db6",
+                ("0.3", "0.1", "7", "csv"):
+                    "45afa47ab508e34b05df349645b3e4c9e5faaa5b87a4e522bbd28953e24a4d03",
+                ("0.3", "0.1", "7", "json"):
+                    "a33391305ccb9788a8f29af66a4864a37d36dec69b39857cd6dafca8787cdd28",
+                ("0.45", "0.8", "7", "csv"):
+                    "4bd358eb0203bed895194bb81966e765efe2256bb7824f877819ce182b78fce6",
+                ("0.45", "0.8", "7", "json"):
+                    "000352b1c78897dc527bbd3b6da84a9e9c68a5f6579a8f81b1a55eb8f824f7b1",
+                ("0.3", "0.1", "12345", "csv"):
+                    "413378e95fa9c4b1c098bbb05a039ef0e37fffcad7d35d9a17b8295684252c40",
+                ("0.3", "0.1", "12345", "json"):
+                    "c8dee3cebf06dafccdb8adb0c344d6ec209d21532f9b5dc2052e556f291a2d95",
+                ("0.45", "0.8", "12345", "csv"):
+                    "a16a7762d06f3ef26f2c3899134c95a1b956959a8291d728ffb532bdd85fbaf3",
+                ("0.45", "0.8", "12345", "json"):
+                    "bd425195f659ee0cc804231cb9b135051bca440def4ce82adb599a3cb8276f3f",
+            }.items()
+        },
     }
     for argv, digest in expected.items():
         code, out, _ = run(list(argv), capsys)

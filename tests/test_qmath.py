@@ -11,6 +11,7 @@ from chancap.errors import (
 )
 from chancap.qmath import (
     HermitianSpectrum,
+    binary_entropies,
     binary_entropy,
     direct_sum_embed,
     hermitian_eig,
@@ -94,6 +95,23 @@ def test_binary_entropy_values():
     assert abs(binary_entropy(0.1) - 0.468996) < 1e-6
     # cross-check against the eigenvalue route
     assert abs(binary_entropy(0.1) - von_neumann_entropy(np.diag([0.1, 0.9]).astype(complex))) < 1e-12
+
+
+def test_binary_entropies_match_scalar_bitwise():
+    rng = np.random.default_rng(5)
+    grid = np.concatenate([
+        [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, 2.0**-53, 1e-300],
+        np.linspace(0.0, 1.0, 1001),
+        rng.random(1000),
+        10.0 ** rng.uniform(-320.0, 0.0, 1000),
+    ])
+    batched = binary_entropies(grid).tolist()
+    scalar = [binary_entropy(v) for v in grid.tolist()]
+    # float.hex tells -0.0 from 0.0, so this is equality bit for bit
+    assert [v.hex() for v in batched] == [v.hex() for v in scalar]
+    for bad in ([0.5, -0.01], [1.01], [np.nan]):
+        with pytest.raises(DomainError):
+            binary_entropies(np.array(bad))
 
 
 def test_binary_entropy_domain():
