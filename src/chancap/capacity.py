@@ -17,6 +17,7 @@ Closed forms implemented here, all in qubits (or private bits) per use:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -175,9 +176,15 @@ def _superoperator(kraus) -> np.ndarray:
 
 
 def _apply_stack(superop: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Apply one channel, given as a superoperator, to stacked states (n, din, din)."""
+    """Apply one channel, given as a superoperator, to stacked states (..., din, din).
+
+    A stack (n, din, din) is one matrix product; a stack (n, 1, din, din)
+    is n vector-matrix products, each bit-equal to applying the channel to
+    its state alone.
+    """
     dout = math.isqrt(superop.shape[0])
-    return (rhos.reshape(rhos.shape[0], -1) @ superop.T).reshape(-1, dout, dout)
+    lead = rhos.shape[:-2]
+    return (rhos.reshape(*lead, -1) @ superop.T).reshape(*lead, dout, dout)
 
 
 def _ic_stack(sn: np.ndarray, sc: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -206,14 +213,13 @@ def coherent_information_state(rho_ab, dims: tuple[int, int]) -> float:
 
 
 def _bloch_states(rs: np.ndarray) -> np.ndarray:
-    """Stack of qubit states (I + r . sigma)/2 for Bloch vectors rs (n, 3)."""
-    n = rs.shape[0]
-    rho = np.empty((n, 2, 2), dtype=complex)
-    x, y, z = rs[:, 0], rs[:, 1], rs[:, 2]
-    rho[:, 0, 0] = (1.0 + z) / 2
-    rho[:, 1, 1] = (1.0 - z) / 2
-    rho[:, 0, 1] = (x - 1j * y) / 2
-    rho[:, 1, 0] = (x + 1j * y) / 2
+    """Stack of qubit states (I + r . sigma)/2 for Bloch vectors rs (..., 3)."""
+    rho = np.empty(rs.shape[:-1] + (2, 2), dtype=complex)
+    x, y, z = rs[..., 0], rs[..., 1], rs[..., 2]
+    rho[..., 0, 0] = (1.0 + z) / 2
+    rho[..., 1, 1] = (1.0 - z) / 2
+    rho[..., 0, 1] = (x - 1j * y) / 2
+    rho[..., 1, 0] = (x + 1j * y) / 2
     return rho
 
 
@@ -223,17 +229,11 @@ def _ic_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda rs: _ic_stack(sn, sc, _bloch_states(rs))
 
 
-def _maximize_over_bloch_ball(
-    evaluate: Callable[[np.ndarray], np.ndarray], tol: float, slack: float = 1e-12
-) -> tuple[float, np.ndarray]:
-    """Maximize a batched objective of Bloch vectors (n, 3) over the unit ball.
+@functools.lru_cache(maxsize=1)
+def _bloch_grid() -> np.ndarray:
+    """The 4,169 points of the step-0.1 cubic grid inside the unit ball.
 
-    Coarse grid scan (step 0.1) followed by a coordinate pattern search that
-    halves the step down to ``tol``.  Returns (value, argmax Bloch vector).
-    Values within ``slack`` of each other count as ties, which are broken
-    toward the smallest Bloch norm so that flat landscapes report the
-    maximally mixed input; the default suits objectives built from O(1)
-    entropies, whose roundoff is absolute.
+    Sorted by Bloch norm (stable), built once and returned read-only.
     """
     axis = np.arange(-10, 11) / 10.0
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -241,6 +241,37 @@ def _maximize_over_bloch_ball(
     norms = np.linalg.norm(pts, axis=1)
     pts = pts[norms <= 1.0 + 1e-12]
     pts = pts[np.argsort(np.linalg.norm(pts, axis=1), kind="stable")]
+    pts.flags.writeable = False
+    return pts
+
+
+# the pattern search's moves in sweep order: +x, -x, +y, -y, +z, -z
+_MOVES = tuple((d, s) for d in range(3) for s in (1.0, -1.0))
+
+
+def _maximize_over_bloch_ball(
+    evaluate: Callable[[np.ndarray], np.ndarray], tol: float, slack: float = 1e-12
+) -> tuple[float, np.ndarray]:
+    """Maximize a batched objective of Bloch vectors (..., 3) over the unit ball.
+
+    Coarse grid scan (step 0.1) followed by a coordinate pattern search
+    (Hooke and Jeeves, J. ACM 8, 1961) that halves the step down to ``tol``.
+    Returns (value, argmax Bloch vector).  Values within ``slack`` of each
+    other count as ties, which are broken toward the smallest Bloch norm so
+    that flat landscapes report the maximally mixed input; the default suits
+    objectives built from O(1) entropies, whose roundoff is absolute.
+
+    Each sweep tries the six moves +x, -x, +y, -y, +z, -z in order and takes
+    every move that beats the current value by more than ``slack``.  The
+    moves still to try are scored from the current point in one ``evaluate``
+    call and the first improving one is taken; the moves after it are then
+    scored again from the new point in one further call.  The call passes the
+    moves as a stack (m, 1, 3) of single vectors, so each is scored bit for
+    bit as a call on that move alone would score it.  A move is thus taken
+    exactly when the one-move-at-a-time search would take it: the trajectory,
+    value and argmax are that search's, in about a quarter of the calls.
+    """
+    pts = _bloch_grid()
     vals = evaluate(pts)
     # smallest-norm point within slack of the grid maximum, so that flat
     # landscapes resolve to the maximally mixed input
@@ -252,17 +283,22 @@ def _maximize_over_bloch_ball(
         improved = True
         while improved:
             improved = False
-            for d in range(3):
-                for s in (1.0, -1.0):
-                    cand = r.copy()
+            j = 0
+            while j < len(_MOVES):
+                cands = np.tile(r, (len(_MOVES) - j, 1))
+                for cand, (d, s) in zip(cands, _MOVES[j:]):
                     cand[d] += s * step
                     nrm = np.linalg.norm(cand)
                     if nrm > 1.0:
                         cand /= nrm
-                    fc = float(evaluate(cand[None, :])[0])
-                    if fc > f + slack:
-                        r, f = cand, fc
-                        improved = True
+                fc = evaluate(cands[:, None, :])[:, 0]
+                hits = np.flatnonzero(fc > f + slack)
+                if hits.size == 0:
+                    break
+                k = int(hits[0])
+                r, f = cands[k].copy(), float(fc[k])
+                improved = True
+                j += k + 1
         step /= 2.0
     return f, r
 
@@ -327,7 +363,16 @@ def erasure_capacities(lam: float) -> tuple[float, float]:
 
 
 def coherent_info_lower_bound(lam: float, p: float) -> float:
-    """max(0, 1 - lam (2 - H(p))), valid for every lam."""
+    """max(0, 1 - lam (2 - H(p))), valid for every lam.
+
+    This is the one-shot coherent information of the maximally mixed input.
+    It equals the capacity for lam <= 1/2 but is loose above 1/2, where
+    other inputs do better: ``maximize_coherent_information`` gives 0.0124
+    at (lam, p) = (0.8, 0.2), where the bound is 0, and 0.0272 at
+    (0.65, 0.9), where it is 0.0048.  The gap opens just above 1/2 for p
+    near 0 or 1 (at lam ~ 0.505 for p = 0.001, ~ 0.56 for p = 0.05) and
+    later for p nearer 1/2.
+    """
     lam = check_prob("lambda", lam)
     p = check_prob("p", p)
     return max(0.0, 1.0 - lam * (2.0 - binary_entropy(p)))
@@ -365,10 +410,10 @@ def _diamond_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarra
     def evaluate(rs: np.ndarray) -> np.ndarray:
         # purification vec(sqrt(rho)), with sqrt(rho) = (rho + s I)/sqrt(1 + 2s)
         # and s = sqrt(det rho) = sqrt(1 - |r|^2)/2 for a qubit
-        s = np.sqrt(np.clip(1.0 - (rs * rs).sum(axis=1), 0.0, None)) / 2.0
-        roots = _bloch_states(rs) + s[:, None, None] * np.eye(2)
-        psis = (roots / np.sqrt(1.0 + 2.0 * s)[:, None, None]).reshape(-1, 4)
-        projectors = psis[:, :, None] * psis[:, None, :].conj()
+        s = np.sqrt(np.clip(1.0 - (rs * rs).sum(axis=-1), 0.0, None)) / 2.0
+        roots = _bloch_states(rs) + s[..., None, None] * np.eye(2)
+        psis = (roots / np.sqrt(1.0 + 2.0 * s)[..., None, None]).reshape(*rs.shape[:-1], 4)
+        projectors = psis[..., :, None] * psis[..., None, :].conj()
         return np.abs(np.linalg.eigvalsh(_apply_stack(delta, projectors))).sum(axis=-1)
 
     return evaluate
@@ -506,19 +551,21 @@ def derivative_condition_margin(p_of_lambda, lam: float) -> float:
 def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Point where f turns from negative to nonnegative, with f(lo) < 0 <= f(hi).
 
-    Bisects on ``f(mid) < 0`` until the bracket can no longer be split in
-    floating point and returns the midpoint of the final bracket.  Having no
-    absolute stop keeps it exact on the doubly exponentially shrinking
+    Bisects on ``f(mid) < 0`` until the finite bracket can no longer be split
+    in floating point and returns the midpoint of the final bracket.  Having
+    no absolute stop keeps it exact on the doubly exponentially shrinking
     brackets of the alternating-bounds sequence.
     """
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
+    while True:
+        mid = 0.5 * (lo + hi)
+        if math.isinf(mid):  # lo + hi overflowed: halve first
+            mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            return mid
         if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
 
 
 def alternating_bounds_sequence(

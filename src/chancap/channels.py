@@ -122,6 +122,21 @@ class KrausChannel:
                 if len(homes) != 1:
                     raise ShapeMismatch("a Kraus operator straddles output blocks")
 
+    @classmethod
+    def _closed_form(cls, dim_in: int, dim_out: int, kraus: tuple, blocks: tuple) -> KrausChannel:
+        """A channel from a closed-form Kraus list, built without ``__post_init__``.
+
+        For the glued-family constructors only, whose complex Kraus formulas
+        are complete and block-supported for every (lam, p) in [0, 1]^2.
+        The tests check that across the whole square and ``verify`` on a grid
+        (``channels.kraus_completeness_grid``, ``channels.block_orthogonality``),
+        so re-proving it on every build would only cost time.  Kraus lists
+        from callers keep the full check.
+        """
+        ch = object.__new__(cls)
+        ch.__dict__.update(dim_in=dim_in, dim_out=dim_out, kraus=kraus, blocks=blocks)
+        return ch
+
     def block_of_row(self, row: int) -> int:
         if self.blocks is None:
             raise ShapeMismatch("channel has no declared block structure")
@@ -230,7 +245,7 @@ def channel_N(lam: float, p: float) -> KrausChannel:
         np.sqrt(lam) * embed_operator(np.outer(phi0, ket(0, 2).conj()), 2, 4),
         np.sqrt(lam) * embed_operator(np.outer(phi1, ket(1, 2).conj()), 2, 4),
     )
-    return KrausChannel(2, 4, kraus, blocks=((0, 2), (2, 2)))
+    return KrausChannel._closed_form(2, 4, kraus, ((0, 2), (2, 2)))
 
 
 def complement_N(lam: float, p: float) -> KrausChannel:
@@ -247,7 +262,7 @@ def complement_N(lam: float, p: float) -> KrausChannel:
         np.sqrt(lam) * embed_operator(np.sqrt(1.0 - p) * I2, 1, 3),
         np.sqrt(lam) * embed_operator(np.sqrt(p) * PAULI_Z, 1, 3),
     )
-    return KrausChannel(2, 3, kraus, blocks=((0, 1), (1, 2)))
+    return KrausChannel._closed_form(2, 3, kraus, ((0, 1), (1, 2)))
 
 
 def isometry_N(lam: float, p: float) -> Isometry:
@@ -286,7 +301,7 @@ def comparison_channel_T(lam: float, p: float) -> KrausChannel:
         np.sqrt(lam) * embed_operator(np.outer(phi0, ket(0, 2).conj()), 2, 4),
         np.sqrt(lam) * embed_operator(np.outer(phi0, ket(1, 2).conj()), 2, 4),
     )
-    return KrausChannel(2, 4, kraus, blocks=((0, 2), (2, 2)))
+    return KrausChannel._closed_form(2, 4, kraus, ((0, 2), (2, 2)))
 
 
 def erasure_channel(lam: float) -> KrausChannel:

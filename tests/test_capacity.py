@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +169,87 @@ def test_maximize_coherent_information():
         cap.maximize_coherent_information(0.3, 0.1, tol=1e-9)
 
 
+def _scored(rs, vals):
+    """The bits of each (Bloch vector, value) pair of an evaluator call."""
+    return [(r.tobytes(), v.hex()) for r, v in zip(rs.reshape(-1, 3), vals.ravel().tolist())]
+
+
+def _sequential_bloch_search(evaluate, tol, slack=1e-12):
+    """The one-move-at-a-time pattern search that ``_maximize_over_bloch_ball`` batches.
+
+    Kept as the reference for the batched search: grid scan, then each of
+    the moves +x, -x, +y, -y, +z, -z scored alone and taken when it beats
+    the current value by more than ``slack``.  Besides (value, argmax) it
+    returns the scored points in runs: the grid scan, then the moves scored
+    up to each taken move or sweep end, which is what one batched call scores.
+    """
+    axis = np.arange(-10, 11) / 10.0
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12]
+    pts = pts[np.argsort(np.linalg.norm(pts, axis=1), kind="stable")]
+    vals = evaluate(pts)
+    runs = [_scored(pts, vals), []]
+    best = int(np.argmax(vals >= vals.max() - slack))
+    r, f = pts[best].copy(), float(vals[best])
+    step = cap.GRID_STEP
+    while step >= tol:
+        improved = True
+        while improved:
+            improved = False
+            for d in range(3):
+                for s in (1.0, -1.0):
+                    cand = r.copy()
+                    cand[d] += s * step
+                    nrm = np.linalg.norm(cand)
+                    if nrm > 1.0:
+                        cand /= nrm
+                    fc = evaluate(cand[None, :])
+                    runs[-1] += _scored(cand, fc)
+                    if float(fc[0]) > f + slack:
+                        r, f = cand, float(fc[0])
+                        improved = True
+                        runs.append([])
+            runs.append([])
+        step /= 2.0
+    return f, r, [run for run in runs if run]
+
+
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(lam=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
+@example(lam=0.0, p=0.0)
+@example(lam=0.5, p=0.5)
+@example(lam=1.0, p=1.0)
+@example(lam=0.0, p=1.0)
+@example(lam=1.0, p=0.0)
+@example(lam=0.5, p=5e-324)
+@example(lam=1.0, p=5e-324)
+@example(lam=0.3, p=0.1)
+@example(lam=0.875, p=0.875)  # inputs off the grid win above lam = 1/2
+@example(lam=0.6, p=0.05)
+@example(lam=0.65, p=0.9)
+def test_batched_bloch_search_matches_sequential(lam, p):
+    # coherent information with the default tie width, distance with none
+    for make, kwargs in ((cap._ic_evaluator, {}), (cap._diamond_evaluator, {"slack": 0.0})):
+        evaluate, calls = make(lam, p), []
+
+        def logged(rs):
+            vals = evaluate(rs)
+            calls.append(_scored(rs, vals))
+            return vals
+
+        value, arg = cap._maximize_over_bloch_ball(logged, 1e-6, **kwargs)
+        ref_value, ref_arg, runs = _sequential_bloch_search(make(lam, p), 1e-6, **kwargs)
+        assert float(value).hex() == float(ref_value).hex()
+        assert [x.hex() for x in arg.tolist()] == [x.hex() for x in ref_arg.tolist()]
+        # same trajectory: each batched call scores, in order and to the same
+        # bits, one run of the points the sequential search scores one by one
+        assert len(calls) == len(runs)
+        assert all(call[: len(run)] == run for call, run in zip(calls, runs))
+        # the sequential search makes the grid call and one call per move
+        assert len(calls) < 1 + sum(map(len, runs[1:]))
+
+
 def test_one_way_capacity():
     assert cap.one_way_capacity(0.25, 0.0) == 0.5
     assert abs(cap.one_way_capacity(0.3125, 0.25) - 0.628524) < 1e-6
@@ -260,6 +343,20 @@ def test_degrading_map():
         cap.degrading_map(0.51, 0.3)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lam=st.floats(0.0, 0.5), p=st.floats(0.0, 1.0))
+@example(lam=0.0, p=0.0)
+@example(lam=0.0, p=0.5)
+@example(lam=0.0, p=1.0)
+@example(lam=0.0, p=5e-324)
+@example(lam=0.5, p=0.0)
+@example(lam=0.5, p=0.5)
+@example(lam=0.5, p=1.0)
+@example(lam=0.5, p=5e-324)
+def test_degrading_composition_is_the_complement(lam, p):
+    assert cap.verify_degradable(lam, p) < 1e-10
+
+
 def test_ic_conjugation_residual():
     dz, dx = cap.ic_conjugation_residual(0.4, 0.3, PI)
     assert dz == 0.0 and dx == 0.0
@@ -301,6 +398,48 @@ def test_derivative_check():
             cap.derivative_check(lambda l: 0.3, lam)
         with pytest.raises(DomainError):
             cap.derivative_condition_margin(lambda l: 0.3, lam)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    ends=st.lists(_finite, min_size=3, max_size=3, unique=True).map(sorted),
+    root_at_hi=st.booleans(),
+    kind=st.sampled_from(["linear", "tanh", "step"]),
+)
+@example(ends=[0.0, 5e-324, 1e-323], root_at_hi=False, kind="linear")
+@example(ends=[0.0, 5e-324, 1e-300], root_at_hi=True, kind="step")
+@example(ends=[1e308, 1.5e308, 1.7e308], root_at_hi=False, kind="linear")
+@example(ends=[-1.7e308, 0.0, 1.7e308], root_at_hi=False, kind="tanh")
+@example(ends=[0.0, 0.25, 1.0], root_at_hi=True, kind="linear")
+def test_bisect_bracket_invariants(ends, root_at_hi, kind):
+    lo, root, hi = ends
+    if root_at_hi:
+        root = hi
+    # increasing functions that turn nonnegative at ``root``
+    g = {
+        "linear": lambda x: x - root,
+        "tanh": lambda x: math.tanh(x - root),
+        "step": lambda x: -1.0 if x < root else 0.0,
+    }[kind]
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return g(x)
+
+    assert g(lo) < 0.0 <= g(hi)
+    result = cap.bisect(f, lo, hi)
+    assert lo <= result <= hi
+    # the final bracket: the innermost points on either side of the turn
+    below = max([x for x in seen if g(x) < 0.0], default=lo)
+    above = min([x for x in seen if g(x) >= 0.0], default=hi)
+    assert below < above
+    assert np.nextafter(below, np.inf) == above  # it cannot be split
+    assert result in (below, above)
+    assert g(np.nextafter(result, lo)) < 0.0
 
 
 def test_sequence_golden_values():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chancap import channels as chn
 from chancap.errors import DomainError, NotAState, ShapeMismatch
@@ -39,6 +41,43 @@ def test_kraus_channel_block_checks():
         chn.erasure_channel(0.3).blocks and chn.KrausChannel(
             2, 3, chn.erasure_channel(0.3).kraus, blocks=((0, 2),)
         )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(lam=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
+@example(lam=0.0, p=0.0)
+@example(lam=0.0, p=0.5)
+@example(lam=0.0, p=1.0)
+@example(lam=0.5, p=0.0)
+@example(lam=0.5, p=0.5)
+@example(lam=0.5, p=1.0)
+@example(lam=1.0, p=0.0)
+@example(lam=1.0, p=0.5)
+@example(lam=1.0, p=1.0)
+@example(lam=0.0, p=5e-324)
+@example(lam=0.5, p=5e-324)
+@example(lam=1.0, p=5e-324)
+def test_closed_form_channels_pass_the_full_check(lam, p):
+    # channel_N, complement_N and comparison_channel_T skip __post_init__;
+    # rebuilding their Kraus lists through it must succeed everywhere
+    for make in (chn.channel_N, chn.complement_N, chn.comparison_channel_T):
+        fast = make(lam, p)
+        checked = chn.KrausChannel(fast.dim_in, fast.dim_out, fast.kraus, blocks=fast.blocks)
+        assert checked.blocks == fast.blocks
+        assert all(
+            a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(checked.kraus, fast.kraus)
+        )
+        comp = sum(k.conj().T @ k for k in checked.kraus)
+        assert np.abs(comp - np.eye(checked.dim_in)).max() <= 1e-10
+
+
+def test_closed_form_channels_check_their_parameters():
+    with pytest.raises(DomainError):
+        chn.channel_N(float("nan"), 0.2)
+    with pytest.raises(DomainError):
+        chn.complement_N(0.3, 1.5)
+    with pytest.raises(DomainError):
+        chn.comparison_channel_T(-0.1, 0.2)
 
 
 def test_dephasing_examples():
