@@ -164,32 +164,10 @@ class SequenceItem:
 # coherent information
 
 
-def _superoperator(kraus) -> np.ndarray:
-    """Natural representation sum_a K_a (x) conj(K_a), shape (dout^2, din^2).
-
-    Row-major vec turns the channel action into one matrix product:
-    vec(sum_a K_a rho K_a^dag) = S vec(rho).
-    """
-    k = np.stack(kraus)
-    _, dout, din = k.shape
-    return np.einsum("aij,alk->iljk", k, k.conj()).reshape(dout * dout, din * din)
-
-
-def _apply_stack(superop: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Apply one channel, given as a superoperator, to stacked states (..., din, din).
-
-    A stack (n, din, din) is one matrix product; a stack (n, 1, din, din)
-    is n vector-matrix products, each bit-equal to applying the channel to
-    its state alone.
-    """
-    dout = math.isqrt(superop.shape[0])
-    lead = rhos.shape[:-2]
-    return (rhos.reshape(*lead, -1) @ superop.T).reshape(*lead, dout, dout)
-
-
-def _ic_stack(sn: np.ndarray, sc: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+def _ic_stack(ch: KrausChannel, comp: KrausChannel, rhos: np.ndarray) -> np.ndarray:
     """H(ch(rho)) - H(comp(rho)) for stacked, already validated states."""
-    return entropies_bits(_apply_stack(sn, rhos)) - entropies_bits(_apply_stack(sc, rhos))
+    return (entropies_bits(chn._apply_stack(ch.superoperator, rhos))
+            - entropies_bits(chn._apply_stack(comp.superoperator, rhos)))
 
 
 def coherent_information(ch: KrausChannel, comp: KrausChannel, rho) -> float:
@@ -197,7 +175,7 @@ def coherent_information(ch: KrausChannel, comp: KrausChannel, rho) -> float:
     if ch.dim_in != comp.dim_in:
         raise ShapeMismatch("channel and complement act on different input spaces")
     m = chn.checked_input(ch, rho)
-    return float(_ic_stack(_superoperator(ch.kraus), _superoperator(comp.kraus), m[None])[0])
+    return float(_ic_stack(ch, comp, m[None])[0])
 
 
 def coherent_information_state(rho_ab, dims: tuple[int, int]) -> float:
@@ -224,9 +202,8 @@ def _bloch_states(rs: np.ndarray) -> np.ndarray:
 
 
 def _ic_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarray]:
-    sn = _superoperator(channel_N(lam, p).kraus)
-    sc = _superoperator(complement_N(lam, p).kraus)
-    return lambda rs: _ic_stack(sn, sc, _bloch_states(rs))
+    n, nb = channel_N(lam, p), complement_N(lam, p)
+    return lambda rs: _ic_stack(n, nb, _bloch_states(rs))
 
 
 @functools.lru_cache(maxsize=1)
@@ -265,9 +242,8 @@ def _maximize_over_bloch_ball(
     every move that beats the current value by more than ``slack``.  The
     moves still to try are scored from the current point in one ``evaluate``
     call and the first improving one is taken; the moves after it are then
-    scored again from the new point in one further call.  The call passes the
-    moves as a stack (m, 1, 3) of single vectors, so each is scored bit for
-    bit as a call on that move alone would score it.  A move is thus taken
+    scored again from the new point in one further call.  ``evaluate`` scores
+    each vector of a stack as it scores that vector alone, so a move is taken
     exactly when the one-move-at-a-time search would take it: the trajectory,
     value and argmax are that search's, in about a quarter of the calls.
     """
@@ -291,7 +267,7 @@ def _maximize_over_bloch_ball(
                     nrm = np.linalg.norm(cand)
                     if nrm > 1.0:
                         cand /= nrm
-                fc = evaluate(cands[:, None, :])[:, 0]
+                fc = evaluate(cands)
                 hits = np.flatnonzero(fc > f + slack)
                 if hits.size == 0:
                     break
@@ -401,11 +377,9 @@ def continuity_upper_bound(lam: float, p: float) -> float:
 
 def _diamond_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarray]:
     # N and T agree on output block {0,1}, so (N - T) (x) id lives on block
-    # {2,3} (x) R: rows 4..7 of the channel-then-reference output
-    i2 = np.eye(2, dtype=complex)
-    kn = [np.kron(k, i2)[4:] for k in channel_N(lam, p).kraus]
-    kt = [np.kron(k, i2)[4:] for k in comparison_channel_T(lam, p).kraus]
-    delta = _superoperator(kn) - _superoperator(kt)  # 16 x 16
+    # {2,3} (x) R: restrict N - T to that block, then add the reference
+    diff = channel_N(lam, p).superoperator - comparison_channel_T(lam, p).superoperator
+    delta = chn._with_reference(diff.reshape(4, 4, 4)[2:, 2:].reshape(4, 4), 2)  # 16 x 16
 
     def evaluate(rs: np.ndarray) -> np.ndarray:
         # purification vec(sqrt(rho)), with sqrt(rho) = (rho + s I)/sqrt(1 + 2s)
@@ -414,7 +388,7 @@ def _diamond_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarra
         roots = _bloch_states(rs) + s[..., None, None] * np.eye(2)
         psis = (roots / np.sqrt(1.0 + 2.0 * s)[..., None, None]).reshape(*rs.shape[:-1], 4)
         projectors = psis[..., :, None] * psis[..., None, :].conj()
-        return np.abs(np.linalg.eigvalsh(_apply_stack(delta, projectors))).sum(axis=-1)
+        return np.abs(np.linalg.eigvalsh(chn._apply_stack(delta, projectors))).sum(axis=-1)
 
     return evaluate
 
@@ -486,7 +460,7 @@ def ic_conjugation_residual(lam: float, p: float, rho) -> tuple[float, float]:
     n, nb = channel_N(lam, p), complement_N(lam, p)
     m = chn.checked_input(n, rho)
     stack = np.stack([m, PAULI_Z @ m @ PAULI_Z, PAULI_X @ m @ PAULI_X])
-    base, z, x = _ic_stack(_superoperator(n.kraus), _superoperator(nb.kraus), stack)
+    base, z, x = _ic_stack(n, nb, stack)
     return float(abs(base - z)), float(abs(base - x))
 
 

@@ -20,13 +20,15 @@ The conditional states used by the dephasing complement are
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import qmath
-from .errors import NotAState, ShapeMismatch
+from .errors import DimensionTooLarge, NotAState, ShapeMismatch
 from .qmath import check_prob, embed_operator, partial_trace, von_neumann_entropy
 
 I2 = np.eye(2, dtype=complex)
@@ -35,6 +37,19 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 COMPLETENESS_TOL = 1e-10
 BLOCK_SUPPORT_TOL = 1e-12
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, skipping ``__post_init__``.
+
+    Only for values valid by construction: a channel's output on a checked
+    state, and the glued-family Kraus formulas, which are complete and
+    block-supported for every (lam, p) in [0, 1]^2 (the tests check the whole
+    square, ``verify`` a grid).  Kraus lists from callers keep the full check.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -118,32 +133,20 @@ class KrausChannel:
                 rows = np.flatnonzero(np.abs(k).max(axis=1) > BLOCK_SUPPORT_TOL)
                 if rows.size == 0:
                     continue  # zero operator carries no weight anywhere
-                homes = {self.block_of_row(int(r)) for r in rows}
+                homes = {i for i, (o, s) in enumerate(blocks) for r in rows if o <= r < o + s}
                 if len(homes) != 1:
                     raise ShapeMismatch("a Kraus operator straddles output blocks")
 
-    @classmethod
-    def _closed_form(cls, dim_in: int, dim_out: int, kraus: tuple, blocks: tuple) -> KrausChannel:
-        """A channel from a closed-form Kraus list, built without ``__post_init__``.
+    @functools.cached_property
+    def superoperator(self) -> np.ndarray:
+        """Natural representation S = sum_a K_a (x) conj(K_a), cached read-only.
 
-        For the glued-family constructors only, whose complex Kraus formulas
-        are complete and block-supported for every (lam, p) in [0, 1]^2.
-        The tests check that across the whole square and ``verify`` on a grid
-        (``channels.kraus_completeness_grid``, ``channels.block_orthogonality``),
-        so re-proving it on every build would only cost time.  Kraus lists
-        from callers keep the full check.
+        Shape (dim_out^2, dim_in^2); with row-major vec, vec(ch(rho)) = S vec(rho).
         """
-        ch = object.__new__(cls)
-        ch.__dict__.update(dim_in=dim_in, dim_out=dim_out, kraus=kraus, blocks=blocks)
-        return ch
-
-    def block_of_row(self, row: int) -> int:
-        if self.blocks is None:
-            raise ShapeMismatch("channel has no declared block structure")
-        for i, (o, s) in enumerate(self.blocks):
-            if o <= row < o + s:
-                return i
-        raise ShapeMismatch(f"row {row} outside output space")
+        k = np.stack(self.kraus)
+        s = np.einsum("aij,alk->iljk", k, k.conj()).reshape(self.dim_out**2, self.dim_in**2)
+        s.flags.writeable = False
+        return s
 
 
 @dataclass(frozen=True)
@@ -203,10 +206,7 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 
 
 def maximally_entangled(dim: int) -> PureState:
-    v = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        v[i * dim + i] = 1.0
-    return PureState(v / np.sqrt(dim))
+    return PureState(np.eye(dim, dtype=complex).ravel() / np.sqrt(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def channel_N(lam: float, p: float) -> KrausChannel:
         np.sqrt(lam) * embed_operator(np.outer(phi0, ket(0, 2).conj()), 2, 4),
         np.sqrt(lam) * embed_operator(np.outer(phi1, ket(1, 2).conj()), 2, 4),
     )
-    return KrausChannel._closed_form(2, 4, kraus, ((0, 2), (2, 2)))
+    return _unchecked(KrausChannel, dim_in=2, dim_out=4, kraus=kraus, blocks=((0, 2), (2, 2)))
 
 
 def complement_N(lam: float, p: float) -> KrausChannel:
@@ -262,7 +262,7 @@ def complement_N(lam: float, p: float) -> KrausChannel:
         np.sqrt(lam) * embed_operator(np.sqrt(1.0 - p) * I2, 1, 3),
         np.sqrt(lam) * embed_operator(np.sqrt(p) * PAULI_Z, 1, 3),
     )
-    return KrausChannel._closed_form(2, 3, kraus, ((0, 1), (1, 2)))
+    return _unchecked(KrausChannel, dim_in=2, dim_out=3, kraus=kraus, blocks=((0, 1), (1, 2)))
 
 
 def isometry_N(lam: float, p: float) -> Isometry:
@@ -301,7 +301,7 @@ def comparison_channel_T(lam: float, p: float) -> KrausChannel:
         np.sqrt(lam) * embed_operator(np.outer(phi0, ket(0, 2).conj()), 2, 4),
         np.sqrt(lam) * embed_operator(np.outer(phi0, ket(1, 2).conj()), 2, 4),
     )
-    return KrausChannel._closed_form(2, 4, kraus, ((0, 2), (2, 2)))
+    return _unchecked(KrausChannel, dim_in=2, dim_out=4, kraus=kraus, blocks=((0, 2), (2, 2)))
 
 
 def erasure_channel(lam: float) -> KrausChannel:
@@ -339,48 +339,62 @@ def channel_from_isometry(v: Isometry, dims: tuple[int, int], keep: str) -> Krau
 # channel action
 
 
-def apply_kraus(kraus: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    return sum(k @ rho @ k.conj().T for k in kraus)
+def _apply_stack(superop: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Apply a map, given as a superoperator, to a state or a stack (..., din, din).
+
+    One vector-matrix product per state: its output does not depend on the stack.
+    """
+    dout = math.isqrt(superop.shape[0])
+    lead = rhos.shape[:-2]
+    return (rhos.reshape(*lead, 1, -1) @ superop.T).reshape(*lead, dout, dout)
 
 
-def checked_input(ch: KrausChannel, rho) -> np.ndarray:
-    """``rho`` as a matrix, validated as a density operator on the channel's input."""
+def _with_reference(superop: np.ndarray, dim_ref: int) -> np.ndarray:
+    """Superoperator of ch (x) id_R from that of ch; factors ordered A, R."""
+    dout, din = (math.isqrt(n) for n in superop.shape)
+    e = np.eye(dim_ref)
+    s = np.einsum("iljk,rs,tu->irltjsku", superop.reshape(dout, dout, din, din), e, e)
+    return s.reshape((dout * dim_ref) ** 2, (din * dim_ref) ** 2)
+
+
+def checked_input(ch: KrausChannel, rho, dim_ref: int = 1) -> np.ndarray:
+    """``rho`` as a matrix, validated as a state on the channel input (x) a dim_ref reference."""
+    if not isinstance(dim_ref, (int, np.integer)) or dim_ref < 1:
+        raise ShapeMismatch(f"reference dimension must be an int >= 1, got {dim_ref!r}")
+    if ch.dim_out * dim_ref > qmath.MAX_DIM:
+        raise DimensionTooLarge(f"output dimension {ch.dim_out * dim_ref} exceeds {qmath.MAX_DIM}")
     m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    if m.shape != (ch.dim_in, ch.dim_in):
-        raise ShapeMismatch(f"state shape {m.shape} != channel input {ch.dim_in}")
+    d = ch.dim_in * dim_ref
+    if m.shape != (d, d):
+        raise ShapeMismatch(f"state shape {m.shape} != channel input ({d}, {d})")
     qmath.state_eigenvalues(m)
     return m
 
 
 def apply(ch: KrausChannel, rho) -> DensityMatrix:
-    """Apply a channel to a state: rho -> sum_i K_i rho K_i^dag."""
-    return DensityMatrix(apply_kraus(ch.kraus, checked_input(ch, rho)))
+    """Apply a channel to a state: rho -> sum_i K_i rho K_i^dag (the output is not re-checked)."""
+    return _unchecked(DensityMatrix, matrix=_apply_stack(ch.superoperator, checked_input(ch, rho)))
 
 
 def apply_with_reference(ch: KrausChannel, rho_ar, dim_ref: int) -> DensityMatrix:
     """Apply a channel to the first factor of a bipartite state A (x) R."""
-    m = np.asarray(getattr(rho_ar, "matrix", rho_ar), dtype=complex)
-    d = ch.dim_in * dim_ref
-    if m.shape != (d, d):
-        raise ShapeMismatch(f"state shape {m.shape} != ({d}, {d})")
-    ir = np.eye(dim_ref, dtype=complex)
-    out = apply_kraus([np.kron(k, ir) for k in ch.kraus], m)
-    return DensityMatrix(out)
+    m = checked_input(ch, rho_ar, dim_ref)
+    out = _apply_stack(_with_reference(ch.superoperator, dim_ref), m)
+    return _unchecked(DensityMatrix, matrix=out)
 
 
 def choi(ch: KrausChannel) -> ChoiState:
-    """Choi state (I (x) ch) applied to the maximally entangled input."""
-    phi = maximally_entangled(ch.dim_in).projector()
-    ia = np.eye(ch.dim_in, dtype=complex)
-    out = apply_kraus([np.kron(ia, k) for k in ch.kraus], phi)
-    return ChoiState(ch.dim_in, ch.dim_out, DensityMatrix(out))
+    """Choi state (I (x) ch)(|Phi+><Phi+|): the superoperator realigned, over dim_in."""
+    din, dout = ch.dim_in, ch.dim_out
+    s = ch.superoperator.reshape(dout, dout, din, din).transpose(2, 0, 3, 1)
+    return ChoiState(din, dout, DensityMatrix(s.reshape(din * dout, din * dout) / din))
 
 
 def channel_distance(a: KrausChannel, b: KrausChannel) -> float:
-    """Max entrywise Choi-state difference; zero iff the channels are equal."""
+    """Max entrywise Choi-state difference (superoperator entries / dim_in); 0 iff equal."""
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise ShapeMismatch("channels act on different spaces")
-    return float(np.abs(choi(a).state.matrix - choi(b).state.matrix).max())
+    return float(np.abs(a.superoperator - b.superoperator).max()) / a.dim_in
 
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:

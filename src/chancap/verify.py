@@ -392,6 +392,8 @@ def _check_derivative() -> CheckResult:
 
 @_register("capacity.choi_state_ic_consistency")
 def _check_choi_ic() -> CheckResult:
+    # both routes start from N's superoperator but use different entropy
+    # formulas: H(B) - H(AB) of the Choi state and H(N(pi)) - H(N^c(pi))
     rng = np.random.default_rng(111)
     pi = chn.maximally_mixed(2)
     worst = 0.0

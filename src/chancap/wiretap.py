@@ -97,21 +97,13 @@ def mutual_information(joint) -> float:
     s = j.sum()
     if abs(s - 1.0) > 1e-9:
         raise NotADistribution(f"joint pmf sums to {s!r}, not 1")
-    j = np.clip(j, 0.0, None)
-    pa = j.sum(axis=1, keepdims=True)
-    pb = j.sum(axis=0, keepdims=True)
-    prod = pa * pb
-    mask = j > 0.0
-    out = j[mask] * np.log2(j[mask] / prod[mask])
-    return float(out.sum())
+    return float(_mutual_information_stack(np.clip(j, 0.0, None)[None])[0])
 
 
 def secrecy_objective(ch: WiretapChannel, q: float) -> float:
     """I(X; Y, L) - I(X; Z, L) for the Bernoulli(q) input."""
-    w = InputDistribution(q).weights()
-    bob = (ch.bob_given_x() * w[:, None, None]).reshape(2, 4)
-    eve = (ch.eve_given_x() * w[:, None, None]).reshape(2, 4)
-    return mutual_information(bob) - mutual_information(eve)
+    q = InputDistribution(q).q
+    return float(_secrecy_objective_grid(ch, np.array([q]))[0])
 
 
 def _mutual_information_stack(joints: np.ndarray) -> np.ndarray:
@@ -149,7 +141,10 @@ def secrecy_capacity_bruteforce(ch: WiretapChannel, grid: int = 201) -> tuple[fl
     """Maximize the secrecy objective over the input law.
 
     Scans a uniform grid in q (at least 101 points), then refines around the
-    best point with a golden-section search to 1e-10 in q.
+    best point with a golden-section search to 1e-10 in q, kept only if it
+    does strictly better.  Ties thus go to the smallest grid q: where the
+    objective is nowhere positive, e.g. (lam, p) = (1/2, 1/2) or (0.75, 0.2),
+    the search reports q = 0.
     """
     if grid < 101:
         raise DomainError(f"grid must be >= 101, got {grid!r}")
@@ -173,7 +168,7 @@ def secrecy_capacity_bruteforce(ch: WiretapChannel, grid: int = 201) -> tuple[fl
             fd = secrecy_objective(ch, d)
     q_best = 0.5 * (lo + hi)
     f_best = secrecy_objective(ch, q_best)
-    if vals[i] > f_best:
+    if vals[i] >= f_best:
         q_best, f_best = float(qs[i]), float(vals[i])
     return float(f_best), float(q_best)
 

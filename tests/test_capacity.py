@@ -108,7 +108,14 @@ def test_ic_functions_reject_bad_input():
             cap.ic_conjugation_residual(lam, 0.2, PI)
 
 
+def _kraus_sum(kraus, rho):
+    """sum_a K_a rho K_a^dag, the Kraus-sum reference for the superoperator kernel."""
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
 def test_superoperator_matches_apply():
+    # apply, apply_with_reference, choi and channel_distance all read the
+    # cached superoperator; each is checked against the Kraus sum
     lam, p = 0.37, 0.2
     iso = chn.isometry_N(lam, p)
     channels = [
@@ -124,11 +131,44 @@ def test_superoperator_matches_apply():
         chn.compose(cap.degrading_map(lam, p), chn.channel_N(lam, p)),
     ]
     rng = np.random.default_rng(32)
+    chois = []
     for ch in channels:
-        rhos = np.stack([random_density_matrix(rng, ch.dim_in) for _ in range(5)])
-        out = cap._apply_stack(cap._superoperator(ch.kraus), rhos)
-        for rho, got in zip(rhos, out):
-            assert np.abs(got - chn.apply(ch, rho).matrix).max() <= 1e-14
+        i_r = np.eye(2, dtype=complex)
+        for _ in range(5):
+            rho = random_density_matrix(rng, ch.dim_in)
+            ref = _kraus_sum(ch.kraus, rho)
+            assert np.abs(chn.apply(ch, rho).matrix - ref).max() <= 1e-14
+            assert np.abs(chn.apply_with_reference(ch, rho, 1).matrix - ref).max() <= 1e-14
+            rho_ar = random_density_matrix(rng, 2 * ch.dim_in)
+            ref_ar = _kraus_sum([np.kron(k, i_r) for k in ch.kraus], rho_ar)
+            assert np.abs(chn.apply_with_reference(ch, rho_ar, 2).matrix - ref_ar).max() <= 1e-14
+        i_a = np.eye(ch.dim_in, dtype=complex)
+        phi = chn.maximally_entangled(ch.dim_in).projector()
+        chois.append(_kraus_sum([np.kron(i_a, k) for k in ch.kraus], phi))
+        assert np.abs(chn.choi(ch).state.matrix - chois[-1]).max() <= 1e-14
+    pairs = 0
+    for a, choi_a in zip(channels, chois):
+        for b, choi_b in zip(channels, chois):
+            if (a.dim_in, a.dim_out) == (b.dim_in, b.dim_out):
+                expected = np.abs(choi_a - choi_b).max()
+                assert abs(chn.channel_distance(a, b) - expected) <= 1e-14
+                pairs += 1
+    assert pairs == 30  # every pair of constructors with the same input and output
+
+
+@pytest.mark.parametrize("lam, p", [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (0.5, 5e-324), (0.37, 0.2)])
+def test_conjugation_residual_matches_coherent_information(lam, p):
+    # the residual scores rho, Z rho Z and X rho X as one stack; each row
+    # must be, to the bit, what coherent_information gives that state alone
+    n, nb = chn.channel_N(lam, p), chn.complement_N(lam, p)
+    z, x = chn.PAULI_Z, chn.PAULI_X
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        rho = random_density_matrix(rng, 2)
+        base, ic_z, ic_x = (
+            cap.coherent_information(n, nb, m) for m in (rho, z @ rho @ z, x @ rho @ x)
+        )
+        assert cap.ic_conjugation_residual(lam, p, rho) == (abs(base - ic_z), abs(base - ic_x))
 
 
 def test_coherent_information_state():

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chancap import capacity as cap
 from chancap import channels as chn
-from chancap.errors import DomainError, NotAState, ShapeMismatch
+from chancap.errors import DimensionTooLarge, DomainError, NonHermitian, NotAState, ShapeMismatch
 from chancap.qmath import binary_entropy, von_neumann_entropy
 from chancap.sampling import random_density_matrix
 
@@ -69,6 +70,7 @@ def test_closed_form_channels_pass_the_full_check(lam, p):
         )
         comp = sum(k.conj().T @ k for k in checked.kraus)
         assert np.abs(comp - np.eye(checked.dim_in)).max() <= 1e-10
+        assert checked.superoperator.tobytes() == fast.superoperator.tobytes()
 
 
 def test_closed_form_channels_check_their_parameters():
@@ -78,6 +80,36 @@ def test_closed_form_channels_check_their_parameters():
         chn.complement_N(0.3, 1.5)
     with pytest.raises(DomainError):
         chn.comparison_channel_T(-0.1, 0.2)
+
+
+def test_superoperator_is_computed_once_per_channel():
+    n, nb = chn.channel_N(0.3, 0.2), chn.complement_N(0.3, 0.2)
+    s = n.superoperator
+    assert s.shape == (16, 4) and not s.flags.writeable
+    chn.apply(n, PI)
+    chn.apply_with_reference(n, np.eye(4, dtype=complex) / 4, 2)
+    chn.choi(n)
+    chn.channel_distance(n, chn.comparison_channel_T(0.3, 0.2))
+    cap.coherent_information(n, nb, PI)
+    cap.ic_conjugation_residual(0.3, 0.2, PI)
+    assert n.superoperator is s
+    again = chn.channel_N(0.3, 0.2)
+    assert again.superoperator is not s and np.array_equal(again.superoperator, s)
+
+
+def test_stacked_states_apply_as_alone():
+    # one vector-matrix product per state: a state's output is the same to
+    # the bit in a stack of 50 as alone
+    rng = np.random.default_rng(34)
+    for lam, p in ((0.3, 0.2), (0.5, 0.5), (0.8, 5e-324), (1.0, 0.9)):
+        stack = np.stack([random_density_matrix(rng, 2) for _ in range(50)])
+        n, t = chn.channel_N(lam, p), chn.comparison_channel_T(lam, p)
+        for ch in (n, chn.complement_N(lam, p)):
+            out = chn._apply_stack(ch.superoperator, stack)
+            assert all(np.array_equal(out[i], chn.apply(ch, stack[i]).matrix) for i in range(50))
+        diff = n.superoperator - t.superoperator
+        out = chn._apply_stack(diff, stack)
+        assert all(np.array_equal(out[i], chn._apply_stack(diff, stack[i])) for i in range(50))
 
 
 def test_dephasing_examples():
@@ -192,6 +224,28 @@ def test_apply_with_reference_trace():
     out = chn.apply_with_reference(chn.channel_N(0.4, 0.3), phi.projector(), 2)
     assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
     assert out.dim == 8
+
+
+def test_apply_with_reference_validates_input():
+    n = chn.channel_N(0.4, 0.3)
+    with pytest.raises(NotAState):
+        chn.apply_with_reference(n, np.diag([1.2, -0.2, 0.0, 0.0]), 2)
+    asymmetric = np.eye(4, dtype=complex) / 4
+    asymmetric[0, 1] = 0.1
+    with pytest.raises(NonHermitian):
+        chn.apply_with_reference(n, asymmetric, 2)
+    for dim_ref in (0, -1, 2.0):
+        with pytest.raises(ShapeMismatch):
+            chn.apply_with_reference(n, np.eye(4, dtype=complex) / 4, dim_ref)
+
+
+def test_outputs_above_dimension_16_are_rejected():
+    # outputs are not re-checked, so their dimension is checked up front
+    with pytest.raises(DimensionTooLarge):
+        chn.apply_with_reference(chn.channel_N(0.4, 0.3), np.eye(10, dtype=complex) / 10, 5)
+    wide = chn.KrausChannel(1, 17, (chn.ket(0, 17)[:, None],))
+    with pytest.raises(DimensionTooLarge):
+        chn.apply(wide, np.eye(1, dtype=complex))
 
 
 def test_choi_examples():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chancap import capacity as cap
 from chancap import wiretap as wt
@@ -63,6 +65,33 @@ def test_secrecy_capacity_bruteforce():
 
     with pytest.raises(DomainError):
         wt.secrecy_capacity_bruteforce(wt.build_wiretap(0.2, 0.1), grid=50)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lam=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
+@example(lam=0.0, p=0.0)
+@example(lam=0.0, p=0.5)
+@example(lam=0.0, p=1.0)
+@example(lam=0.5, p=0.0)
+@example(lam=0.5, p=0.5)
+@example(lam=0.5, p=1.0)
+@example(lam=1.0, p=0.0)
+@example(lam=1.0, p=0.5)
+@example(lam=1.0, p=1.0)
+@example(lam=0.0, p=5e-324)
+@example(lam=0.5, p=5e-324)
+@example(lam=1.0, p=5e-324)
+@example(lam=0.75, p=0.2)
+def test_secrecy_argmax_is_the_uniform_input(lam, p):
+    ch = wt.build_wiretap(lam, p)
+    value, q = wt.secrecy_capacity_bruteforce(ch)
+    assert value >= wt.secrecy_objective(ch, 0.5) - 1e-12
+    if lam <= 0.5 and 1.0 - lam * (1.0 + binary_entropy(p)) > 1e-6:
+        assert abs(q - 0.5) <= 1e-4
+        assert abs(value - wt.one_way_secrecy_capacity(lam, p)) <= 1e-4
+    qs = np.linspace(0.0, 1.0, 1001)
+    if wt._secrecy_objective_grid(ch, qs).max() <= 0.0:
+        assert (value, q) == (0.0, 0.0)
 
 
 def test_secrecy_objective_grid_matches_scalar():
