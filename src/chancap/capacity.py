@@ -37,8 +37,9 @@ from .channels import (
     ket,
     maximally_entangled,
 )
-from .errors import ChancapError, DomainError, PreconditionViolated, ShapeMismatch
+from .errors import ChancapError, DimensionTooLarge, DomainError, PreconditionViolated, ShapeMismatch
 from .qmath import (
+    MAX_DIM,
     binary_entropies,
     binary_entropy,
     check_prob,
@@ -48,7 +49,7 @@ from .qmath import (
     partial_trace,
     state_eigenvalues,
 )
-from .sampling import STREAM_QUANTUM_PROTOCOL, stream_rng
+from .sampling import STREAM_QUANTUM_PROTOCOL, check_run, stream_rng
 
 GRID_STEP = 0.1  # coarse Bloch-ball scan used before pattern refinement
 
@@ -174,6 +175,8 @@ def coherent_information(ch: KrausChannel, comp: KrausChannel, rho) -> float:
     """H(ch(rho)) - H(comp(rho)) for a channel/complement pair, in bits."""
     if ch.dim_in != comp.dim_in:
         raise ShapeMismatch("channel and complement act on different input spaces")
+    if comp.dim_out > MAX_DIM:
+        raise DimensionTooLarge(f"complement output dimension {comp.dim_out} exceeds {MAX_DIM}")
     m = chn.checked_input(ch, rho)
     return float(_ic_stack(ch, comp, m[None])[0])
 
@@ -841,9 +844,7 @@ def simulate_two_way_protocol(
     """
     lam = check_prob("lambda", lam)
     p = check_prob("p", p)
-    uses = int(uses)
-    if uses < 1:
-        raise DomainError(f"uses must be >= 1, got {uses!r}")
+    uses, seed = check_run(uses, seed)
 
     fid = two_way_postselected_fidelity(lam, p)
     if abs(1.0 - fid) > 1e-10:

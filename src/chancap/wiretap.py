@@ -25,7 +25,7 @@ import numpy as np
 from .capacity import SWEEP_COLUMNS, Curve, _check_degradable_lambda, bisect
 from .errors import DomainError, NotADistribution
 from .qmath import binary_entropies, binary_entropy, check_prob
-from .sampling import STREAM_WIRETAP_PROTOCOL, stream_rng
+from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, stream_rng
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -222,25 +222,24 @@ def simulate_feedback_protocol(
     Alice sends uniform bits; Bob discards flag-1 rounds and accepts flag-2
     rounds (where y = x).  Returns (throughput, leakage estimate) where the
     leakage is the plug-in empirical mutual information between Alice's bit
-    and Eve's observation on accepted rounds.
+    and Eve's observation on accepted rounds.  The output is fixed by three
+    full-length draws in this order: Alice's bits, the flag uniforms, Eve's
+    bits; how they are counted may change, the draws may not.
     """
     lam = check_prob("lambda", lam)
     p = check_prob("p", p)
-    uses = int(uses)
-    if uses < 1:
-        raise DomainError(f"uses must be >= 1, got {uses!r}")
+    uses, seed = check_run(uses, seed)
     rng = stream_rng(seed, STREAM_WIRETAP_PROTOCOL)
-    x = rng.integers(0, 2, size=uses)
+    # int32 draws equal int64 ones: both take one 32-bit word per 0/1 value
+    x = rng.integers(0, 2, size=uses, dtype=np.int32).astype(bool)
     flag2 = rng.random(uses) >= lam  # True where L = 2 (accepted)
-    z = np.where(flag2, rng.integers(0, 2, size=uses), x)
+    z = rng.integers(0, 2, size=uses, dtype=np.int32).astype(bool)  # Eve's bit where L = 2
     accepted = int(np.count_nonzero(flag2))
     throughput = accepted / uses
     if accepted == 0:
         return throughput, 0.0
-    counts = np.zeros((2, 2))
-    for xv in range(2):
-        for zv in range(2):
-            counts[xv, zv] = np.count_nonzero(flag2 & (x == xv) & (z == zv))
+    x1, z1, both = (np.count_nonzero(a & flag2) for a in (x, z, x & z))
+    counts = np.array([[accepted - x1 - z1 + both, z1 - both], [x1 - both, both]], dtype=float)
     leakage = mutual_information(counts / accepted)
     return throughput, leakage
 

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from chancap import capacity as cap
 from chancap import channels as chn
 from chancap import wiretap as wt
-from chancap.errors import DomainError, NonHermitian, NotAState, PreconditionViolated, ShapeMismatch
+from chancap.errors import (
+    DimensionTooLarge,
+    DomainError,
+    NonHermitian,
+    NotAState,
+    PreconditionViolated,
+    ShapeMismatch,
+)
 from chancap.qmath import binary_entropy, von_neumann_entropy
 from chancap.sampling import random_density_matrix
 
@@ -106,6 +113,17 @@ def test_ic_functions_reject_bad_input():
             cap.coherent_information(chn.channel_N(lam, 0.2), nb, PI)
         with pytest.raises(DomainError):
             cap.ic_conjugation_residual(lam, 0.2, PI)
+
+
+def test_coherent_information_bounds_both_output_dimensions():
+    # a qubit isometry into 20 dimensions, in each position of the pair; the
+    # dimension is rejected before the (here malformed) state is looked at
+    wide = chn.KrausChannel(2, 20, (np.eye(20, 2, dtype=complex),))
+    n, nb = chn.channel_N(0.3, 0.2), chn.complement_N(0.3, 0.2)
+    for ch, comp in ((wide, nb), (n, wide)):
+        for rho in (PI, 1.1 * PI):
+            with pytest.raises(DimensionTooLarge):
+                cap.coherent_information(ch, comp, rho)
 
 
 def _kraus_sum(kraus, rho):

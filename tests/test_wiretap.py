@@ -7,6 +7,7 @@ from chancap import capacity as cap
 from chancap import wiretap as wt
 from chancap.errors import DomainError, NotADistribution
 from chancap.qmath import binary_entropy
+from chancap.sampling import STREAM_WIRETAP_PROTOCOL, stream_rng
 
 
 def test_build_wiretap_structure():
@@ -158,6 +159,48 @@ def test_simulate_feedback_protocol():
 
     with pytest.raises(DomainError):
         wt.simulate_feedback_protocol(0.3, 0.1, 0, 1)
+
+
+def _feedback_reference(lam, p, uses, seed):
+    """The protocol's earlier body: int64 draws, np.where and four masked counts."""
+    rng = stream_rng(seed, STREAM_WIRETAP_PROTOCOL)
+    x = rng.integers(0, 2, size=uses)
+    flag2 = rng.random(uses) >= lam
+    z = np.where(flag2, rng.integers(0, 2, size=uses), x)
+    accepted = int(np.count_nonzero(flag2))
+    throughput = accepted / uses
+    if accepted == 0:
+        return throughput, 0.0
+    counts = np.zeros((2, 2))
+    for xv in range(2):
+        for zv in range(2):
+            counts[xv, zv] = np.count_nonzero(flag2 & (x == xv) & (z == zv))
+    return throughput, wt.mutual_information(counts / accepted)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    lam=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 1.0),
+    uses=st.integers(1, 5000),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(lam=0.0, p=0.0, uses=1, seed=0)
+@example(lam=0.0, p=0.5, uses=2, seed=1)
+@example(lam=0.0, p=1.0, uses=3, seed=2)
+@example(lam=0.5, p=0.0, uses=65537, seed=3)
+@example(lam=0.5, p=0.5, uses=1, seed=2**64 - 1)
+@example(lam=0.5, p=1.0, uses=2, seed=5)
+@example(lam=1.0, p=0.0, uses=3, seed=6)
+@example(lam=1.0, p=0.5, uses=65537, seed=7)
+@example(lam=1.0, p=1.0, uses=1, seed=8)
+@example(lam=0.5, p=5e-324, uses=65537, seed=9)
+@example(lam=0.3, p=5e-324, uses=3, seed=10)
+def test_feedback_protocol_matches_the_earlier_body_bit_for_bit(lam, p, uses, seed):
+    # int32 draws held as bool, and three counts, give the same two floats
+    got = wt.simulate_feedback_protocol(lam, p, uses, seed)
+    want = _feedback_reference(lam, p, uses, seed)
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
 
 
 def test_sweep_fig6():
