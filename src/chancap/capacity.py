@@ -28,7 +28,6 @@ import numpy as np
 from . import channels as chn
 from .channels import (
     KrausChannel,
-    PAULI_X,
     PAULI_Z,
     channel_N,
     comparison_channel_T,
@@ -40,8 +39,10 @@ from .channels import (
 from .errors import ChancapError, DimensionTooLarge, DomainError, PreconditionViolated, ShapeMismatch
 from .qmath import (
     MAX_DIM,
+    as_real,
     binary_entropies,
     binary_entropy,
+    check_dims,
     check_prob,
     embed_operator,
     _entropy_bits,
@@ -184,7 +185,7 @@ def coherent_information(ch: KrausChannel, comp: KrausChannel, rho) -> float:
 def coherent_information_state(rho_ab, dims: tuple[int, int]) -> float:
     """H(B) - H(AB) of a bipartite state with declared factor dimensions."""
     m = np.asarray(getattr(rho_ab, "matrix", rho_ab), dtype=complex)
-    da, db = int(dims[0]), int(dims[1])
+    da, db = check_dims(dims)
     if m.shape != (da * db, da * db):
         raise ShapeMismatch(f"state shape {m.shape} does not match dims {dims}")
     # the marginal of a validated state is a state: its entropy needs no checks
@@ -289,12 +290,16 @@ def maximize_coherent_information(
 
     Returns (value, argmax Bloch vector); see ``_maximize_over_bloch_ball``
     for the search and its tie-breaking toward the maximally mixed input.
+    ``tol``, the final step size, must be a finite real >= 1e-8.
     """
     lam = check_prob("lambda", lam)
     p = check_prob("p", p)
-    if tol < 1e-8:
+    t = as_real("tol", tol)
+    if not math.isfinite(t):
+        raise DomainError(f"tol must be finite, got {tol!r}")
+    if t < 1e-8:
         raise DomainError(f"tol must be >= 1e-8, got {tol!r}")
-    return _maximize_over_bloch_ball(_ic_evaluator(lam, p), tol)
+    return _maximize_over_bloch_ball(_ic_evaluator(lam, p), t)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +463,18 @@ def verify_degradable(lam: float, p: float) -> float:
     return chn.channel_distance(compose(r, channel_N(lam, p)), complement_N(lam, p))
 
 
+# Z m Z flips the sign of the off-diagonal entries of a qubit matrix m
+_Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 def ic_conjugation_residual(lam: float, p: float, rho) -> tuple[float, float]:
     """Coherent-information change under Z and X conjugation of the input."""
     n, nb = channel_N(lam, p), complement_N(lam, p)
     m = chn.checked_input(n, rho)
-    stack = np.stack([m, PAULI_Z @ m @ PAULI_Z, PAULI_X @ m @ PAULI_X])
+    stack = np.empty((3, 2, 2), dtype=complex)
+    stack[0] = m
+    stack[1] = m * _Z_SIGNS  # Z m Z
+    stack[2] = m[::-1, ::-1]  # X m X
     base, z, x = _ic_stack(n, nb, stack)
     return float(abs(base - z)), float(abs(base - x))
 

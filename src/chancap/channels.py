@@ -232,6 +232,33 @@ def complementary_dephasing(p: float) -> KrausChannel:
     return KrausChannel(2, 2, kraus)
 
 
+def _glued(weights, units: np.ndarray, blocks: tuple) -> KrausChannel:
+    """The closed-form channel with Kraus operators ``weights[a] * units[a]``.
+
+    One complex product over the (k, d_out, d_in) stack, entry for entry the
+    product of each weight with its unit operator.
+    """
+    kraus = np.array(weights)[:, None, None] * units
+    _, d_out, d_in = units.shape
+    return _unchecked(KrausChannel, dim_in=d_in, dim_out=d_out, kraus=tuple(kraus), blocks=blocks)
+
+
+def _phi_units(p: float) -> np.ndarray:
+    """Unit operators of ``channel_N``: the qubit kept in block {0,1}, and
+    |phi0> or |phi1> written into block {2,3} for input |0> or |1>.
+
+    Each entry is that of the outer-product form |phi><k|, where the product
+    with the conjugated ket turns a -0.0 entry into 0.0, as ``+ 0.0`` and
+    ``0.0 - b`` do here.
+    """
+    a, b = math.sqrt(1.0 - p), math.sqrt(p) + 0.0
+    u = np.zeros((3, 4, 2), dtype=complex)
+    u[0, 0, 0] = u[0, 1, 1] = 1.0
+    u[1, 2:, 0] = a, b
+    u[2, 2:, 1] = a, 0.0 - b
+    return u
+
+
 def channel_N(lam: float, p: float) -> KrausChannel:
     """Glued channel: identity with weight 1-lam, dephasing complement with weight lam.
 
@@ -239,13 +266,8 @@ def channel_N(lam: float, p: float) -> KrausChannel:
     """
     lam = check_prob("lambda", lam)
     p = check_prob("p", p)
-    phi0, phi1 = phi_states(p)
-    kraus = (
-        np.sqrt(1.0 - lam) * embed_operator(I2, 0, 4),
-        np.sqrt(lam) * embed_operator(np.outer(phi0, ket(0, 2).conj()), 2, 4),
-        np.sqrt(lam) * embed_operator(np.outer(phi1, ket(1, 2).conj()), 2, 4),
-    )
-    return _unchecked(KrausChannel, dim_in=2, dim_out=4, kraus=kraus, blocks=((0, 2), (2, 2)))
+    s0, sl = math.sqrt(1.0 - lam), math.sqrt(lam)
+    return _glued((s0, sl, sl), _phi_units(p), ((0, 2), (2, 2)))
 
 
 def complement_N(lam: float, p: float) -> KrausChannel:
@@ -255,14 +277,12 @@ def complement_N(lam: float, p: float) -> KrausChannel:
     """
     lam = check_prob("lambda", lam)
     p = check_prob("p", p)
-    flag = ket(0, 3)
-    kraus = (
-        np.sqrt(1.0 - lam) * np.outer(flag, ket(0, 2).conj()),
-        np.sqrt(1.0 - lam) * np.outer(flag, ket(1, 2).conj()),
-        np.sqrt(lam) * embed_operator(np.sqrt(1.0 - p) * I2, 1, 3),
-        np.sqrt(lam) * embed_operator(np.sqrt(p) * PAULI_Z, 1, 3),
-    )
-    return _unchecked(KrausChannel, dim_in=2, dim_out=3, kraus=kraus, blocks=((0, 1), (1, 2)))
+    u = np.zeros((4, 3, 2), dtype=complex)
+    u[0, 0, 0] = u[1, 0, 1] = 1.0
+    u[2, 1, 0] = u[2, 2, 1] = math.sqrt(1.0 - p)
+    u[3, 1:] = math.sqrt(p) * PAULI_Z  # a product, so that p = -0.0 keeps its zero signs
+    s0, sl = math.sqrt(1.0 - lam), math.sqrt(lam)
+    return _glued((s0, s0, sl, sl), u, ((0, 1), (1, 2)))
 
 
 def isometry_N(lam: float, p: float) -> Isometry:
@@ -295,13 +315,10 @@ def comparison_channel_T(lam: float, p: float) -> KrausChannel:
     """
     lam = check_prob("lambda", lam)
     p = check_prob("p", p)
-    phi0, _ = phi_states(p)
-    kraus = (
-        np.sqrt(1.0 - lam) * embed_operator(I2, 0, 4),
-        np.sqrt(lam) * embed_operator(np.outer(phi0, ket(0, 2).conj()), 2, 4),
-        np.sqrt(lam) * embed_operator(np.outer(phi0, ket(1, 2).conj()), 2, 4),
-    )
-    return _unchecked(KrausChannel, dim_in=2, dim_out=4, kraus=kraus, blocks=((0, 2), (2, 2)))
+    u = _phi_units(p)
+    u[2, 3, 1] = u[1, 3, 0]  # |phi0> for input |1> as well
+    s0, sl = math.sqrt(1.0 - lam), math.sqrt(lam)
+    return _glued((s0, sl, sl), u, ((0, 2), (2, 2)))
 
 
 def erasure_channel(lam: float) -> KrausChannel:
@@ -322,7 +339,7 @@ def channel_from_isometry(v: Isometry, dims: tuple[int, int], keep: str) -> Krau
     ``dims = (d_first, d_second)`` factors the isometry output; ``keep`` names
     the retained factor, the other one is traced out.
     """
-    d1, d2 = int(dims[0]), int(dims[1])
+    d1, d2 = qmath.check_dims(dims)
     if d1 * d2 != v.dim_out:
         raise ShapeMismatch(f"dims {dims} do not factor isometry output {v.dim_out}")
     m = v.matrix.reshape(d1, d2, v.dim_in)
@@ -359,7 +376,7 @@ def _with_reference(superop: np.ndarray, dim_ref: int) -> np.ndarray:
 
 def checked_input(ch: KrausChannel, rho, dim_ref: int = 1) -> np.ndarray:
     """``rho`` as a matrix, validated as a state on the channel input (x) a dim_ref reference."""
-    if not isinstance(dim_ref, (int, np.integer)) or dim_ref < 1:
+    if not qmath.is_dimension(dim_ref):
         raise ShapeMismatch(f"reference dimension must be an int >= 1, got {dim_ref!r}")
     if ch.dim_out * dim_ref > qmath.MAX_DIM:
         raise DimensionTooLarge(f"output dimension {ch.dim_out * dim_ref} exceeds {qmath.MAX_DIM}")

@@ -52,27 +52,50 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray) -> int:
-    if a.shape[0] != a.shape[1]:
+    d = a.shape[0]
+    if d != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a.shape[0]
+    if d == 0:
+        raise ShapeMismatch("expected a matrix of dimension >= 1, got shape (0, 0)")
+    return d
 
 
-def _checked_hermitian(m) -> np.ndarray:
-    """``m`` as a complex matrix after the checks shared by the eigen routines.
+def is_dimension(x) -> bool:
+    """True for an int or numpy integer (not bool) >= 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
-    Raises ShapeMismatch unless square, DimensionTooLarge above dimension 16,
-    and NonHermitian on a non-finite entry or max|m - m^dag| above 1e-10.
+
+def check_dims(dims) -> tuple[int, int]:
+    """``dims`` as a pair of factor dimensions, or ShapeMismatch unless both are ints >= 1."""
+    try:
+        da, db = dims
+    except (TypeError, ValueError):
+        da = db = None
+    if not (is_dimension(da) and is_dimension(db)):
+        raise ShapeMismatch(f"dims must be a pair of ints >= 1, got {dims!r}")
+    return int(da), int(db)
+
+
+def _checked_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` as a complex matrix, and its conjugate transpose, after the checks
+    shared by the eigen routines.
+
+    Raises ShapeMismatch unless square of dimension >= 1, DimensionTooLarge
+    above dimension 16, and NonHermitian on a non-finite entry or
+    max|m - m^dag| above 1e-10.  The finite check comes first so that the
+    difference never meets an infinity.
     """
     a = _as_matrix(m)
     d = _require_square(a)
     if d > MAX_DIM:
         raise DimensionTooLarge(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise NonHermitian("matrix has non-finite entries")
-    asym = np.abs(a - a.conj().T).max()
+    ah = a.conj().T
+    asym = np.abs(a - ah).max()
     if asym > HERMITIAN_TOL:
         raise NonHermitian(f"symmetry residual {asym:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    return a
+    return a, ah
 
 
 def hermitian_eig(m) -> HermitianSpectrum:
@@ -81,8 +104,8 @@ def hermitian_eig(m) -> HermitianSpectrum:
     Raises NonHermitian if max|m - m^dag| exceeds 1e-10 and DimensionTooLarge
     above dimension 16.
     """
-    a = _checked_hermitian(m)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    a, ah = _checked_hermitian(m)
+    w, v = np.linalg.eigh((a + ah) / 2)
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
 
@@ -90,7 +113,7 @@ def _entropy_bits(weights: np.ndarray) -> float:
     w = weights[weights > 0.0]
     if w.size == 0:
         return 0.0
-    return float(max(0.0, -np.sum(w * np.log2(w))))
+    return float(max(0.0, -(w * np.log2(w)).sum()))
 
 
 def entropies_bits(stack: np.ndarray) -> np.ndarray:
@@ -100,21 +123,21 @@ def entropies_bits(stack: np.ndarray) -> np.ndarray:
     validate their inputs once at the public boundary.  Eigenvalues below 0
     are roundoff and count as 0.
     """
-    w = np.clip(np.linalg.eigvalsh(stack), 0.0, None)
+    w = np.maximum(np.linalg.eigvalsh(stack), 0.0)
     logs = np.log2(np.where(w > 0.0, w, 1.0))
     return -(w * logs).sum(axis=-1)
 
 
 def state_eigenvalues(rho) -> np.ndarray:
     """Eigenvalues of a density operator, validated and clamped to >= 0."""
-    a = _checked_hermitian(rho)
-    tr = float(np.trace(a).real)
+    a, ah = _checked_hermitian(rho)
+    tr = float(a.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotAState(f"trace {tr!r} is not 1 within {TRACE_TOL:.0e}")
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    w = np.linalg.eigvalsh((a + ah) / 2)
     if w[0] < STATE_EIG_FLOOR:
         raise NotAState(f"smallest eigenvalue {w[0]:.3e} below {STATE_EIG_FLOOR:.0e}")
-    return np.clip(w, 0.0, None)
+    return np.maximum(w, 0.0)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -122,9 +145,26 @@ def von_neumann_entropy(rho) -> float:
     return _entropy_bits(state_eigenvalues(rho))
 
 
+# no real parameter, though float() converts str, bytes and bool; None and complex fail untyped
+_NOT_REAL = (type(None), bool, np.bool_, str, bytes, complex)
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a float, or DomainError unless it is a real number.
+
+    None, bool, str, bytes and complex values are refused, not converted.
+    """
+    if not isinstance(value, _NOT_REAL):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 def check_prob(name: str, value: float) -> float:
-    """``value`` as a float, or DomainError unless it lies in [0, 1]."""
-    v = float(value)
+    """``value`` as a float, or DomainError unless it is a real number in [0, 1]."""
+    v = as_real(name, value)
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
     return v
@@ -132,7 +172,7 @@ def check_prob(name: str, value: float) -> float:
 
 def binary_entropy(p: float) -> float:
     """H(p) = -p*log2(p) - (1-p)*log2(1-p), with H(0) = H(1) = 0."""
-    if not 0.0 <= p <= 1.0:
+    if isinstance(p, _NOT_REAL) or not 0.0 <= p <= 1.0:
         raise DomainError(f"binary_entropy requires p in [0, 1], got {p!r}")
     out = 0.0
     if p > 0.0:
@@ -165,7 +205,10 @@ def shannon_entropy(dist) -> float:
     s = d.sum()
     if abs(s - 1.0) > TRACE_TOL:
         raise NotADistribution(f"probabilities sum to {s!r}, not 1")
-    return _entropy_bits(np.clip(d, 0.0, None))
+    # a NaN entry passes both checks above (an infinite one fails the sum)
+    if not np.isfinite(d).all():
+        raise NotADistribution("probabilities must be finite")
+    return _entropy_bits(np.maximum(d, 0.0))
 
 
 def trace_norm(m) -> float:
@@ -174,19 +217,21 @@ def trace_norm(m) -> float:
     d = _require_square(a)
     if d > MAX_DIM:
         raise DimensionTooLarge(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix has non-finite entries")
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
     """Partial trace of a matrix on a tensor-product space.
 
-    ``dims = (dA, dB)`` declares the factorization; ``side`` names the factor
+    ``dims = (dA, dB)``, two ints, declares the factorization; ``side`` names the factor
     to trace out ("first" traces out A, "second" traces out B).
     """
     a = _as_matrix(m)
     d = _require_square(a)
-    da, db = int(dims[0]), int(dims[1])
-    if da <= 0 or db <= 0 or da * db != d:
+    da, db = check_dims(dims)
+    if da * db != d:
         raise ShapeMismatch(f"dims {dims} do not factor dimension {d}")
     t = a.reshape(da, db, da, db)
     if side == "first":
