@@ -862,16 +862,13 @@ def simulate_two_way_protocol(
     if abs(1.0 - fid) > 1e-10:
         raise ChancapError(f"post-selected state fidelity defect {1.0 - fid:.3e}")
 
-    n = channel_N(lam, p)
-    pi = np.eye(2, dtype=complex) / 2
-    probs = np.array([float(np.trace(k @ pi @ k.conj().T).real) for k in n.kraus])
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-
     # inverse-CDF branch sampling: u falls in branch 0, the only Kraus
-    # operator into the identity block, exactly when u < cum[0]
+    # operator into the identity block, exactly when u < its Born probability
+    k0 = channel_N(lam, p).kraus[0]
+    pi = np.eye(2, dtype=complex) / 2
+    p_kept = float(np.trace(k0 @ pi @ k0.conj().T).real)
     rng = stream_rng(seed, STREAM_QUANTUM_PROTOCOL)
-    kept = int(np.count_nonzero(rng.random(uses) < cum[0]))
+    kept = int(np.count_nonzero(rng.random(uses) < p_kept))
     rate = kept / uses
     std_error = float(np.sqrt(lam * (1.0 - lam) / uses))
     return rate, std_error

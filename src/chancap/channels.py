@@ -80,7 +80,7 @@ class PureState:
     def __post_init__(self):
         v = np.asarray(self.amplitudes, dtype=complex).ravel()
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise NotAState(f"amplitude norm {norm!r} is not 1 within 1e-10")
         object.__setattr__(self, "amplitudes", v)
 
@@ -121,7 +121,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus", ops)
         comp = sum(k.conj().T @ k for k in ops)
         resid = np.abs(comp - np.eye(self.dim_in)).max()
-        if resid > COMPLETENESS_TOL:
+        if not resid <= COMPLETENESS_TOL:
             raise NotAState(f"Kraus completeness residual {resid:.3e} exceeds 1e-10")
         if self.blocks is not None:
             blocks = tuple((int(o), int(s)) for o, s in self.blocks)
@@ -162,7 +162,7 @@ class Isometry:
         if m.shape != (self.dim_out, self.dim_in):
             raise ShapeMismatch(f"isometry shape {m.shape} != ({self.dim_out}, {self.dim_in})")
         resid = np.abs(m.conj().T @ m - np.eye(self.dim_in)).max()
-        if resid > 1e-10:
+        if not resid <= 1e-10:
             raise NotAState(f"V^dag V residual {resid:.3e} exceeds 1e-10")
         object.__setattr__(self, "matrix", m)
 

@@ -170,31 +170,29 @@ def check_prob(name: str, value: float) -> float:
     return v
 
 
+def _binary_entropy(p):
+    """H(p) in bits of a float or a float64 array in [0, 1], without branches.
+
+    Adding (p == 0) and (p == 1) inside the logs makes both 0*log(0) terms
+    exact zeros; log1p keeps the (1-p) term accurate when p is many orders
+    below 1.
+    """
+    return (0.0 - p * np.log2(p + (p == 0.0))) - (1.0 - p) * np.log1p((p == 1.0) - p) / np.log(2.0)
+
+
 def binary_entropy(p: float) -> float:
-    """H(p) = -p*log2(p) - (1-p)*log2(1-p), with H(0) = H(1) = 0."""
+    """H(p) = -p*log2(p) - (1-p)*log2(1-p), with H(0) = H(1) = 0, in float64."""
     if isinstance(p, _NOT_REAL) or not 0.0 <= p <= 1.0:
         raise DomainError(f"binary_entropy requires p in [0, 1], got {p!r}")
-    out = 0.0
-    if p > 0.0:
-        out -= p * np.log2(p)
-    if p < 1.0:
-        # log1p keeps the (1-p) term accurate when p is many orders below 1
-        out -= (1.0 - p) * np.log1p(-p) / np.log(2.0)
-    return float(out)
+    return float(_binary_entropy(float(p)))
 
 
 def binary_entropies(p: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` of every entry of a float64 array, bit for bit.
-
-    The same ``log2``/``log1p`` operations in the same order; entries at 0
-    or 1 take the scalar's skipped terms as exact zeros.
-    """
+    """``binary_entropy`` of every entry of a float64 array, bit for bit."""
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise DomainError("binary_entropies requires every p in [0, 1]")
-    head = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    tail = np.where(p < 1.0, (1.0 - p) * np.log1p(-np.where(p < 1.0, p, 0.0)) / np.log(2.0), 0.0)
-    return (0.0 - head) - tail
+    return _binary_entropy(p)
 
 
 def shannon_entropy(dist) -> float:

@@ -1,14 +1,15 @@
 """Named invariant checks driven by `chancap verify` and the test suite.
 
 Each check is deterministic (fixed seeds), returns its worst residual, and
-passes iff that residual meets the stated threshold.  Heavier computations
-are cached so that value/argmax style check pairs share one run.
+passes iff that residual meets the stated threshold.  One function may own
+several named results (a value and its argmax, say) and computes them in one
+run; nothing is cached between runs, so every ``run_checks`` call recomputes
+what it reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,12 +39,13 @@ class CheckResult:
     detail: str = ""
 
 
-_REGISTRY: list[tuple[str, Callable[[], CheckResult]]] = []
+# (names, fn): fn returns one CheckResult, or a tuple of them in name order
+_REGISTRY: list[tuple[tuple[str, ...], Callable[[], object]]] = []
 
 
-def _register(name: str):
+def _register(*names: str):
     def wrap(fn):
-        _REGISTRY.append((name, fn))
+        _REGISTRY.append((names, fn))
         return fn
 
     return wrap
@@ -57,19 +59,26 @@ def _result(residual, threshold, detail="", passed=None) -> CheckResult:
 
 
 def check_names() -> list[str]:
-    return [name for name, _ in _REGISTRY]
+    return [name for names, _ in _REGISTRY for name in names]
 
 
 def run_checks(only: Optional[str] = None) -> list[CheckResult]:
+    """The results whose names contain ``only`` (all if None), in registry order.
+
+    Each check function owning such a name runs once per call; when it raises
+    or returns the wrong number of results, every result it owns fails.
+    """
     results = []
-    for name, fn in _REGISTRY:
-        if only and only not in name:
+    for names, fn in _REGISTRY:
+        if only and not any(only in name for name in names):
             continue
         try:
-            result = fn()
+            out = fn()
+            owned = list(zip(names, out if isinstance(out, tuple) else (out,), strict=True))
         except Exception as exc:  # a crashed check is a failed check
-            result = _result(float("inf"), 0.0, f"{type(exc).__name__}: {exc}")
-        results.append(replace(result, name=name))
+            crash = _result(float("inf"), 0.0, f"{type(exc).__name__}: {exc}")
+            owned = [(name, crash) for name in names]
+        results += [replace(r, name=name) for name, r in owned if not only or only in name]
     return results
 
 
@@ -188,8 +197,8 @@ def _check_complement_consistency() -> CheckResult:
     return _result(worst, 1e-10)
 
 
-@lru_cache(maxsize=1)
-def _entropy_decomposition_residuals() -> tuple[float, float]:
+@_register("channels.entropy_decomposition_output", "channels.entropy_decomposition_complement")
+def _check_entropy_decomposition() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(106)
     worst_out, worst_env = 0.0, 0.0
     for _ in range(100):
@@ -204,19 +213,7 @@ def _entropy_decomposition_residuals() -> tuple[float, float]:
         rhs_env = binary_entropy(lam) + lam * h_d
         worst_out = max(worst_out, abs(lhs_out - rhs_out))
         worst_env = max(worst_env, abs(lhs_env - rhs_env))
-    return worst_out, worst_env
-
-
-@_register("channels.entropy_decomposition_output")
-def _check_entropy_decomposition_output() -> CheckResult:
-    worst, _ = _entropy_decomposition_residuals()
-    return _result(worst, 1e-10)
-
-
-@_register("channels.entropy_decomposition_complement")
-def _check_entropy_decomposition_complement() -> CheckResult:
-    _, worst = _entropy_decomposition_residuals()
-    return _result(worst, 1e-10)
+    return _result(worst_out, 1e-10), _result(worst_env, 1e-10)
 
 
 @_register("channels.block_orthogonality")
@@ -244,8 +241,8 @@ def _check_block_orthogonality() -> CheckResult:
 # capacity
 
 
-@lru_cache(maxsize=1)
-def _oneway_oracle_samples() -> tuple[float, float]:
+@_register("capacity.oneway_oracle_value", "capacity.oneway_oracle_argmax")
+def _check_oneway_oracle() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(108)
     worst_value, worst_bloch = 0.0, 0.0
     for _ in range(20):
@@ -254,19 +251,7 @@ def _oneway_oracle_samples() -> tuple[float, float]:
         value, bloch = cap.maximize_coherent_information(lam, p)
         worst_value = max(worst_value, abs(value - cap.one_way_capacity(lam, p)))
         worst_bloch = max(worst_bloch, float(np.linalg.norm(bloch)))
-    return worst_value, worst_bloch
-
-
-@_register("capacity.oneway_oracle_value")
-def _check_oneway_value() -> CheckResult:
-    worst, _ = _oneway_oracle_samples()
-    return _result(worst, 1e-5)
-
-
-@_register("capacity.oneway_oracle_argmax")
-def _check_oneway_argmax() -> CheckResult:
-    _, worst = _oneway_oracle_samples()
-    return _result(worst, 1e-3)
+    return _result(worst_value, 1e-5), _result(worst_bloch, 1e-3)
 
 
 @_register("capacity.degradable_composition")
@@ -314,12 +299,9 @@ def _check_oneway_below_twoway() -> CheckResult:
     return _result(max(0.0, worst), 1e-12)
 
 
-@_register("capacity.fig3_opposite_monotonicity")
-def _check_fig3_monotonicity() -> CheckResult:
-    pts = cap.sweep(cap.FIG3, 100)
-    one = np.array([p.one_way for p in pts])
-    two = np.array([p.two_way for p in pts])
-    margin = min(float(np.diff(one).min()), float(-np.diff(two).max()))
+def _opposite_monotonicity(pts: cap.SweepTable) -> CheckResult:
+    """Passes iff the one-way column strictly rises and the two-way one strictly falls."""
+    margin = min(float(np.diff(pts.one_way).min()), float(-np.diff(pts.two_way).max()))
     return _result(
         margin,
         1e-9,
@@ -328,20 +310,20 @@ def _check_fig3_monotonicity() -> CheckResult:
     )
 
 
-@_register("capacity.fig3_endpoints")
-def _check_fig3_endpoints() -> CheckResult:
+@_register("capacity.fig3_opposite_monotonicity", "capacity.fig3_endpoints")
+def _check_fig3() -> tuple[CheckResult, CheckResult]:
     pts = cap.sweep(cap.FIG3, 100)
     worst = max(
-        abs(pts[0].one_way - 0.5),
-        abs(pts[0].two_way - 0.75),
-        abs(pts[-1].one_way - 0.628524413893479),
-        abs(pts[-1].two_way - 0.6875),
+        abs(pts.one_way[0] - 0.5),
+        abs(pts.two_way[0] - 0.75),
+        abs(pts.one_way[-1] - 0.628524413893479),
+        abs(pts.two_way[-1] - 0.6875),
     )
-    return _result(worst, 1e-6)
+    return _opposite_monotonicity(pts), _result(worst, 1e-6)
 
 
-@lru_cache(maxsize=1)
-def _diamond_samples() -> tuple[float, float]:
+@_register("capacity.diamond_estimate_is_lower_bound", "capacity.diamond_estimate_reaches_value")
+def _check_diamond() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(110)
     worst_over, worst_under = 0.0, 0.0
     for _ in range(10):
@@ -349,19 +331,7 @@ def _diamond_samples() -> tuple[float, float]:
         est, ana = cap.diamond_distance_to_T(lam, p)
         worst_over = max(worst_over, est - ana)
         worst_under = max(worst_under, ana - est)
-    return worst_over, worst_under
-
-
-@_register("capacity.diamond_estimate_is_lower_bound")
-def _check_diamond_lower() -> CheckResult:
-    over, _ = _diamond_samples()
-    return _result(max(0.0, over), 1e-9)
-
-
-@_register("capacity.diamond_estimate_reaches_value")
-def _check_diamond_reach() -> CheckResult:
-    _, under = _diamond_samples()
-    return _result(max(0.0, under), 1e-3)
+    return _result(max(0.0, worst_over), 1e-9), _result(max(0.0, worst_under), 1e-3)
 
 
 @_register("capacity.sequence_invariants")
@@ -438,8 +408,8 @@ def _check_postselect_fidelity() -> CheckResult:
 # wiretap
 
 
-@lru_cache(maxsize=1)
-def _wiretap_samples() -> tuple[float, float]:
+@_register("wiretap.bruteforce_oracle_value", "wiretap.bruteforce_oracle_argmax")
+def _check_wiretap_oracle() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(112)
     worst_value, worst_argmax = 0.0, 0.0
     for _ in range(20):
@@ -448,19 +418,7 @@ def _wiretap_samples() -> tuple[float, float]:
         value, q = wt.secrecy_capacity_bruteforce(wt.build_wiretap(lam, p))
         worst_value = max(worst_value, abs(value - wt.one_way_secrecy_capacity(lam, p)))
         worst_argmax = max(worst_argmax, abs(q - 0.5))
-    return worst_value, worst_argmax
-
-
-@_register("wiretap.bruteforce_oracle_value")
-def _check_wiretap_value() -> CheckResult:
-    worst, _ = _wiretap_samples()
-    return _result(worst, 1e-4)
-
-
-@_register("wiretap.bruteforce_oracle_argmax")
-def _check_wiretap_argmax() -> CheckResult:
-    _, worst = _wiretap_samples()
-    return _result(worst, 1e-4)
+    return _result(worst_value, 1e-4), _result(worst_argmax, 1e-4)
 
 
 @_register("wiretap.degraded_composition")
@@ -483,25 +441,11 @@ def _check_wiretap_ordering() -> CheckResult:
     return _result(max(0.0, worst), 1e-12)
 
 
-@_register("wiretap.fig6_opposite_monotonicity")
-def _check_fig6_monotonicity() -> CheckResult:
+@_register("wiretap.fig6_opposite_monotonicity", "wiretap.fig6_endpoint_equality")
+def _check_fig6() -> tuple[CheckResult, CheckResult]:
     pts = cap.sweep(wt.FIG6, 100)
-    one = np.array([p.one_way for p in pts])
-    two = np.array([p.two_way for p in pts])
-    margin = min(float(np.diff(one).min()), float(-np.diff(two).max()))
-    return _result(
-        margin,
-        1e-9,
-        "residual is the smallest step (must exceed threshold)",
-        passed=margin > 1e-9,
-    )
-
-
-@_register("wiretap.fig6_endpoint_equality")
-def _check_fig6_endpoint() -> CheckResult:
-    pts = cap.sweep(wt.FIG6, 100)
-    worst = max(abs(pts[-1].one_way - 0.806574), abs(pts[-1].two_way - 0.806574))
-    return _result(worst, 1e-6)
+    worst = max(abs(pts.one_way[-1] - 0.806574), abs(pts.two_way[-1] - 0.806574))
+    return _opposite_monotonicity(pts), _result(worst, 1e-6)
 
 
 @_register("wiretap.mi_decomposition_identity")
@@ -515,26 +459,14 @@ def _check_mi_decomposition() -> CheckResult:
     return _result(worst, 1e-12)
 
 
-@lru_cache(maxsize=1)
-def _feedback_samples() -> tuple[float, float, float]:
-    """Worst throughput deviation, its 3-sigma threshold and worst leakage."""
+@_register("wiretap.feedback_throughput_concentration", "wiretap.feedback_leakage_small")
+def _check_feedback_protocol() -> tuple[CheckResult, CheckResult]:
     lam, p, uses = 0.3, 0.1, 100_000
     runs = [wt.simulate_feedback_protocol(lam, p, uses, seed) for seed in range(10)]
     sigma = float(np.sqrt(lam * (1.0 - lam) / uses))
     worst_throughput = max(abs(throughput - (1.0 - lam)) for throughput, _ in runs)
-    return worst_throughput, 3.0 * sigma, max(leakage for _, leakage in runs)
-
-
-@_register("wiretap.feedback_throughput_concentration")
-def _check_wiretap_protocol() -> CheckResult:
-    worst, threshold, _ = _feedback_samples()
-    return _result(worst, threshold)
-
-
-@_register("wiretap.feedback_leakage_small")
-def _check_wiretap_leakage() -> CheckResult:
-    _, _, worst = _feedback_samples()
-    return _result(worst, 1e-2)
+    worst_leakage = max(leakage for _, leakage in runs)
+    return _result(worst_throughput, 3.0 * sigma), _result(worst_leakage, 1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,13 @@ class WiretapChannel:
         t = np.asarray(self.table, dtype=float)
         if t.shape != (2, 2, 2, 2):
             raise NotADistribution(f"table shape {t.shape} != (2, 2, 2, 2)")
-        if np.any(t < 0.0):
+        if not np.all(t >= 0.0):
             raise NotADistribution("conditional probabilities must be >= 0")
         sums = t.sum(axis=(1, 2, 3))
-        if np.abs(sums - 1.0).max() > 1e-12:
+        if not np.abs(sums - 1.0).max() <= 1e-12:
             raise NotADistribution(f"conditional slices sum to {sums}, not 1")
         flag = t[:, :, :, 0].sum(axis=(1, 2))
-        if np.abs(flag - self.lam).max() > 1e-12:
+        if not np.abs(flag - self.lam).max() <= 1e-12:
             raise NotADistribution("flag probability must be input-independent = lambda")
         object.__setattr__(self, "table", t)
 
@@ -59,19 +59,6 @@ class WiretapChannel:
     def eve_given_x(self) -> np.ndarray:
         """P(z, l | x), shape (2, 2, 2)."""
         return self.table.sum(axis=1)
-
-
-@dataclass(frozen=True)
-class InputDistribution:
-    """Bernoulli input law: q is the probability of x = 0."""
-
-    q: float
-
-    def __post_init__(self):
-        check_prob("q", self.q)
-
-    def weights(self) -> np.ndarray:
-        return np.array([self.q, 1.0 - self.q])
 
 
 def build_wiretap(lam: float, p: float) -> WiretapChannel:
@@ -92,17 +79,17 @@ def build_wiretap(lam: float, p: float) -> WiretapChannel:
 def mutual_information(joint) -> float:
     """I(A; B) in bits from a joint pmf over two finite alphabets."""
     j = np.asarray(joint, dtype=float)
-    if j.ndim != 2 or np.any(j < -1e-12):
+    if j.ndim != 2 or not np.all(j >= -1e-12):
         raise NotADistribution("joint pmf must be a nonnegative matrix")
     s = j.sum()
-    if abs(s - 1.0) > 1e-9:
+    if not abs(s - 1.0) <= 1e-9:
         raise NotADistribution(f"joint pmf sums to {s!r}, not 1")
     return float(_mutual_information_stack(np.clip(j, 0.0, None)[None])[0])
 
 
 def secrecy_objective(ch: WiretapChannel, q: float) -> float:
-    """I(X; Y, L) - I(X; Z, L) for the Bernoulli(q) input."""
-    q = InputDistribution(q).q
+    """I(X; Y, L) - I(X; Z, L) for the Bernoulli(q) input, q = P(x = 0)."""
+    q = check_prob("q", q)
     return float(_secrecy_objective_grid(ch, np.array([q]))[0])
 
 
@@ -125,7 +112,8 @@ def _secrecy_objective_grid(ch: WiretapChannel, qs: np.ndarray) -> np.ndarray:
 
 def decomposition_residual(ch: WiretapChannel, q: float) -> float:
     """Difference between the full-joint objective and its per-flag expansion."""
-    w = InputDistribution(q).weights()
+    q = check_prob("q", q)
+    w = np.array([q, 1.0 - q])
     full = secrecy_objective(ch, q)
     per_flag = 0.0
     for l, weight in ((0, ch.lam), (1, 1.0 - ch.lam)):

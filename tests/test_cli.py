@@ -44,7 +44,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         return verify_mod.CheckResult("capacity.degradable_composition", False, 1.0, 0.0)
 
     monkeypatch.setattr(
-        verify_mod, "_REGISTRY", [("capacity.degradable_composition", broken)]
+        verify_mod, "_REGISTRY", [(("capacity.degradable_composition",), broken)]
     )
     code, out, _ = run(["verify"], capsys)
     assert code == 1

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from chancap import capacity as cap
 from chancap import channels as chn
 from chancap import qmath
+from chancap import wiretap as wt
 from chancap.errors import (
     DimensionTooLarge,
     DomainError,
@@ -339,6 +340,35 @@ def test_trace_norm_rejects_non_finite_entries():
     assert qmath.trace_norm(np.diag([1.0, -2.0])) == 3.0
 
 
+def test_kraus_channel_and_isometry_reject_nan_entries():
+    nan_op = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(NotAState, match="Kraus completeness residual nan"):
+        chn.KrausChannel(2, 2, (nan_op,))
+    with pytest.raises(NotAState, match="V\\^dag V residual nan"):
+        chn.Isometry(2, 2, nan_op)
+
+
+def test_pure_state_rejects_nan_amplitudes():
+    for amplitudes in ([np.nan, 0.0], [1.0, complex(0.0, np.nan)]):
+        with pytest.raises(NotAState, match="amplitude norm nan"):
+            chn.PureState(np.array(amplitudes))
+
+
+def test_wiretap_channel_rejects_nan_entries_and_lambda():
+    table = wt.build_wiretap(0.3, 0.2).table.copy()
+    with pytest.raises(NotADistribution, match="flag probability"):
+        wt.WiretapChannel(np.nan, 0.2, table)
+    table[0, 0, 0, 0] = np.nan
+    with pytest.raises(NotADistribution, match="must be >= 0"):
+        wt.WiretapChannel(0.3, 0.2, table)
+
+
+def test_mutual_information_rejects_nan_joint():
+    for joint in ([[0.5, np.nan], [0.25, 0.25]], [[np.nan, 0.0], [0.0, 0.0]]):
+        with pytest.raises(NotADistribution, match="nonnegative matrix"):
+            wt.mutual_information(joint)
+
+
 def test_zero_dimension_is_a_shape_mismatch_at_every_matrix_entry():
     empty = np.zeros((0, 0))
     for f in (
@@ -391,6 +421,12 @@ def test_probabilities_refuse_non_reals():
     reals = ((0, 0.0), (1, 1.0), (0.25, 0.25), (np.float32(0.5), 0.5), (np.int64(1), 1.0))
     for good, value in reals:
         assert qmath.check_prob("p", good) == value
-    for good, value in ((0, 0.0), (1, 1.0), (np.float64(0.25), 0.25), (np.int64(1), 1.0)):
+    for good, value in (
+        (0, 0.0),
+        (1, 1.0),
+        (np.float64(0.25), 0.25),
+        (np.int64(1), 1.0),
+        (np.float32(0.1), float(np.float32(0.1))),
+    ):
         assert qmath.binary_entropy(good) == qmath.binary_entropy(value)
     assert qmath.binary_entropy(0.5) == 1.0
