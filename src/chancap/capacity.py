@@ -42,6 +42,7 @@ from .qmath import (
     as_real,
     binary_entropies,
     binary_entropy,
+    check_count,
     check_dims,
     check_prob,
     embed_operator,
@@ -57,7 +58,7 @@ GRID_STEP = 0.1  # coarse Bloch-ball scan used before pattern refinement
 
 def _check_degradable_lambda(lam: float) -> float:
     """``lam`` as a float, or DomainError outside the degradable regime [0, 1/2]."""
-    lam = float(lam)
+    lam = as_real("lambda", lam)
     if not 0.0 <= lam <= 0.5:
         raise DomainError(f"lambda must lie in the degradable regime [0, 1/2], got {lam!r}")
     return lam
@@ -488,7 +489,7 @@ def _check_stencil_lambda(lam: float, h: float) -> float:
 
     Written as one chained comparison so that NaN fails it too.
     """
-    lam = float(lam)
+    lam = as_real("lambda", lam)
     if not h <= lam <= 0.5 - h:
         raise DomainError(f"lambda must sit inside [0, 1/2] by at least {h!r}, got {lam!r}")
     return lam
@@ -574,8 +575,7 @@ def alternating_bounds_sequence(
 
     Recursion: x_0 = b; t solves q_ub(t) = q_lb(x_{n-1}); x_n = (t + a)/2.
     """
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms!r}")
+    n_terms = check_count("n_terms", n_terms, 1)
     a, b = float(a), float(b)
     if not a < b:
         raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
@@ -717,8 +717,7 @@ def sweep(curve: Curve, points: int) -> SweepTable:
     One batched pass over the whole grid; the columns equal the scalar closed
     forms bit for bit.
     """
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points!r}")
+    points = check_count("points", points, 2)
     x = np.linspace(*curve.x_range, points)
     lam, p = curve.params(x)
     table = SweepTable(x, lam, p, *curve.row(lam, p))
@@ -767,7 +766,7 @@ def fig4_lambda(p: float) -> float:
     monotone on the range, so sweeps record the reading in their metadata
     and no monotonicity is asserted.
     """
-    p = float(p)
+    p = as_real("p", p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"parametrization needs p in (0, 1), got {p!r}")
     return p / float(np.log2(1.0 / p))

@@ -8,6 +8,7 @@ enough for exact float64 round-trips.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, astuple
 from typing import Optional, Sequence
 
 from .capacity import SequenceItem, SweepTable
@@ -54,43 +55,26 @@ def sweep_json(points: SweepTable, columns: Sequence[str], meta: dict) -> str:
     return '{\n  "meta": ' + head + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
+def _csv_row(cells) -> str:
+    """One CSV line: strings and ints verbatim, floats through ``fmt``, None empty."""
+    return ",".join(str(v) if isinstance(v, (str, int)) else fmt(v) for v in cells)
+
+
 def seq_csv(items: Sequence[SequenceItem], meta: dict) -> str:
     lines = [f"# {k} = {v}" for k, v in sorted(meta.items())]
-    lines.append(SEQ_HEADER)
-    for it in items:
-        lines.append(
-            ",".join([str(it.n)] + [fmt(v) for v in (it.x_n, it.q_lb, it.q_ub, it.q_two_way)])
-        )
+    lines += [SEQ_HEADER, *(_csv_row(astuple(it)) for it in items)]
     return "\n".join(lines) + "\n"
 
 
 def seq_json(items: Sequence[SequenceItem], meta: dict) -> str:
-    rows = [
-        {"n": it.n, "x_n": it.x_n, "q_lb": it.q_lb, "q_ub": it.q_ub, "q_two_way": it.q_two_way}
-        for it in items
-    ]
+    rows = [asdict(it) for it in items]
     return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
 def simulate_csv(rows: Sequence[dict]) -> str:
-    lines = [SIM_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r["kind"],
-                    fmt(r["lambda"]),
-                    fmt(r["p"]),
-                    str(r["uses"]),
-                    str(r["seed"]),
-                    fmt(r["estimate"]),
-                    fmt(r["std_error"]),
-                    fmt(r["target"]),
-                    fmt(r.get("leakage")),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """CSV of simulate rows, each row's cells in SIM_HEADER order."""
+    keys = SIM_HEADER.split(",")
+    return "\n".join([SIM_HEADER, *(_csv_row(r[k] for k in keys) for r in rows)]) + "\n"
 
 
 def simulate_json(rows: Sequence[dict], meta: dict) -> str:

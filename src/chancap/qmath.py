@@ -8,6 +8,7 @@ are plain complex numpy arrays; eigenwork is delegated to LAPACK via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -63,6 +64,17 @@ def _require_square(a: np.ndarray) -> int:
 def is_dimension(x) -> bool:
     """True for an int or numpy integer (not bool) >= 1."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+
+
+def check_count(name: str, value, lo: Optional[int] = None) -> int:
+    """``value`` as an int, or DomainError unless it is an int or numpy integer
+    (not a bool) and, given ``lo``, at least ``lo``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    n = int(value)
+    if lo is not None and n < lo:
+        raise DomainError(f"{name} must be >= {lo}, got {n!r}")
+    return n
 
 
 def check_dims(dims) -> tuple[int, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .qmath import check_count
 
 # Fixed stream indices, one per independent consumer of randomness.
 STREAM_QUANTUM_PROTOCOL = 0
@@ -26,12 +27,7 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def check_run(uses, seed) -> tuple[int, int]:
     """A Monte Carlo run's ``(uses, seed)``: ints with uses >= 1 and 0 <= seed < 2**64."""
-    for name, value in (("uses", uses), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name} must be an int, got {value!r}")
-    uses, seed = int(uses), int(seed)
-    if uses < 1:
-        raise DomainError(f"uses must be >= 1, got {uses!r}")
+    uses, seed = check_count("uses", uses, 1), check_count("seed", seed)
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must be in [0, 2**64), got {seed!r}")
     return uses, seed

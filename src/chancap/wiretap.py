@@ -24,7 +24,7 @@ import numpy as np
 
 from .capacity import SWEEP_COLUMNS, Curve, _check_degradable_lambda, bisect
 from .errors import DomainError, NotADistribution
-from .qmath import binary_entropies, binary_entropy, check_prob
+from .qmath import as_real, binary_entropies, binary_entropy, check_count, check_prob
 from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, stream_rng
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -39,6 +39,9 @@ class WiretapChannel:
     table: np.ndarray
 
     def __post_init__(self):
+        # lam is typed first and range-checked last, so that a NaN lam fails the flag check
+        lam = as_real("lambda", self.lam)
+        p = check_prob("p", self.p)
         t = np.asarray(self.table, dtype=float)
         if t.shape != (2, 2, 2, 2):
             raise NotADistribution(f"table shape {t.shape} != (2, 2, 2, 2)")
@@ -48,8 +51,10 @@ class WiretapChannel:
         if not np.abs(sums - 1.0).max() <= 1e-12:
             raise NotADistribution(f"conditional slices sum to {sums}, not 1")
         flag = t[:, :, :, 0].sum(axis=(1, 2))
-        if not np.abs(flag - self.lam).max() <= 1e-12:
+        if not np.abs(flag - lam).max() <= 1e-12:
             raise NotADistribution("flag probability must be input-independent = lambda")
+        object.__setattr__(self, "lam", check_prob("lambda", lam))
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "table", t)
 
     def bob_given_x(self) -> np.ndarray:
@@ -134,8 +139,7 @@ def secrecy_capacity_bruteforce(ch: WiretapChannel, grid: int = 201) -> tuple[fl
     objective is nowhere positive, e.g. (lam, p) = (1/2, 1/2) or (0.75, 0.2),
     the search reports q = 0.
     """
-    if grid < 101:
-        raise DomainError(f"grid must be >= 101, got {grid!r}")
+    grid = check_count("grid", grid, 101)
     qs = np.linspace(0.0, 1.0, grid)
     vals = _secrecy_objective_grid(ch, qs)
     i = int(np.argmax(vals))
@@ -234,7 +238,7 @@ def simulate_feedback_protocol(
 
 def fig6_lambda(p: float) -> float:
     """Parametrization lam(p) = p / (2 log2(6 / p))."""
-    p = float(p)
+    p = as_real("p", p)
     if not 0.0 < p <= 1.0:
         raise DomainError(f"parametrization needs p in (0, 1], got {p!r}")
     return p / (2.0 * float(np.log2(6.0 / p)))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from chancap import capacity as cap
 from chancap import output
-from chancap.cli import main
+from chancap.cli import CONFIG_TYPES, build_parser, main
 
 
 def run(argv, capsys):
@@ -35,6 +36,26 @@ def test_verify_full_run_lists_all_checks(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith("PASS ")]
     assert len(lines) >= 25
     assert out.splitlines()[-1].endswith("checks passed")
+
+
+def test_verify_out_writes_the_report(tmp_path, capsys):
+    code, printed, _ = run(["verify", "--only", "degradable"], capsys)
+    assert code == 0
+    path = tmp_path / "verify.txt"
+    code, out, _ = run(["verify", "--only", "degradable", "--out", str(path)], capsys)
+    assert code == 0 and out == ""
+    assert path.read_text() == printed
+
+
+def test_verify_json_format_exits_2(tmp_path, capsys):
+    code, out, err = run(["verify", "--only", "degradable", "--format", "json"], capsys)
+    assert code == 2 and out == ""
+    assert "json" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    code, out, err = run(["verify", "--only", "degradable", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "json" in err
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -239,10 +260,22 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
     assert "points" in err
 
 
-def test_default_output_digests(capsys):
+def test_default_output_digests(capsys, monkeypatch):
+    monkeypatch.delenv("CHANCAP_SEED", raising=False)
     # seq and the fig6 crossover in the JSON meta both come out of a bisection
     expected = {
         ("seq",): "315d40e4c0366f0c83612d0ffa028aa17b290e1759b84020c0a07a667a41f4df",
+        ("seq", "--format", "json"):
+            "bb9fd835b604c892a9cc27939c0d9606d234e4f656c45009fd8359dbfb96ef8f",
+        # each protocol alone at the default lambda, p, uses and seed
+        ("simulate", "--kind", "quantum_two_way"):
+            "0f424dc45eff6e40c7cc3399d9a19c149d9fbbf700961ee848229c56655ac966",
+        ("simulate", "--kind", "quantum_two_way", "--format", "json"):
+            "7e59ffa5bc80aba82f239349fb80aa8ddeba59857f39d857c4f7a55621e61b4a",
+        ("simulate", "--kind", "wiretap_feedback"):
+            "62d43b11583f3e8a5d8d1b5f713e13bed8b574dd7ca5131c007ad2f6a8efbdae",
+        ("simulate", "--kind", "wiretap_feedback", "--format", "json"):
+            "43654df1892ea0f772c3f3b2ea450c28f6cfb63562cda4a6c1060b6e1d9b85df",
         ("sweep", "--scenario", "fig6", "--format", "json"):
             "9410f92cd34235558633801d59d2395f011cec6362cc34c89e4dd6b095edbbb7",
         ("sweep", "--scenario", "fig6"):
@@ -422,3 +455,23 @@ def test_io_errors_exit_3(tmp_path, capsys):
     code, _, err = run(["sweep", "--scenario", "fig3", "--out", str(missing_dir)], capsys)
     assert code == 3
     assert "i/o error" in err
+
+
+def test_parser_dests_are_the_config_keys():
+    # every long flag but --config, --only and --emit-plot-script is a config key of its dest
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        action.dest
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if any(opt.startswith("--") for opt in action.option_strings)
+    }
+    assert dests - {"help", "config", "only", "emit_plot_script"} == set(CONFIG_TYPES)
+
+
+def test_config_unknown_kind_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = bogus\n")
+    code, out, err = run(["simulate", "--config", str(cfg), "--uses", "1000"], capsys)
+    assert code == 2 and out == ""
+    assert "unknown simulation kind 'bogus'" in err

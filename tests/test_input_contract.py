@@ -430,3 +430,77 @@ def test_probabilities_refuse_non_reals():
     ):
         assert qmath.binary_entropy(good) == qmath.binary_entropy(value)
     assert qmath.binary_entropy(0.5) == 1.0
+
+
+NON_REALS = (None, "0.3", b"0.3", True, np.bool_(True), 0.3j)
+
+
+def test_wiretap_channel_checks_lambda_and_p():
+    table = wt.build_wiretap(0.3, 0.2).table
+    with pytest.raises(DomainError, match="p must lie in"):
+        wt.WiretapChannel(0.3, np.nan, table)
+    for bad in NON_REALS:
+        with pytest.raises(DomainError, match="lambda must be a real number"):
+            wt.WiretapChannel(bad, 0.2, table)
+        with pytest.raises(DomainError, match="p must be a real number"):
+            wt.WiretapChannel(0.3, bad, table)
+    ch = wt.WiretapChannel(np.float32(0.5), np.int64(1), wt.build_wiretap(0.5, 1.0).table)
+    assert (type(ch.lam), type(ch.p)) == (float, float)
+
+
+def test_fig6_lambda_refuses_non_reals():
+    for bad in NON_REALS:
+        with pytest.raises(DomainError, match="p must be a real number"):
+            wt.fig6_lambda(bad)
+    assert wt.fig6_lambda(np.float64(0.9)) == wt.fig6_lambda(0.9)
+
+
+def test_degradable_lambda_refuses_non_reals():
+    for bad in NON_REALS:
+        for call in (
+            lambda: cap.one_way_capacity(bad, 0.1),
+            lambda: cap.degrading_map(bad, 0.1),
+            lambda: wt.one_way_secrecy_capacity(bad, 0.1),
+            lambda: wt.degrading_stochastic_map(bad),
+        ):
+            with pytest.raises(DomainError, match="lambda must be a real number"):
+                call()
+    assert cap.one_way_capacity(np.float32(0.25), 0.1) == cap.one_way_capacity(0.25, 0.1)
+
+
+def test_stencil_lambda_refuses_non_reals():
+    for bad in NON_REALS:
+        with pytest.raises(DomainError, match="lambda must be a real number"):
+            cap.derivative_check(cap.fig4_lambda, bad)
+        with pytest.raises(DomainError, match="lambda must be a real number"):
+            cap.derivative_condition_margin(cap.fig4_lambda, bad)
+
+
+def test_fig4_lambda_refuses_non_reals():
+    for bad in NON_REALS:
+        with pytest.raises(DomainError, match="p must be a real number"):
+            cap.fig4_lambda(bad)
+    assert cap.fig4_lambda(np.float64(0.4)) == cap.fig4_lambda(0.4)
+
+
+def _counted_calls():
+    ch = wt.build_wiretap(0.3, 0.2)
+    q_lb, q_ub, q_tw = cap.sequence_bound_curves()
+    return {
+        "grid": (lambda n: wt.secrecy_capacity_bruteforce(ch, n), 101),
+        "points": (lambda n: cap.sweep(cap.FIG3, n), 2),
+        "n_terms": (lambda n: cap.alternating_bounds_sequence(q_lb, q_ub, q_tw, 0.0, 1e-4, n), 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["grid", "points", "n_terms"])
+def test_counts_must_be_ints(name):
+    call, lo = _counted_calls()[name]
+    for bad in (lo + 0.5, float(lo), float("nan"), str(lo), True, None, np.float64(lo)):
+        with pytest.raises(DomainError, match=f"^{name} must be an int, got "):
+            call(bad)
+    with pytest.raises(DomainError, match=rf"^{name} must be >= {lo}, got {lo - 1}$"):
+        call(lo - 1)
+    with pytest.raises(DomainError, match=rf"^{name} must be >= {lo}, got {lo - 1}$"):
+        call(np.int64(lo - 1))
+    assert repr(call(np.int64(lo))) == repr(call(lo))
