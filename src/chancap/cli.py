@@ -1,7 +1,7 @@
 """Command-line front end: verification, figure sweeps, sequences, simulations.
 
 Exit codes: 0 ok, 1 verification failure, 2 precondition/domain violation,
-3 I/O error.  ``CHANCAP_SEED`` supplies the default seed; an optional config
+3 I/O error.  ``CHANCAP_SEED`` supplies simulate's default seed; an optional config
 file of ``key = value`` lines mirrors the long flags, with flags winning, and
 rejects any key it does not read.
 """
@@ -127,7 +127,7 @@ def _cast(cast, value: str, what: str):
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     """The run ``args`` ask for: each setting from its flag, else the config
-    file, else (the seed only) ``CHANCAP_SEED``, else its RunConfig default."""
+    file, else (simulate's seed only) ``CHANCAP_SEED``, else its RunConfig default."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
 
     def pick(name: str, default=None):
@@ -151,7 +151,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         return {lo: pick(lo, default), hi: pick(hi, default)}
 
     seed = pick("seed")
-    if seed is None and "CHANCAP_SEED" in os.environ:  # read only when flag and file are silent
+    # read only by the one command that draws, and only when flag and file are silent
+    if seed is None and args.command == "simulate" and "CHANCAP_SEED" in os.environ:
         seed = _cast(int, os.environ["CHANCAP_SEED"], "CHANCAP_SEED")
     lam, p = SIMULATE_AT if args.command == "simulate" else (None, None)
     values = {"seed": seed, **pick_range("lambda", lam), **pick_range("p", p)}
@@ -264,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file of 'key = value' lines (flags win)")
     setting(common, "out", "-o", help="output path (default: stdout)")
-    setting(common, "format", choices=FORMATS, help="output format")
-    setting(common, "seed", help="RNG seed (default: $CHANCAP_SEED or 0)")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the invariant suites")
     p_verify.add_argument("--only", help="run only checks whose name contains this substring")
@@ -291,12 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     setting(p_sim, "lambda", help=f"flag weight (default {SIMULATE_AT[0]})")
     setting(p_sim, "p", help=f"dephasing weight (default {SIMULATE_AT[1]})")
     setting(p_sim, "uses", help=f"channel uses (default {RunConfig.uses})")
+    setting(p_sim, "seed", help=f"RNG seed (default: $CHANCAP_SEED or {RunConfig.seed})")
+    # verify writes a text report; the data commands choose their format
+    for p in (p_sweep, p_seq, p_sim):
+        setting(p, "format", choices=FORMATS, help=f"output format (default {RunConfig.format})")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help, the version or a usage error
+        return exc.code
     try:
         cfg = _resolve(args)
         return COMMANDS[cfg.command](cfg)

@@ -300,12 +300,58 @@ def test_batched_bloch_search_matches_sequential(lam, p):
         ref_value, ref_arg, runs = _sequential_bloch_search(make(lam, p), 1e-6, **kwargs)
         assert float(value).hex() == float(ref_value).hex()
         assert [x.hex() for x in arg.tolist()] == [x.hex() for x in ref_arg.tolist()]
-        # same trajectory: each batched call scores, in order and to the same
-        # bits, one run of the points the sequential search scores one by one
+        # the grid call scores one point per rotation class about z, each to
+        # the bits the full scan gives it, and each grid point's class value
+        # is within roundoff of the full scan's own value at that point
+        pts, _, cls = cap._bloch_grid()
+        assert set(calls[0]) <= set(runs[0])
+        class_vals = np.array([float.fromhex(v) for _, v in calls[0]])[cls]
+        ref_vals = np.array([float.fromhex(v) for _, v in runs[0]])
+        assert [r for r, _ in runs[0]] == [r.tobytes() for r in pts]
+        assert np.abs(class_vals - ref_vals).max() <= 1e-13
+        # same trajectory: each later batched call scores, in order and to the
+        # same bits, one run of the points the sequential search scores one by one
         assert len(calls) == len(runs)
-        assert all(call[: len(run)] == run for call, run in zip(calls, runs))
+        assert all(call[: len(run)] == run for call, run in zip(calls[1:], runs[1:]))
         # the sequential search makes the grid call and one call per move
         assert len(calls) < 1 + sum(map(len, runs[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(lam=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(lam=0.0, p=0.0, seed=0)
+@example(lam=0.5, p=0.5, seed=1)
+@example(lam=1.0, p=1.0, seed=2)
+@example(lam=0.0, p=1.0, seed=3)
+@example(lam=1.0, p=0.0, seed=4)
+@example(lam=0.5, p=0.0, seed=5)
+@example(lam=0.0, p=0.5, seed=6)
+@example(lam=1.0, p=0.5, seed=7)
+@example(lam=0.5, p=1.0, seed=8)
+@example(lam=0.5, p=5e-324, seed=9)
+@example(lam=1.0, p=5e-324, seed=10)
+def test_bloch_objectives_are_invariant_under_rotations_about_z(lam, p, seed):
+    # the Bloch-ball scan scores one grid point per rotation class about z,
+    # which is exact only because both objectives have this symmetry
+    rng = np.random.default_rng(seed)
+    rs = rng.normal(size=(64, 3))
+    rs *= rng.random((64, 1)) ** (1 / 3) / np.linalg.norm(rs, axis=1, keepdims=True)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=64)
+    c, s = np.cos(theta), np.sin(theta)
+    rotated = np.column_stack([c * rs[:, 0] - s * rs[:, 1], s * rs[:, 0] + c * rs[:, 1], rs[:, 2]])
+    pts, first, cls = cap._bloch_grid()
+    for make in (cap._ic_evaluator, cap._diamond_evaluator):
+        evaluate = make(lam, p)
+        assert np.abs(evaluate(rotated) - evaluate(rs)).max() <= 1e-12
+        # so every grid point scores as its class's first point does
+        assert np.abs(evaluate(pts) - evaluate(pts[first])[cls]).max() <= 1e-12
+
+
+def test_diamond_objective_tells_z_from_minus_z():
+    # why a rotation class keeps the sign of z: reflecting z changes the distance
+    evaluate = cap._diamond_evaluator(0.3, 0.2)
+    rs = np.array([[0.0, 0.0, 1.0], [0.3, 0.2, 0.5], [0.6, 0.0, 0.7]])
+    assert np.all(np.abs(evaluate(rs) - evaluate(rs * [1.0, 1.0, -1.0])) > 0.1)
 
 
 def test_one_way_capacity():

@@ -252,6 +252,40 @@ def test_malformed_env_seed_exits_2(monkeypatch, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--only", "degradable"],
+        ["seq", "--terms", "1"],
+        ["sweep", "--scenario", "fig3", "--points", "2"],
+    ],
+    ids=["verify", "seq", "sweep"],
+)
+def test_env_seed_is_read_only_by_simulate(argv, monkeypatch, capsys):
+    # a command that draws nothing never reads CHANCAP_SEED, so a bad one is harmless
+    monkeypatch.delenv("CHANCAP_SEED", raising=False)
+    code, expected, _ = run(argv, capsys)
+    assert code == 0
+    monkeypatch.setenv("CHANCAP_SEED", "abc")
+    code, out, err = run(argv, capsys)
+    assert code == 0 and out == expected and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "--seed", "9"],
+        ["sweep", "--seed", "4"],
+        ["verify", "--only", "degradable", "--format", "csv"],
+    ],
+    ids=["seq-seed", "sweep-seed", "verify-format"],
+)
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
 def test_malformed_config_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("points = abc\n")
