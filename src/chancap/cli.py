@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 precondition/domain violation,
 3 I/O error.  ``CHANCAP_SEED`` supplies simulate's default seed; an optional config
-file of ``key = value`` lines mirrors the long flags, with flags winning, and
-rejects any key it does not read.
+file of ``key = value`` lines mirrors the long flags of its command, with flags
+winning, and rejects any key that command does not read, as well as a
+custom-sweep key on a fixed scenario.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ CONFIG_TYPES = {
 }
 # sweep settings that only a custom sweep reads
 CUSTOM_SWEEP_FLAGS = ("lambda", "p", "lambda_min", "lambda_max", "p_min", "p_max")
+# simulate runs at the low end of a lambda or p range, so its config file may
+# also set these keys, which are not simulate flags
+SIMULATE_RANGE_KEYS = ("lambda_min", "p_min")
 # simulate runs at this (lambda, p) unless a flag or the config file says otherwise
 SIMULATE_AT = (0.3, 0.1)
 
@@ -95,8 +99,6 @@ class RunConfig:
             raise DomainError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.format not in FORMATS:
             raise DomainError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.command == "verify" and self.format == "json":
-            raise DomainError("verify writes a text report; the json format is not supported")
         if self.emit_plot_script and (self.out is None or self.format != "csv"):
             raise DomainError("--emit-plot-script needs --out and the csv format")
 
@@ -129,6 +131,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     """The run ``args`` ask for: each setting from its flag, else the config
     file, else (simulate's seed only) ``CHANCAP_SEED``, else its RunConfig default."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key, value in file_values.items():
+        # args holds the dest of every flag of the command's own parser
+        if not hasattr(args, key) and not (
+            args.command == "simulate" and key in SIMULATE_RANGE_KEYS
+        ):
+            raise DomainError(f"config key {key} = {value!r} is not read by {args.command}")
 
     def pick(name: str, default=None):
         value = getattr(args, name, None)
@@ -170,6 +178,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             if getattr(args, name, None) is not None:
                 raise DomainError(
                     f"{_flag(name)} applies only to --scenario custom, not {cfg.scenario}"
+                )
+            if name in file_values:
+                raise DomainError(
+                    f"config key {name} = {file_values[name]!r} applies only to "
+                    f"sweep --scenario custom, not {cfg.scenario}"
                 )
     cfg.validate()
     return cfg

@@ -4,11 +4,14 @@ Each check is deterministic (fixed seeds), returns its worst residual, and
 passes iff that residual meets the stated threshold.  One function may own
 several named results (a value and its argmax, say) and computes them in one
 run; nothing is cached between runs, so every ``run_checks`` call recomputes
-what it reports.
+what it reports.  The check functions run in forked worker processes, one per
+CPU the process may use; a single selected function, or a single CPU, runs
+in-process.  The report is byte-identical either way.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -62,24 +65,50 @@ def check_names() -> list[str]:
     return [name for names, _ in _REGISTRY for name in names]
 
 
+def _owned(i: int) -> list[tuple[str, CheckResult]]:
+    """Run registry entry ``i``: its (name, result) pairs, every one failed if it crashed."""
+    names, fn = _REGISTRY[i]
+    try:
+        out = fn()
+        owned = list(zip(names, out if isinstance(out, tuple) else (out,), strict=True))
+    except Exception as exc:  # a crashed check is a failed check
+        crash = _result(float("inf"), 0.0, f"{type(exc).__name__}: {exc}")
+        owned = [(name, crash) for name in names]
+    return owned
+
+
 def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     """The results whose names contain ``only`` (all if None), in registry order.
 
     Each check function owning such a name runs once per call; when it raises
     or returns the wrong number of results, every result it owns fails.
+
+    When more than one function is selected and the process may run on more
+    than one CPU, the functions run in forked worker processes, one per CPU
+    (``os.sched_getaffinity``); otherwise, and where that call does not exist,
+    they run in-process.  The workers get registry indices, not functions, so
+    lambdas and a patched registry work, and the results are gathered in
+    registry order, so the report is the same either way.  ``fork`` and not
+    ``spawn``: a fresh interpreter would import numpy and chancap again in
+    every worker and lose the gain.  On Python >= 3.12 ``os.fork`` warns when
+    the process already runs threads.
     """
-    results = []
-    for names, fn in _REGISTRY:
-        if only and not any(only in name for name in names):
-            continue
-        try:
-            out = fn()
-            owned = list(zip(names, out if isinstance(out, tuple) else (out,), strict=True))
-        except Exception as exc:  # a crashed check is a failed check
-            crash = _result(float("inf"), 0.0, f"{type(exc).__name__}: {exc}")
-            owned = [(name, crash) for name in names]
-        results += [replace(r, name=name) for name, r in owned if not only or only in name]
-    return results
+    picked = [i for i, (names, _) in enumerate(_REGISTRY)
+              if not only or any(only in name for name in names)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(picked) > 1 and cpus > 1:
+        # imported here so that importing cli, which imports this module, does not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            min(cpus, len(picked)), mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            runs = list(pool.map(_owned, picked))
+    else:
+        runs = map(_owned, picked)
+    return [replace(r, name=name) for owned in runs for name, r in owned
+            if not only or only in name]
 
 
 # ---------------------------------------------------------------------------

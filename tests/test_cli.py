@@ -509,3 +509,26 @@ def test_config_unknown_kind_exits_2(tmp_path, capsys):
     code, out, err = run(["simulate", "--config", str(cfg), "--uses", "1000"], capsys)
     assert code == 2 and out == ""
     assert "unknown simulation kind 'bogus'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        (["seq", "--terms", "1"], "uses = 5\nkind = both\n", ("uses", "'5'", "seq")),
+        (["verify", "--only", "degradable"], "uses = 5\nkind = both\n",
+         ("uses", "'5'", "verify")),
+        (["sweep", "--scenario", "fig3", "--points", "3"], "lambda = 0.3\n",
+         ("lambda", "'0.3'", "sweep", "custom", "fig3")),
+        (["seq"], "seed = abc\n", ("seed", "'abc'", "seq")),
+        (["simulate", "--uses", "1000"], "lambda_max = 0.9\n",
+         ("lambda_max", "'0.9'", "simulate")),
+    ],
+    ids=["seq-uses-kind", "verify-uses-kind", "sweep-fixed-lambda", "seq-seed",
+         "simulate-lambda-max"],
+)
+def test_config_keys_a_command_does_not_read_exit_2(argv, text, named, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "config key" in err and all(word in err for word in named), err

@@ -1,6 +1,8 @@
-"""The verify registry: names, per-name selection, and no results reused across runs."""
+"""The verify registry: names, per-name selection, no results reused across runs,
+and the same results from the worker pool as in-process."""
 
 import math
+import os
 
 from chancap import capacity as cap
 from chancap import verify
@@ -86,3 +88,45 @@ def test_no_result_is_reused_by_a_later_run(monkeypatch):
         results = verify.run_checks(only=only)
         assert len(results) == 2
         assert not any(r.passed for r in results), results
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def _fields(results):
+    return [(r.name, r.passed, r.residual.hex(), r.threshold, r.detail) for r in results]
+
+
+def test_the_pool_gives_the_in_process_results(monkeypatch):
+    runs = []
+    for cpus in ({0}, {0, 1}):
+        _cpus(monkeypatch, cpus)
+        runs.append((_fields(verify.run_checks()), verify.run_checks(only="no_such_check")))
+    assert runs[0] == runs[1]
+    assert [name for name, *_ in runs[1][0]] == NAMES
+    assert runs[1][1] == []
+
+
+def test_a_crash_inside_a_worker_fails_every_name_it_owns(monkeypatch):
+    one = verify._result(0.0, 1.0)
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        (("a.crash",), lambda: 1 / 0),
+        (("b.first", "b.second"), lambda: (one,)),
+        (("c.pass",), lambda: verify._result(0.0, 1.0, str(os.getpid()))),
+    ])
+    _cpus(monkeypatch, {0, 1})
+    results = verify.run_checks()
+    short = "ValueError: zip() argument 2 is shorter than argument 1"
+    assert [(r.name, r.passed, r.residual, r.threshold, r.detail) for r in results[:3]] == [
+        ("a.crash", False, math.inf, 0.0, "ZeroDivisionError: division by zero"),
+        ("b.first", False, math.inf, 0.0, short),
+        ("b.second", False, math.inf, 0.0, short),
+    ]
+    [passed] = results[3:]
+    assert (passed.name, passed.passed, passed.residual, passed.threshold) == (
+        "c.pass", True, 0.0, 1.0
+    )
+    assert passed.detail != str(os.getpid())  # it ran in a worker
+    [alone] = verify.run_checks(only="c.pass")
+    assert alone.detail == str(os.getpid())  # a single function runs in-process
