@@ -4,6 +4,8 @@ and the same results from the worker pool as in-process."""
 import math
 import os
 
+import pytest
+
 from chancap import capacity as cap
 from chancap import verify
 from chancap import wiretap as wt
@@ -130,3 +132,28 @@ def test_a_crash_inside_a_worker_fails_every_name_it_owns(monkeypatch):
     assert passed.detail != str(os.getpid())  # it ran in a worker
     [alone] = verify.run_checks(only="c.pass")
     assert alone.detail == str(os.getpid())  # a single function runs in-process
+
+
+_PATCHED = [
+    "capacity.oneway_oracle_value",
+    "capacity.oneway_oracle_argmax",
+    "wiretap.feedback_throughput_concentration",
+    "wiretap.feedback_leakage_small",
+]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pool"])
+def test_no_result_is_reused_after_a_full_run(monkeypatch, cpus):
+    # the warm-up runs in this process on one CPU, so a cache it filled here
+    # shows, and in workers on two, so a worker forked before the patch shows;
+    # the patched checks then run alone (in-process) and in a full run
+    _cpus(monkeypatch, cpus)
+    assert all(r.passed for r in verify.run_checks())
+    monkeypatch.setattr(cap, "maximize_coherent_information", lambda *a, **k: (0.0, (1, 1, 1)))
+    monkeypatch.setattr(wt, "simulate_feedback_protocol", lambda *a, **k: (0.0, 1.0))
+    for only in ("oneway_oracle", "wiretap.feedback"):
+        results = verify.run_checks(only=only)
+        assert len(results) == 2
+        assert not any(r.passed for r in results), results
+    failed = {r.name for r in verify.run_checks() if not r.passed}
+    assert failed >= set(_PATCHED), failed
