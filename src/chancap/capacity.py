@@ -51,7 +51,7 @@ from .qmath import (
     partial_trace,
     state_eigenvalues,
 )
-from .sampling import STREAM_QUANTUM_PROTOCOL, check_run, stream_rng
+from .sampling import STREAM_QUANTUM_PROTOCOL, check_run, draw_chunks
 
 GRID_STEP = 0.1  # coarse Bloch-ball scan used before pattern refinement
 
@@ -875,7 +875,9 @@ def simulate_two_way_protocol(
     Each use sends half of a maximally entangled pair, samples a Kraus branch
     with the Born probabilities, and reads the block flag; kept (identity
     block) rounds transmit noiselessly.  Returns (rate estimate, std error)
-    with the Bernoulli standard error sqrt(lam (1 - lam) / uses).
+    with the Bernoulli standard error sqrt(lam (1 - lam) / uses).  The output
+    is fixed by one uniform per use from stream ``STREAM_QUANTUM_PROTOCOL``,
+    counted chunk by chunk (``sampling.draw_chunks``).
     """
     lam = check_prob("lambda", lam)
     p = check_prob("p", p)
@@ -886,12 +888,13 @@ def simulate_two_way_protocol(
         raise ChancapError(f"post-selected state fidelity defect {1.0 - fid:.3e}")
 
     # inverse-CDF branch sampling: u falls in branch 0, the only Kraus
-    # operator into the identity block, exactly when u < its Born probability
+    # operator into the identity block, exactly when u < its Born probability,
+    # so the rounds with u >= it are dropped
     k0 = channel_N(lam, p).kraus[0]
     pi = np.eye(2, dtype=complex) / 2
     p_kept = float(np.trace(k0 @ pi @ k0.conj().T).real)
-    rng = stream_rng(seed, STREAM_QUANTUM_PROTOCOL)
-    kept = int(np.count_nonzero(rng.random(uses) < p_kept))
+    kept = uses - sum(int(np.count_nonzero(dropped)) for (dropped,)
+                      in draw_chunks(seed, STREAM_QUANTUM_PROTOCOL, uses, (p_kept,)))
     rate = kept / uses
     std_error = float(np.sqrt(lam * (1.0 - lam) / uses))
     return rate, std_error

@@ -77,6 +77,16 @@ def _owned(i: int) -> list[tuple[str, CheckResult]]:
     return owned
 
 
+def _cpu_quota(path: str = "/sys/fs/cgroup/cpu.max") -> Optional[int]:
+    """CPUs the cgroup v2 quota grants, ``ceil(quota / period)``; None when unlimited or unread."""
+    try:
+        with open(path) as f:
+            quota, period = f.read().split()
+        return -(-int(quota) // int(period))
+    except (OSError, ValueError):  # no such file, or "max" for no quota
+        return None
+
+
 def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     """The results whose names contain ``only`` (all if None), in registry order.
 
@@ -85,17 +95,19 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
 
     When more than one function is selected and the process may run on more
     than one CPU, the functions run in forked worker processes, one per CPU
-    (``os.sched_getaffinity``); otherwise, and where that call does not exist,
-    they run in-process.  The workers get registry indices, not functions, so
-    lambdas and a patched registry work, and the results are gathered in
-    registry order, so the report is the same either way.  ``fork`` and not
-    ``spawn``: a fresh interpreter would import numpy and chancap again in
-    every worker and lose the gain.  On Python >= 3.12 ``os.fork`` warns when
-    the process already runs threads.
+    (``os.sched_getaffinity``, capped by the cgroup CPU quota where one is
+    set); otherwise, and where that call does not exist, they run in-process.
+    The workers get registry indices, not functions, so lambdas and a patched
+    registry work, and the results are gathered in registry order, so the
+    report is the same either way.  ``fork`` and not ``spawn``: a fresh
+    interpreter would import numpy and chancap again in every worker and lose
+    the gain.  On Python >= 3.12 ``os.fork`` warns when the process already
+    runs threads.
     """
     picked = [i for i, (names, _) in enumerate(_REGISTRY)
               if not only or any(only in name for name in names)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = min(cpus, _cpu_quota() or cpus)
     if len(picked) > 1 and cpus > 1:
         # imported here so that importing cli, which imports this module, does not pay
         import multiprocessing

@@ -25,7 +25,7 @@ import numpy as np
 from .capacity import SWEEP_COLUMNS, Curve, _check_degradable_lambda, bisect
 from .errors import DomainError, NotADistribution
 from .qmath import as_real, binary_entropies, binary_entropy, check_count, check_prob
-from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, stream_rng
+from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, draw_chunks
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -215,22 +215,29 @@ def simulate_feedback_protocol(
     rounds (where y = x).  Returns (throughput, leakage estimate) where the
     leakage is the plug-in empirical mutual information between Alice's bit
     and Eve's observation on accepted rounds.  The output is fixed by three
-    full-length draws in this order: Alice's bits, the flag uniforms, Eve's
-    bits; how they are counted may change, the draws may not.
+    draws of ``uses`` values from stream ``STREAM_WIRETAP_PROTOCOL``, in this
+    order: Alice's bits, the flag uniforms, Eve's bits.  Alice's bits take
+    the first ceil(uses/2) raw words, the flags the next ``uses`` and Eve's
+    bits the next floor(uses/2); for odd ``uses`` Eve's first bit is the high
+    half of Alice's last word.  How they are counted may change, the draws
+    may not.  They are counted chunk by chunk (``sampling.draw_chunks``), so
+    memory does not grow with ``uses``.
     """
     lam = check_prob("lambda", lam)
     p = check_prob("p", p)
     uses, seed = check_run(uses, seed)
-    rng = stream_rng(seed, STREAM_WIRETAP_PROTOCOL)
-    # int32 draws equal int64 ones: both take one 32-bit word per 0/1 value
-    x = rng.integers(0, 2, size=uses, dtype=np.int32).astype(bool)
-    flag2 = rng.random(uses) >= lam  # True where L = 2 (accepted)
-    z = rng.integers(0, 2, size=uses, dtype=np.int32).astype(bool)  # Eve's bit where L = 2
-    accepted = int(np.count_nonzero(flag2))
+    accepted = x1 = z1 = both = 0
+    # flag2 is True where L = 2 (accepted); z is Eve's bit there
+    for x, flag2, z in draw_chunks(seed, STREAM_WIRETAP_PROTOCOL, uses, (None, lam, None)):
+        x &= flag2
+        z &= flag2
+        accepted += int(np.count_nonzero(flag2))
+        x1 += int(np.count_nonzero(x))
+        z1 += int(np.count_nonzero(z))
+        both += int(np.count_nonzero(x & z))
     throughput = accepted / uses
     if accepted == 0:
         return throughput, 0.0
-    x1, z1, both = (np.count_nonzero(a & flag2) for a in (x, z, x & z))
     counts = np.array([[accepted - x1 - z1 + both, z1 - both], [x1 - both, both]], dtype=float)
     leakage = mutual_information(counts / accepted)
     return throughput, leakage

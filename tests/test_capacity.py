@@ -17,7 +17,7 @@ from chancap.errors import (
     ShapeMismatch,
 )
 from chancap.qmath import binary_entropy, von_neumann_entropy
-from chancap.sampling import random_density_matrix
+from chancap.sampling import random_density_matrix, stream_rng
 
 PI = np.eye(2, dtype=complex) / 2
 
@@ -763,6 +763,33 @@ def test_simulate_two_way_protocol():
 
     with pytest.raises(DomainError):
         cap.simulate_two_way_protocol(0.3, 0.5, 0, 7)
+
+
+def _two_way_reference(lam, p, uses, seed):
+    """The protocol's earlier rate: one full-length uniform draw, counted below p_kept."""
+    k0 = chn.channel_N(lam, p).kraus[0]
+    p_kept = float(np.trace(k0 @ (np.eye(2, dtype=complex) / 2) @ k0.conj().T).real)
+    return int(np.count_nonzero(stream_rng(seed, 0).random(uses) < p_kept)) / uses
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    lam=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 1.0),
+    uses=st.integers(1, 5000),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(lam=0.0, p=0.3, uses=1, seed=0)
+@example(lam=1.0, p=0.3, uses=65535, seed=1)
+@example(lam=0.0, p=5e-324, uses=65536, seed=2)
+@example(lam=1.0, p=5e-324, uses=65537, seed=2**64 - 1)
+@example(lam=0.3, p=0.5, uses=131073, seed=3)
+@example(lam=5e-324, p=1.0, uses=65537, seed=4)
+def test_two_way_protocol_matches_the_earlier_body_bit_for_bit(lam, p, uses, seed):
+    # chunks of positioned raw words, counted against a word threshold, give the same rate
+    rate, err = cap.simulate_two_way_protocol(lam, p, uses, seed)
+    assert rate.hex() == _two_way_reference(lam, p, uses, seed).hex()
+    assert err.hex() == float(np.sqrt(lam * (1.0 - lam) / uses)).hex()
 
 
 def test_two_way_postselected_fidelity():

@@ -92,8 +92,9 @@ def test_no_result_is_reused_by_a_later_run(monkeypatch):
         assert not any(r.passed for r in results), results
 
 
-def _cpus(monkeypatch, cpus):
+def _cpus(monkeypatch, cpus, quota=None):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(verify, "_cpu_quota", lambda: quota)
 
 
 def _fields(results):
@@ -132,6 +133,30 @@ def test_a_crash_inside_a_worker_fails_every_name_it_owns(monkeypatch):
     assert passed.detail != str(os.getpid())  # it ran in a worker
     [alone] = verify.run_checks(only="c.pass")
     assert alone.detail == str(os.getpid())  # a single function runs in-process
+
+
+@pytest.mark.parametrize("text, cpus", [
+    ("200000 100000\n", 2),
+    ("150000 100000\n", 2),
+    ("50000 100000\n", 1),
+    ("max 100000\n", None),
+    ("", None),
+])
+def test_the_cpu_quota_is_read_from_cpu_max(tmp_path, text, cpus):
+    path = tmp_path / "cpu.max"
+    path.write_text(text)
+    assert verify._cpu_quota(str(path)) == cpus
+    assert verify._cpu_quota(str(tmp_path / "missing")) is None
+
+
+@pytest.mark.parametrize("quota, in_process", [(1, True), (2, False), (None, False)])
+def test_a_cpu_quota_caps_the_pool(monkeypatch, quota, in_process):
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        ((f"a.{i}",), lambda: verify._result(0.0, 1.0, str(os.getpid()))) for i in range(2)
+    ])
+    _cpus(monkeypatch, {0, 1, 2, 3}, quota)
+    pids = {r.detail for r in verify.run_checks()}
+    assert (pids == {str(os.getpid())}) == in_process
 
 
 _PATCHED = [

@@ -196,8 +196,10 @@ def _feedback_reference(lam, p, uses, seed):
 @example(lam=1.0, p=1.0, uses=1, seed=8)
 @example(lam=0.5, p=5e-324, uses=65537, seed=9)
 @example(lam=0.3, p=5e-324, uses=3, seed=10)
+@example(lam=0.5, p=0.2, uses=131073, seed=11)
+@example(lam=0.3, p=0.9, uses=3 * 2**16 + 1, seed=2**64 - 1)
 def test_feedback_protocol_matches_the_earlier_body_bit_for_bit(lam, p, uses, seed):
-    # int32 draws held as bool, and three counts, give the same two floats
+    # chunks of positioned raw words, counted as bool, give the same two floats
     got = wt.simulate_feedback_protocol(lam, p, uses, seed)
     want = _feedback_reference(lam, p, uses, seed)
     assert [v.hex() for v in got] == [float(v).hex() for v in want]
