@@ -92,7 +92,7 @@ class CapacityCurvePoint:
                 raise DomainError("certified one-way value exceeds two-way value")
 
 
-# sweep columns, in file order; a curve without bounds writes the first five
+# sweep columns, in file order; a table without bounds has the first five
 SWEEP_COLUMNS = ("x", "lambda", "p", "one_way", "two_way", "lower_bound", "upper_bound")
 
 
@@ -133,6 +133,11 @@ class SweepTable(Sequence):
         """The column written under ``name`` (one of ``SWEEP_COLUMNS``)."""
         return getattr(self, "lam" if name == "lambda" else name)
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The ``SWEEP_COLUMNS`` names whose column is present, in file order."""
+        return tuple(name for name in SWEEP_COLUMNS if self.column(name) is not None)
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -142,14 +147,13 @@ class Curve:
     (lam, p); ``row`` maps those to the arrays (one_way, two_way, lower_bound,
     upper_bound), with NaN where one_way is not certified and None for bound
     columns the curve lacks; ``meta`` works out the scenario's metadata when
-    called; ``columns`` are the CSV/JSON columns its rows fill.
+    called.
     """
 
     x_range: tuple[float, float]
     params: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     row: Callable[[np.ndarray, np.ndarray], tuple]
     meta: Callable[[], dict]
-    columns: tuple[str, ...] = SWEEP_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -617,15 +621,12 @@ def alternating_bounds_sequence(
             raise PreconditionViolated(f"lower bound exceeds upper bound at x={x!r}")
         if i > 0 and not ub[i] < tw[i]:
             raise PreconditionViolated(f"upper bound not below two-way value at x={x!r}")
-    if not np.all(np.diff(lb) > 0.0):
-        i = int(np.flatnonzero(np.diff(lb) <= 0.0)[0])
-        raise PreconditionViolated(f"lower bound not strictly increasing at x={grid[i + 1]!r}")
-    if not np.all(np.diff(ub) > 0.0):
-        i = int(np.flatnonzero(np.diff(ub) <= 0.0)[0])
-        raise PreconditionViolated(f"upper bound not strictly increasing at x={grid[i + 1]!r}")
-    if not np.all(np.diff(tw) < 0.0):
-        i = int(np.flatnonzero(np.diff(tw) >= 0.0)[0])
-        raise PreconditionViolated(f"two-way value not strictly decreasing at x={grid[i + 1]!r}")
+    for name, values, sign in (("lower bound", lb, 1.0), ("upper bound", ub, 1.0),
+                               ("two-way value", tw, -1.0)):
+        bad = np.flatnonzero(~(sign * np.diff(values) > 0.0))  # a NaN step is a violation
+        if bad.size:
+            trend = "increasing" if sign > 0.0 else "decreasing"
+            raise PreconditionViolated(f"{name} not strictly {trend} at x={grid[bad[0] + 1]!r}")
 
     items: list[SequenceItem] = []
     x_prev = b

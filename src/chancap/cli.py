@@ -224,10 +224,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         curve = CURVES[cfg.scenario]
     points = cap.sweep(curve, cfg.points)
     if cfg.format == "json":
-        text = output.sweep_json(points, curve.columns, {**curve.meta(), **STAMP})
+        text = output.sweep_json(points, {**curve.meta(), **STAMP})
     else:
-        text = output.sweep_csv(points, curve.columns)
-    _write(cfg, text, plot_columns=curve.columns)
+        text = output.sweep_csv(points)
+    _write(cfg, text, plot_columns=points.columns)
     return EXIT_OK
 
 

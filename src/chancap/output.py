@@ -35,20 +35,21 @@ def _sweep_rows(points: SweepTable, keys: Sequence[str], row: str, sep: str, abs
     return sep.join([row % values for values in cells]).replace("nan", absent)
 
 
-def sweep_csv(points: SweepTable, columns: Sequence[str]) -> str:
-    """CSV of a sweep table's given columns (a curve's ``columns``); absent values are empty."""
+def sweep_csv(points: SweepTable) -> str:
+    """CSV of a sweep table's ``columns``; absent values are empty."""
+    columns = points.columns
     rows = _sweep_rows(points, columns, ",".join(["%.17g"] * len(columns)), "\n", "")
     return ",".join(columns) + "\n" + rows + "\n"
 
 
-def sweep_json(points: SweepTable, columns: Sequence[str], meta: dict) -> str:
-    """JSON document ``{"meta": meta, "rows": [...]}`` of a sweep table's given columns.
+def sweep_json(points: SweepTable, meta: dict) -> str:
+    """JSON document ``{"meta": meta, "rows": [...]}`` of a sweep table's ``columns``.
 
     The bytes of ``json.dumps(doc, indent=2, sort_keys=True)``: ``meta`` goes
     through ``json``; each row fills one template of its sorted keys with
     ``repr`` of each float (what ``json`` writes for a finite float) or null.
     """
-    keys = sorted(columns)
+    keys = sorted(points.columns)
     row = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %r" for k in keys) + "\n    }"
     head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
     rows = _sweep_rows(points, keys, row, ",\n", "null")

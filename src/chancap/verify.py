@@ -1,18 +1,21 @@
 """Named invariant checks driven by `chancap verify` and the test suite.
 
-Each check is deterministic (fixed seeds), returns its worst residual, and
-passes iff that residual meets the stated threshold.  One function may own
-several named results (a value and its argmax, say) and computes them in one
-run; nothing is cached between runs, so every ``run_checks`` call recomputes
-what it reports.  The check functions run in forked worker processes, one per
-CPU the process may use; a single selected function, or a single CPU, runs
-in-process.  The report is byte-identical either way.
+Each check is deterministic (fixed seeds), states its residuals, and passes
+iff their fold ``_worst`` meets the stated threshold; a NaN residual fails.
+One function may own several named results (a value and its argmax, say) and
+computes them in one run; nothing is cached between runs, so every
+``run_checks`` call recomputes what it reports.  The check functions run in
+forked worker processes, one per CPU the process may use; a single selected
+function, or a single CPU, runs in-process.  The report is byte-identical
+either way.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,6 +64,19 @@ def _result(residual, threshold, detail="", passed=None) -> CheckResult:
     return CheckResult("", bool(passed), float(residual), float(threshold), detail)
 
 
+def _worst(residuals) -> float:
+    """The largest residual, 0.0 when none is positive; NaN as soon as one is NaN.
+
+    ``_result`` fails a NaN residual, so a route that goes NaN fails its check.
+    """
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return math.nan
+        worst = max(worst, float(r))
+    return worst
+
+
 def check_names() -> list[str]:
     return [name for names, _ in _REGISTRY for name in names]
 
@@ -70,7 +86,10 @@ def _owned(i: int) -> list[tuple[str, CheckResult]]:
     names, fn = _REGISTRY[i]
     try:
         out = fn()
-        owned = list(zip(names, out if isinstance(out, tuple) else (out,), strict=True))
+        results = out if isinstance(out, tuple) else (out,)
+        if not all(isinstance(r, CheckResult) for r in results):
+            raise TypeError(f"check returned {type(out).__name__}, not CheckResult")
+        owned = list(zip(names, results, strict=True))
     except Exception as exc:  # a crashed check is a failed check
         crash = _result(float("inf"), 0.0, f"{type(exc).__name__}: {exc}")
         owned = [(name, crash) for name in names]
@@ -91,7 +110,7 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     """The results whose names contain ``only`` (all if None), in registry order.
 
     Each check function owning such a name runs once per call; when it raises
-    or returns the wrong number of results, every result it owns fails.
+    or returns anything but its results, every result it owns fails.
 
     When more than one function is selected and the process may run on more
     than one CPU, the functions run in forked worker processes, one per CPU
@@ -129,68 +148,66 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
 
 @_register("qmath.eig_reconstruction")
 def _check_eig_reconstruction() -> CheckResult:
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(1000):
-        d = int(rng.integers(2, 13))
-        m = random_hermitian(rng, d)
-        spectrum = hermitian_eig(m)
-        worst = max(worst, float(np.abs(spectrum.reconstruct() - m).max()))
-        gram = spectrum.eigenvectors.conj().T @ spectrum.eigenvectors
-        worst = max(worst, float(np.abs(gram - np.eye(d)).max()))
-        if np.any(np.diff(spectrum.eigenvalues) < 0):
-            worst = max(worst, 1.0)
-    return _result(worst, 1e-10)
+    def residuals():
+        rng = np.random.default_rng(101)
+        for _ in range(1000):
+            d = int(rng.integers(2, 13))
+            m = random_hermitian(rng, d)
+            spectrum = hermitian_eig(m)
+            yield float(np.abs(spectrum.reconstruct() - m).max())
+            gram = spectrum.eigenvectors.conj().T @ spectrum.eigenvectors
+            yield float(np.abs(gram - np.eye(d)).max())
+            if np.any(np.diff(spectrum.eigenvalues) < 0):
+                yield 1.0
+    return _result(_worst(residuals()), 1e-10)
 
 
 @_register("qmath.entropy_unitary_invariance")
 def _check_entropy_unitary() -> CheckResult:
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(200):
-        d = int(rng.integers(2, 7))
-        rho = random_density_matrix(rng, d)
-        u = random_unitary(rng, d)
-        worst = max(
-            worst, abs(von_neumann_entropy(u @ rho @ u.conj().T) - von_neumann_entropy(rho))
-        )
-    return _result(worst, 1e-10)
+    def residuals():
+        rng = np.random.default_rng(102)
+        for _ in range(200):
+            d = int(rng.integers(2, 7))
+            rho = random_density_matrix(rng, d)
+            u = random_unitary(rng, d)
+            yield abs(von_neumann_entropy(u @ rho @ u.conj().T) - von_neumann_entropy(rho))
+    return _result(_worst(residuals()), 1e-10)
 
 
 @_register("qmath.entropy_diagonal_matches_shannon")
 def _check_entropy_diagonal() -> CheckResult:
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(200):
-        d = int(rng.integers(2, 9))
-        w = rng.dirichlet(np.ones(d))
-        worst = max(worst, abs(von_neumann_entropy(np.diag(w.astype(complex))) - shannon_entropy(w)))
-    return _result(worst, 1e-12)
+    def residuals():
+        rng = np.random.default_rng(103)
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            w = rng.dirichlet(np.ones(d))
+            yield abs(von_neumann_entropy(np.diag(w.astype(complex))) - shannon_entropy(w))
+    return _result(_worst(residuals()), 1e-12)
 
 
 @_register("qmath.trace_norm_dominates_trace")
 def _check_trace_norm() -> CheckResult:
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(200):
-        d = int(rng.integers(2, 9))
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        worst = max(worst, abs(np.trace(m)) - trace_norm(m))
-    return _result(max(0.0, worst), 1e-12)
+    def residuals():
+        rng = np.random.default_rng(104)
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            yield abs(np.trace(m)) - trace_norm(m)
+    return _result(_worst(residuals()), 1e-12)
 
 
 @_register("qmath.partial_trace_factorization")
 def _check_partial_trace() -> CheckResult:
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(100):
-        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        rho = random_density_matrix(rng, da)
-        sigma = random_density_matrix(rng, db)
-        prod = tensor(rho, sigma)
-        worst = max(worst, float(np.abs(partial_trace(prod, (da, db), "second") - rho).max()))
-        worst = max(worst, float(np.abs(partial_trace(prod, (da, db), "first") - sigma).max()))
-    return _result(worst, 1e-12)
+    def residuals():
+        rng = np.random.default_rng(105)
+        for _ in range(100):
+            da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            rho = random_density_matrix(rng, da)
+            sigma = random_density_matrix(rng, db)
+            prod = tensor(rho, sigma)
+            yield float(np.abs(partial_trace(prod, (da, db), "second") - rho).max())
+            yield float(np.abs(partial_trace(prod, (da, db), "first") - sigma).max())
+    return _result(_worst(residuals()), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +219,8 @@ _P_GRID = np.linspace(0.0, 1.0, 5)
 
 @_register("channels.kraus_completeness_grid")
 def _check_completeness() -> CheckResult:
-    worst = 0.0
-    for lam in _LAM_GRID:
-        for p in _P_GRID:
+    def residuals():
+        for lam, p in product(_LAM_GRID, _P_GRID):
             chans = [
                 chn.dephasing_channel(p),
                 chn.complementary_dephasing(p),
@@ -216,32 +232,28 @@ def _check_completeness() -> CheckResult:
             if lam <= 0.5:
                 chans.append(cap.degrading_map(lam, p))
             for c in chans:
-                resid = np.abs(
-                    sum(k.conj().T @ k for k in c.kraus) - np.eye(c.dim_in)
-                ).max()
-                worst = max(worst, float(resid))
+                yield float(np.abs(sum(k.conj().T @ k for k in c.kraus) - np.eye(c.dim_in)).max())
             v = chn.isometry_N(lam, p)
-            worst = max(worst, float(np.abs(v.matrix.conj().T @ v.matrix - np.eye(2)).max()))
-    return _result(worst, 1e-10)
+            yield float(np.abs(v.matrix.conj().T @ v.matrix - np.eye(2)).max())
+    return _result(_worst(residuals()), 1e-10)
 
 
 @_register("channels.complement_consistency")
 def _check_complement_consistency() -> CheckResult:
-    worst = 0.0
-    for lam in _LAM_GRID:
-        for p in _P_GRID:
+    def residuals():
+        for lam, p in product(_LAM_GRID, _P_GRID):
             v = chn.isometry_N(lam, p)
             keep_b = chn.channel_from_isometry(v, (4, 3), "first")
             keep_c = chn.channel_from_isometry(v, (4, 3), "second")
-            worst = max(worst, chn.channel_distance(keep_b, chn.channel_N(lam, p)))
-            worst = max(worst, chn.channel_distance(keep_c, chn.complement_N(lam, p)))
-    return _result(worst, 1e-10)
+            yield chn.channel_distance(keep_b, chn.channel_N(lam, p))
+            yield chn.channel_distance(keep_c, chn.complement_N(lam, p))
+    return _result(_worst(residuals()), 1e-10)
 
 
 @_register("channels.entropy_decomposition_output", "channels.entropy_decomposition_complement")
 def _check_entropy_decomposition() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(106)
-    worst_out, worst_env = 0.0, 0.0
+    runs = []
     for _ in range(100):
         lam, p = rng.uniform(0.0, 1.0, size=2)
         rho = random_density_matrix(rng, 2)
@@ -252,30 +264,30 @@ def _check_entropy_decomposition() -> tuple[CheckResult, CheckResult]:
         rhs_out = binary_entropy(lam) + lam * h_dbar + (1.0 - lam) * h_rho
         lhs_env = chn.apply(chn.complement_N(lam, p), rho).entropy()
         rhs_env = binary_entropy(lam) + lam * h_d
-        worst_out = max(worst_out, abs(lhs_out - rhs_out))
-        worst_env = max(worst_env, abs(lhs_env - rhs_env))
-    return _result(worst_out, 1e-10), _result(worst_env, 1e-10)
+        runs.append((abs(lhs_out - rhs_out), abs(lhs_env - rhs_env)))
+    return (_result(_worst(out for out, _ in runs), 1e-10),
+            _result(_worst(env for _, env in runs), 1e-10))
 
 
 @_register("channels.block_orthogonality")
 def _check_block_orthogonality() -> CheckResult:
-    rng = np.random.default_rng(107)
-    worst = 0.0
-    for _ in range(25):
-        lam, p = rng.uniform(0.0, 1.0, size=2)
-        rho = random_density_matrix(rng, 2)
-        for c in (
-            chn.channel_N(lam, p),
-            chn.complement_N(lam, p),
-            chn.comparison_channel_T(lam, p),
-            chn.erasure_channel(lam),
-        ):
-            out = chn.apply(c, rho).matrix
-            mask = np.ones_like(out, dtype=bool)
-            for off, size in c.blocks:
-                mask[off : off + size, off : off + size] = False
-            worst = max(worst, float(np.abs(out[mask]).max()))
-    return _result(worst, 1e-12)
+    def residuals():
+        rng = np.random.default_rng(107)
+        for _ in range(25):
+            lam, p = rng.uniform(0.0, 1.0, size=2)
+            rho = random_density_matrix(rng, 2)
+            for c in (
+                chn.channel_N(lam, p),
+                chn.complement_N(lam, p),
+                chn.comparison_channel_T(lam, p),
+                chn.erasure_channel(lam),
+            ):
+                out = chn.apply(c, rho).matrix
+                mask = np.ones_like(out, dtype=bool)
+                for off, size in c.blocks:
+                    mask[off : off + size, off : off + size] = False
+                yield float(np.abs(out[mask]).max())
+    return _result(_worst(residuals()), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -285,64 +297,56 @@ def _check_block_orthogonality() -> CheckResult:
 @_register("capacity.oneway_oracle_value", "capacity.oneway_oracle_argmax")
 def _check_oneway_oracle() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(108)
-    worst_value, worst_bloch = 0.0, 0.0
+    runs = []
     for _ in range(20):
         lam = rng.uniform(0.0, 0.5)
         p = rng.uniform(0.0, 1.0)
         value, bloch = cap.maximize_coherent_information(lam, p)
-        worst_value = max(worst_value, abs(value - cap.one_way_capacity(lam, p)))
-        worst_bloch = max(worst_bloch, float(np.linalg.norm(bloch)))
-    return _result(worst_value, 1e-5), _result(worst_bloch, 1e-3)
+        runs.append((abs(value - cap.one_way_capacity(lam, p)), float(np.linalg.norm(bloch))))
+    return (_result(_worst(value for value, _ in runs), 1e-5),
+            _result(_worst(bloch for _, bloch in runs), 1e-3))
 
 
 @_register("capacity.degradable_composition")
 def _check_degradable() -> CheckResult:
-    worst = 0.0
-    for lam in np.linspace(0.0, 0.5, 6):
-        for p in np.linspace(0.0, 1.0, 5):
-            worst = max(worst, cap.verify_degradable(lam, p))
-    return _result(worst, 1e-10)
+    grid = product(np.linspace(0.0, 0.5, 6), np.linspace(0.0, 1.0, 5))
+    return _result(_worst(cap.verify_degradable(lam, p) for lam, p in grid), 1e-10)
 
 
 @_register("capacity.pauli_conjugation_invariance")
 def _check_pauli_invariance() -> CheckResult:
-    rng = np.random.default_rng(109)
-    pairs = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)) for _ in range(5)]
-    worst = 0.0
-    for lam, p in pairs:
-        for _ in range(100):
-            rho = random_density_matrix(rng, 2)
-            dz, dx = cap.ic_conjugation_residual(lam, p, rho)
-            worst = max(worst, dz, dx)
-    return _result(worst, 1e-9)
+    def residuals():
+        rng = np.random.default_rng(109)
+        pairs = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)) for _ in range(5)]
+        for lam, p in pairs:
+            for _ in range(100):
+                rho = random_density_matrix(rng, 2)
+                yield from cap.ic_conjugation_residual(lam, p, rho)
+    return _result(_worst(residuals()), 1e-9)
 
 
 @_register("capacity.bounds_ordering")
 def _check_bounds_ordering() -> CheckResult:
     # the continuity bound certifies the capacity only for lam >= 1/2, which
     # is where it must dominate the one-shot lower bound
-    worst = 0.0
-    for lam in np.linspace(0.5, 1.0, 11):
-        for p in np.linspace(0.0, 1.0, 11):
-            worst = max(
-                worst,
-                cap.coherent_info_lower_bound(lam, p) - cap.continuity_upper_bound(lam, p),
-            )
-    return _result(max(0.0, worst), 1e-9)
+    grid = product(np.linspace(0.5, 1.0, 11), np.linspace(0.0, 1.0, 11))
+    return _result(_worst(
+        cap.coherent_info_lower_bound(lam, p) - cap.continuity_upper_bound(lam, p)
+        for lam, p in grid
+    ), 1e-9)
 
 
 @_register("capacity.oneway_below_twoway")
 def _check_oneway_below_twoway() -> CheckResult:
-    worst = 0.0
-    for lam in np.linspace(0.0, 0.5, 11):
-        for p in np.linspace(0.0, 1.0, 11):
-            worst = max(worst, cap.one_way_capacity(lam, p) - cap.two_way_capacity(lam))
-    return _result(max(0.0, worst), 1e-12)
+    grid = product(np.linspace(0.0, 0.5, 11), np.linspace(0.0, 1.0, 11))
+    return _result(_worst(
+        cap.one_way_capacity(lam, p) - cap.two_way_capacity(lam) for lam, p in grid
+    ), 1e-12)
 
 
 def _opposite_monotonicity(pts: cap.SweepTable) -> CheckResult:
     """Passes iff the one-way column strictly rises and the two-way one strictly falls."""
-    margin = min(float(np.diff(pts.one_way).min()), float(-np.diff(pts.two_way).max()))
+    margin = float(np.min(np.concatenate([np.diff(pts.one_way), -np.diff(pts.two_way)])))
     return _result(
         margin,
         1e-9,
@@ -354,25 +358,24 @@ def _opposite_monotonicity(pts: cap.SweepTable) -> CheckResult:
 @_register("capacity.fig3_opposite_monotonicity", "capacity.fig3_endpoints")
 def _check_fig3() -> tuple[CheckResult, CheckResult]:
     pts = cap.sweep(cap.FIG3, 100)
-    worst = max(
+    worst = _worst((
         abs(pts.one_way[0] - 0.5),
         abs(pts.two_way[0] - 0.75),
         abs(pts.one_way[-1] - 0.628524413893479),
         abs(pts.two_way[-1] - 0.6875),
-    )
+    ))
     return _opposite_monotonicity(pts), _result(worst, 1e-6)
 
 
 @_register("capacity.diamond_estimate_is_lower_bound", "capacity.diamond_estimate_reaches_value")
 def _check_diamond() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(110)
-    worst_over, worst_under = 0.0, 0.0
+    runs = []
     for _ in range(10):
         lam, p = rng.uniform(0.0, 1.0, size=2)
-        est, ana = cap.diamond_distance_to_T(lam, p)
-        worst_over = max(worst_over, est - ana)
-        worst_under = max(worst_under, ana - est)
-    return _result(max(0.0, worst_over), 1e-9), _result(max(0.0, worst_under), 1e-3)
+        runs.append(cap.diamond_distance_to_T(lam, p))
+    return (_result(_worst(est - ana for est, ana in runs), 1e-9),
+            _result(_worst(ana - est for est, ana in runs), 1e-3))
 
 
 @_register("capacity.sequence_invariants")
@@ -394,55 +397,47 @@ def _check_sequence() -> CheckResult:
 @_register("capacity.derivative_consistency")
 def _check_derivative() -> CheckResult:
     curve = lambda l: 4.0 * l - 1.0  # noqa: E731
-    worst = 0.0
-    for lam in np.linspace(0.2525, 0.31, 15):
-        analytic, numeric = cap.derivative_check(curve, float(lam))
-        worst = max(worst, abs(analytic - numeric))
-    return _result(worst, 1e-5)
+    pairs = (cap.derivative_check(curve, float(lam)) for lam in np.linspace(0.2525, 0.31, 15))
+    return _result(_worst(abs(analytic - numeric) for analytic, numeric in pairs), 1e-5)
 
 
 @_register("capacity.choi_state_ic_consistency")
 def _check_choi_ic() -> CheckResult:
     # both routes start from N's superoperator but use different entropy
     # formulas: H(B) - H(AB) of the Choi state and H(N(pi)) - H(N^c(pi))
-    rng = np.random.default_rng(111)
-    pi = chn.maximally_mixed(2)
-    worst = 0.0
-    for _ in range(10):
-        lam, p = rng.uniform(0.0, 1.0, size=2)
-        n = chn.channel_N(lam, p)
-        nb = chn.complement_N(lam, p)
-        via_state = cap.coherent_information_state(chn.choi(n).state.matrix, (2, 4))
-        via_channel = cap.coherent_information(n, nb, pi)
-        worst = max(worst, abs(via_state - via_channel))
-    return _result(worst, 1e-10)
+    def residuals():
+        rng = np.random.default_rng(111)
+        pi = chn.maximally_mixed(2)
+        for _ in range(10):
+            lam, p = rng.uniform(0.0, 1.0, size=2)
+            n = chn.channel_N(lam, p)
+            nb = chn.complement_N(lam, p)
+            via_state = cap.coherent_information_state(chn.choi(n).state.matrix, (2, 4))
+            via_channel = cap.coherent_information(n, nb, pi)
+            yield abs(via_state - via_channel)
+    return _result(_worst(residuals()), 1e-10)
 
 
 @_register("capacity.fig4_endpoint_equality")
 def _check_fig4_endpoint() -> CheckResult:
     pts = cap.sweep(cap.FIG4, 100)
-    worst = max(abs(pts[-1].one_way - 0.5), abs(pts[-1].two_way - 0.5))
-    return _result(worst, 1e-9)
+    return _result(_worst((abs(pts[-1].one_way - 0.5), abs(pts[-1].two_way - 0.5))), 1e-9)
 
 
 @_register("capacity.two_way_protocol_concentration")
 def _check_quantum_protocol() -> CheckResult:
     lam, p, uses = 0.3, 0.2, 100_000
     sigma = float(np.sqrt(lam * (1.0 - lam) / uses))
-    worst = 0.0
-    for seed in range(10):
-        rate, _ = cap.simulate_two_way_protocol(lam, p, uses, seed)
-        worst = max(worst, abs(rate - (1.0 - lam)))
-    return _result(worst, 3.0 * sigma)
+    rates = (cap.simulate_two_way_protocol(lam, p, uses, seed)[0] for seed in range(10))
+    return _result(_worst(abs(rate - (1.0 - lam)) for rate in rates), 3.0 * sigma)
 
 
 @_register("capacity.two_way_postselect_fidelity")
 def _check_postselect_fidelity() -> CheckResult:
-    worst = 0.0
-    for lam in np.linspace(0.0, 1.0, 6):
-        for p in np.linspace(0.0, 1.0, 5):
-            worst = max(worst, abs(1.0 - cap.two_way_postselected_fidelity(lam, p)))
-    return _result(worst, 1e-10)
+    grid = product(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 5))
+    return _result(_worst(
+        abs(1.0 - cap.two_way_postselected_fidelity(lam, p)) for lam, p in grid
+    ), 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -452,52 +447,46 @@ def _check_postselect_fidelity() -> CheckResult:
 @_register("wiretap.bruteforce_oracle_value", "wiretap.bruteforce_oracle_argmax")
 def _check_wiretap_oracle() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(112)
-    worst_value, worst_argmax = 0.0, 0.0
+    runs = []
     for _ in range(20):
         lam = rng.uniform(0.0, 0.5)
         p = rng.uniform(0.0, 1.0)
         value, q = wt.secrecy_capacity_bruteforce(wt.build_wiretap(lam, p))
-        worst_value = max(worst_value, abs(value - wt.one_way_secrecy_capacity(lam, p)))
-        worst_argmax = max(worst_argmax, abs(q - 0.5))
-    return _result(worst_value, 1e-4), _result(worst_argmax, 1e-4)
+        runs.append((abs(value - wt.one_way_secrecy_capacity(lam, p)), abs(q - 0.5)))
+    return (_result(_worst(value for value, _ in runs), 1e-4),
+            _result(_worst(argmax for _, argmax in runs), 1e-4))
 
 
 @_register("wiretap.degraded_composition")
 def _check_wiretap_degraded() -> CheckResult:
-    worst = 0.0
-    for lam in np.linspace(0.0, 0.5, 6):
-        for p in np.linspace(0.0, 1.0, 5):
-            worst = max(worst, wt.verify_degraded(wt.build_wiretap(lam, p)))
-    return _result(worst, 1e-12)
+    grid = product(np.linspace(0.0, 0.5, 6), np.linspace(0.0, 1.0, 5))
+    return _result(_worst(wt.verify_degraded(wt.build_wiretap(lam, p)) for lam, p in grid), 1e-12)
 
 
 @_register("wiretap.oneway_below_twoway")
 def _check_wiretap_ordering() -> CheckResult:
-    worst = 0.0
-    for lam in np.linspace(0.0, 0.5, 11):
-        for p in np.linspace(0.0, 1.0, 11):
-            worst = max(
-                worst, wt.one_way_secrecy_capacity(lam, p) - wt.two_way_secrecy_capacity(lam)
-            )
-    return _result(max(0.0, worst), 1e-12)
+    grid = product(np.linspace(0.0, 0.5, 11), np.linspace(0.0, 1.0, 11))
+    return _result(_worst(
+        wt.one_way_secrecy_capacity(lam, p) - wt.two_way_secrecy_capacity(lam) for lam, p in grid
+    ), 1e-12)
 
 
 @_register("wiretap.fig6_opposite_monotonicity", "wiretap.fig6_endpoint_equality")
 def _check_fig6() -> tuple[CheckResult, CheckResult]:
     pts = cap.sweep(wt.FIG6, 100)
-    worst = max(abs(pts.one_way[-1] - 0.806574), abs(pts.two_way[-1] - 0.806574))
+    worst = _worst((abs(pts.one_way[-1] - 0.806574), abs(pts.two_way[-1] - 0.806574)))
     return _opposite_monotonicity(pts), _result(worst, 1e-6)
 
 
 @_register("wiretap.mi_decomposition_identity")
 def _check_mi_decomposition() -> CheckResult:
-    rng = np.random.default_rng(113)
-    worst = 0.0
-    for _ in range(25):
-        lam, p = rng.uniform(0.0, 1.0, size=2)
-        q = rng.uniform(0.0, 1.0)
-        worst = max(worst, wt.decomposition_residual(wt.build_wiretap(lam, p), q))
-    return _result(worst, 1e-12)
+    def residuals():
+        rng = np.random.default_rng(113)
+        for _ in range(25):
+            lam, p = rng.uniform(0.0, 1.0, size=2)
+            q = rng.uniform(0.0, 1.0)
+            yield wt.decomposition_residual(wt.build_wiretap(lam, p), q)
+    return _result(_worst(residuals()), 1e-12)
 
 
 @_register("wiretap.feedback_throughput_concentration", "wiretap.feedback_leakage_small")
@@ -505,9 +494,8 @@ def _check_feedback_protocol() -> tuple[CheckResult, CheckResult]:
     lam, p, uses = 0.3, 0.1, 100_000
     runs = [wt.simulate_feedback_protocol(lam, p, uses, seed) for seed in range(10)]
     sigma = float(np.sqrt(lam * (1.0 - lam) / uses))
-    worst_throughput = max(abs(throughput - (1.0 - lam)) for throughput, _ in runs)
-    worst_leakage = max(leakage for _, leakage in runs)
-    return _result(worst_throughput, 3.0 * sigma), _result(worst_leakage, 1e-2)
+    return (_result(_worst(abs(throughput - (1.0 - lam)) for throughput, _ in runs), 3.0 * sigma),
+            _result(_worst(leakage for _, leakage in runs), 1e-2))
 
 
 # ---------------------------------------------------------------------------
@@ -516,28 +504,26 @@ def _check_feedback_protocol() -> tuple[CheckResult, CheckResult]:
 
 @_register("cli.sweep_byte_determinism")
 def _check_byte_determinism() -> CheckResult:
-    a = output.sweep_csv(cap.sweep(cap.FIG3, 50), cap.FIG3.columns)
-    b = output.sweep_csv(cap.sweep(cap.FIG3, 50), cap.FIG3.columns)
-    c = output.sweep_json(cap.sweep(wt.FIG6, 50), wt.FIG6.columns, {"scenario": "fig6"})
-    d = output.sweep_json(cap.sweep(wt.FIG6, 50), wt.FIG6.columns, {"scenario": "fig6"})
+    a = output.sweep_csv(cap.sweep(cap.FIG3, 50))
+    b = output.sweep_csv(cap.sweep(cap.FIG3, 50))
+    c = output.sweep_json(cap.sweep(wt.FIG6, 50), {"scenario": "fig6"})
+    d = output.sweep_json(cap.sweep(wt.FIG6, 50), {"scenario": "fig6"})
     ok = a == b and c == d
     return _result(0.0 if ok else 1.0, 0.5, passed=ok)
 
 
 @_register("cli.csv_roundtrip_reevaluation")
 def _check_csv_roundtrip() -> CheckResult:
-    text = output.sweep_csv(cap.sweep(cap.FIG3, 50), cap.FIG3.columns)
-    _, rows = output.parse_csv(text)
-    worst = 0.0
-    for x, lam, p, one_way, two_way, lower, upper in rows:
-        for stored, fresh in (
-            (lam, x),
-            (p, 4.0 * lam - 1.0),
-            (one_way, cap.one_way_capacity(lam, p)),
-            (two_way, cap.two_way_capacity(lam)),
-            (lower, cap.coherent_info_lower_bound(lam, p)),
-            (upper, cap.continuity_upper_bound(lam, p)),
-        ):
-            scale = max(1.0, abs(fresh))
-            worst = max(worst, abs(stored - fresh) / scale)
-    return _result(worst, 1e-15)
+    def residuals():
+        _, rows = output.parse_csv(output.sweep_csv(cap.sweep(cap.FIG3, 50)))
+        for x, lam, p, one_way, two_way, lower, upper in rows:
+            for stored, fresh in (
+                (lam, x),
+                (p, 4.0 * lam - 1.0),
+                (one_way, cap.one_way_capacity(lam, p)),
+                (two_way, cap.two_way_capacity(lam)),
+                (lower, cap.coherent_info_lower_bound(lam, p)),
+                (upper, cap.continuity_upper_bound(lam, p)),
+            ):
+                yield abs(stored - fresh) / max(1.0, abs(fresh))
+    return _result(_worst(residuals()), 1e-15)

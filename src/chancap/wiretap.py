@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import SWEEP_COLUMNS, Curve, _check_degradable_lambda, bisect
+from .capacity import Curve, _check_degradable_lambda, bisect
 from .errors import DomainError, NotADistribution
 from .qmath import as_real, binary_entropies, binary_entropy, check_count, check_prob
 from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, draw_chunks
@@ -287,5 +287,4 @@ FIG6 = Curve(
         "slope_crossover_p": fig6_crossover(),
         "crossover_note": "display range endpoint 0.8687 is not asserted equal to the crossover",
     },
-    columns=SWEEP_COLUMNS[:5],
 )

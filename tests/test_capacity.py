@@ -577,6 +577,18 @@ def test_sequence_precondition_checks():
         cap.alternating_bounds_sequence(lambda x: x + 0.1, q_ub, q_tw, 0.0, 1e-4, 3)
     with pytest.raises(DomainError):
         cap.alternating_bounds_sequence(q_lb, q_ub, q_tw, 0.0, 1e-4, 0)
+    # on [0, 1]: lb = x and ub = 2x meet at 0, and ub stays below tw = 4 - x
+    # a NaN step in the lower bound (at one interior grid point) is a violation
+    lb, ub, tw = (lambda x: x), (lambda x: 2.0 * x), (lambda x: 4.0 - x)
+    nan_lb = lambda x: math.nan if 0.4 < x < 0.41 else x  # noqa: E731
+    for curves, match in [
+        ((nan_lb, ub, tw), "lower bound not strictly increasing"),
+        ((lambda x: min(x, 0.5), ub, tw), "lower bound not strictly increasing"),
+        ((lb, lambda x: min(2.0 * x, 1.0), tw), "upper bound not strictly increasing"),
+        ((lb, ub, lambda x: 4.0), "two-way value not strictly decreasing"),
+    ]:
+        with pytest.raises(PreconditionViolated, match=match):
+            cap.alternating_bounds_sequence(*curves, 0.0, 1.0, 3)
 
 
 def test_sequence_underflow_raises():

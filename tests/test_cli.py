@@ -7,6 +7,7 @@ import pytest
 
 from chancap import capacity as cap
 from chancap import output
+from chancap import wiretap as wt
 from chancap.cli import CONFIG_TYPES, build_parser, main
 
 
@@ -91,6 +92,16 @@ def test_sweep_fig6_headers_and_endpoint(capsys):
     assert header == ["x", "lambda", "p", "one_way", "two_way"]
     assert abs(rows[-1][3] - 0.806574) < 1e-6
     assert abs(rows[-1][4] - 0.806574) < 1e-6
+
+
+def test_a_curve_without_bounds_writes_the_columns_its_rows_fill():
+    # a Curve declares no columns: the writers take them from the sweep table
+    curve = cap.Curve(wt.FIG6.x_range, wt.FIG6.params, wt.FIG6.row, dict)
+    points = cap.sweep(curve, 3)
+    five = ["x", "lambda", "p", "one_way", "two_way"]
+    assert output.sweep_csv(points).splitlines()[0] == ",".join(five)
+    assert sorted(json.loads(output.sweep_json(points, {}))["rows"][0]) == sorted(five)
+    assert cap.sweep(cap.FIG3, 3).columns == cap.SWEEP_COLUMNS
 
 
 def test_sweep_custom_uncertified_column_empty(capsys):

@@ -82,6 +82,67 @@ def test_a_short_result_tuple_fails_every_name(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("fn, kind", [
+    (lambda: 0.5, "float"),
+    (lambda: (verify._result(0.0, 1.0) for _ in range(1)), "generator"),
+], ids=["float", "generator"])
+def test_a_result_of_the_wrong_type_fails_its_name(monkeypatch, fn, kind):
+    monkeypatch.setattr(verify, "_REGISTRY", [(("a.only",), fn)])
+    [result] = verify.run_checks()
+    assert (result.name, result.passed, result.residual, result.detail) == (
+        "a.only", False, math.inf, f"TypeError: check returned {kind}, not CheckResult"
+    )
+
+
+@pytest.mark.parametrize("residuals, worst", [
+    ([math.nan, 1.0, 2.0], math.nan),
+    ([1.0, math.nan, 2.0], math.nan),
+    ([1.0, 2.0, math.nan], math.nan),
+    ([-1.0, -2.0], 0.0),
+    ([], 0.0),
+    ([0.5, 2.0, -3.0], 2.0),
+])
+def test_worst_is_the_largest_residual_or_nan(residuals, worst):
+    got = verify._worst(iter(residuals))
+    assert got == worst or (math.isnan(got) and math.isnan(worst))
+
+
+def _inject(monkeypatch, module, attr, bad):
+    """Patch ``module.attr`` so that ``bad(call number, args, out)`` may replace its output."""
+    original, calls, hits = getattr(module, attr), [], []
+
+    def patched(*args):
+        calls.append(args)
+        out = original(*args)
+        new = bad(len(calls), args, out)
+        if new is not out:
+            hits.append(args)
+        return new
+
+    monkeypatch.setattr(module, attr, patched)
+    return hits
+
+
+@pytest.mark.parametrize("only, module, attr, bad", [
+    ("capacity.oneway_below_twoway", cap, "one_way_capacity",
+     lambda i, args, out: math.nan if args == (0.25, 0.5) else out),
+    ("capacity.degradable_composition", cap, "verify_degradable",
+     lambda i, args, out: math.nan if args == (0.2, 0.5) else out),
+    ("capacity.oneway_oracle", cap, "maximize_coherent_information",
+     lambda i, args, out: (math.nan, out[1]) if i == 3 else out),
+    ("wiretap.feedback_leakage_small", wt, "simulate_feedback_protocol",
+     lambda i, args, out: (out[0], math.nan) if args[3] == 3 else out),
+], ids=["grid", "second-grid", "seeded-pair", "builtin-max"])
+def test_a_nan_residual_fails_its_check(monkeypatch, only, module, attr, bad):
+    hits = _inject(monkeypatch, module, attr, bad)
+    results = verify.run_checks(only=only)
+    assert len(hits) == 1
+    nan_result, *others = results
+    assert not nan_result.passed and math.isnan(nan_result.residual), nan_result
+    # the oracle's argmax is not touched by a NaN value, so it still passes
+    assert all(r.passed for r in others), others
+
+
 def test_no_result_is_reused_by_a_later_run(monkeypatch):
     assert all(r.passed for r in verify.run_checks())
     monkeypatch.setattr(cap, "maximize_coherent_information", lambda *a, **k: (0.0, (1, 1, 1)))
