@@ -81,15 +81,13 @@ class CapacityCurvePoint:
     upper_bound: Optional[float] = None
 
     def __post_init__(self):
-        vals = [self.x, self.lam, self.p, self.two_way]
-        vals += [v for v in (self.one_way, self.lower_bound, self.upper_bound) if v is not None]
-        if any(not (-1e-12 <= v <= 1.0 + 1e-12) for v in vals):
-            raise DomainError(f"curve point has a value outside [0, 1]: {self}")
-        if self.one_way is not None:
-            if self.lower_bound is not None and self.lower_bound > self.one_way + 1e-12:
-                raise DomainError("lower bound exceeds certified one-way value")
-            if self.one_way > self.two_way + 1e-9:
-                raise DomainError("certified one-way value exceeds two-way value")
+        # the rules of SweepTable, applied to the one-row table of this point
+        one_way = math.nan if self.one_way is None else self.one_way
+        SweepTable(
+            *(np.array([v], dtype=float) for v in (self.x, self.lam, self.p, one_way, self.two_way)),
+            *(None if v is None else np.array([v], dtype=float)
+              for v in (self.lower_bound, self.upper_bound)),
+        )
 
 
 # sweep columns, in file order; a table without bounds has the first five
@@ -104,6 +102,11 @@ class SweepTable(Sequence):
     has no ``lower_bound``/``upper_bound`` columns.  It reads as the sequence
     of its rows: ``len``, iteration and ``table[i]`` build CapacityCurvePoint
     rows on demand, with None where a value is absent.
+
+    A table checks its rows when it is built: every present value lies in
+    [0, 1] (to 1e-12); one_way is absent only where lambda > 1/2, and where
+    present it is at least the lower bound (to 1e-12) and at most the
+    two-way value (to 1e-9).  NaN fails the range.
     """
 
     x: np.ndarray
@@ -114,19 +117,35 @@ class SweepTable(Sequence):
     lower_bound: Optional[np.ndarray] = None
     upper_bound: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        certified = ~np.isnan(self.one_way)
+        present = [self.x, self.lam, self.p, self.two_way, self.one_way[certified]]
+        present += [c for c in (self.lower_bound, self.upper_bound) if c is not None]
+        if not all(np.all((c >= -1e-12) & (c <= 1.0 + 1e-12)) for c in present):
+            raise DomainError("sweep row has a value outside [0, 1]")
+        if not np.all(certified | (self.lam > 0.5)):
+            raise DomainError("sweep row lacks a one-way value at lambda <= 1/2")
+        one = self.one_way[certified]
+        if self.lower_bound is not None and np.any(self.lower_bound[certified] > one + 1e-12):
+            raise DomainError("lower bound exceeds certified one-way value")
+        if np.any(one > self.two_way[certified] + 1e-9):
+            raise DomainError("certified one-way value exceeds two-way value")
+
     def __len__(self) -> int:
         return len(self.x)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
+        # the columns are checked, so their rows are too
         one_way = float(self.one_way[i])
         lower, upper = (
             None if c is None else float(c[i]) for c in (self.lower_bound, self.upper_bound)
         )
-        return CapacityCurvePoint(
-            float(self.x[i]), float(self.lam[i]), float(self.p[i]),
-            None if math.isnan(one_way) else one_way, float(self.two_way[i]), lower, upper,
+        return chn._unchecked(
+            CapacityCurvePoint, x=float(self.x[i]), lam=float(self.lam[i]), p=float(self.p[i]),
+            one_way=None if math.isnan(one_way) else one_way, two_way=float(self.two_way[i]),
+            lower_bound=lower, upper_bound=upper,
         )
 
     def column(self, name: str) -> Optional[np.ndarray]:
@@ -321,14 +340,13 @@ def maximize_coherent_information(
     while the coherent information at (-(1 - 3.0e-7), 0, 0) is 3.16e-8; at
     (0.95, 0.2) it reports 0.0, while (-(1 - 2.7e-7), 0, 0) gives 9.9e-9.
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
+    evaluate = _ic_evaluator(lam, p)  # channel_N checks lam and p
     t = as_real("tol", tol)
     if not math.isfinite(t):
         raise DomainError(f"tol must be finite, got {tol!r}")
     if t < 1e-8:
         raise DomainError(f"tol must be >= 1e-8, got {tol!r}")
-    return _maximize_over_bloch_ball(_ic_evaluator(lam, p), t)
+    return _maximize_over_bloch_ball(evaluate, t)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +590,8 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     Bisects on ``f(mid) < 0`` until the finite bracket can no longer be split
     in floating point and returns the midpoint of the final bracket.  Having
     no absolute stop keeps it exact on the doubly exponentially shrinking
-    brackets of the alternating-bounds sequence.
+    brackets of the alternating-bounds sequence.  A NaN ``f(mid)`` raises
+    PreconditionViolated naming ``mid``.
     """
     while True:
         mid = 0.5 * (lo + hi)
@@ -580,10 +599,13 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
             mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
             return mid
-        if f(mid) < 0.0:
+        value = f(mid)
+        if value < 0.0:
             lo = mid
-        else:
+        elif value >= 0.0:
             hi = mid
+        else:
+            raise PreconditionViolated(f"bisection met f = NaN at x={float(mid)!r}")
 
 
 def alternating_bounds_sequence(
@@ -602,56 +624,52 @@ def alternating_bounds_sequence(
     ``q_ub`` strictly increasing, ``q_twoway`` strictly decreasing.
 
     Recursion: x_0 = b; t solves q_ub(t) = q_lb(x_{n-1}); x_n = (t + a)/2.
+    Each term is checked against the one before it as it is built, starting
+    with x_0 = b: x_n < x_{n-1}, q_ub(x_n) < q_lb(x_{n-1}) and
+    q_twoway(x_n) >= q_twoway(x_{n-1}).
     """
     n_terms = check_count("n_terms", n_terms, 1)
     a, b = float(a), float(b)
     if not a < b:
         raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
 
-    grid = np.linspace(a, b, 100)
+    grid = np.linspace(a, b, 100)  # grid[-1] == b exactly
     lb = np.array([q_lb(x) for x in grid])
     ub = np.array([q_ub(x) for x in grid])
     tw = np.array([q_twoway(x) for x in grid])
-    if abs(lb[0] - ub[0]) > 1e-9:
+    if not abs(lb[0] - ub[0]) <= 1e-9:  # NaN fails too
         raise PreconditionViolated(
-            f"bounds do not meet at a={a!r}: lb={lb[0]!r}, ub={ub[0]!r}"
+            f"bounds do not meet at a={a!r}: lb={float(lb[0])!r}, ub={float(ub[0])!r}"
         )
-    for i, x in enumerate(grid):
-        if lb[i] > ub[i] + 1e-12:
-            raise PreconditionViolated(f"lower bound exceeds upper bound at x={x!r}")
-        if i > 0 and not ub[i] < tw[i]:
-            raise PreconditionViolated(f"upper bound not below two-way value at x={x!r}")
-    for name, values, sign in (("lower bound", lb, 1.0), ("upper bound", ub, 1.0),
-                               ("two-way value", tw, -1.0)):
-        bad = np.flatnonzero(~(sign * np.diff(values) > 0.0))  # a NaN step is a violation
-        if bad.size:
-            trend = "increasing" if sign > 0.0 else "decreasing"
-            raise PreconditionViolated(f"{name} not strictly {trend} at x={grid[bad[0] + 1]!r}")
+    # where each condition holds on the grid; a NaN fails every comparison
+    # but the first, so the checks after it catch a NaN there
+    for message, holds in (
+        ("lower bound exceeds upper bound", ~(lb > ub + 1e-12)),
+        ("upper bound not below two-way value", np.r_[True, ub[1:] < tw[1:]]),
+        ("lower bound not strictly increasing", np.r_[True, lb[1:] > lb[:-1]]),
+        ("upper bound not strictly increasing", np.r_[True, ub[1:] > ub[:-1]]),
+        ("two-way value not strictly decreasing", np.r_[True, tw[1:] < tw[:-1]]),
+    ):
+        if not holds.all():
+            raise PreconditionViolated(f"{message} at x={float(grid[np.argmin(holds)])!r}")
 
     items: list[SequenceItem] = []
-    x_prev = b
+    x_prev, lb_prev, tw_prev = b, float(lb[-1]), float(tw[-1])
     for n in range(1, n_terms + 1):
-        target = q_lb(x_prev)
-        t = bisect(lambda x: q_ub(x) - target, a, x_prev)
+        t = bisect(lambda x: q_ub(x) - lb_prev, a, x_prev)
         x_n = 0.5 * (t + a)
         if not a < x_n < x_prev:
             raise PreconditionViolated(
                 f"sequence collapsed at term {n}: x_{n}={x_n!r} (parameter underflow)"
             )
-        items.append(SequenceItem(n, x_n, q_lb(x_n), q_ub(x_n), q_twoway(x_n)))
-        x_prev = x_n
-
-    for prev, cur in zip(items, items[1:]):
-        # Strict increase of the two-way value is exactly equivalent to the
-        # strict decrease of x through the strictly decreasing curve (verified
-        # on the grid above); compare through x because the rounded q_two_way
-        # doubles tie once the x difference drops below one ulp of the value.
-        ok = cur.x_n < prev.x_n and cur.q_ub < prev.q_lb
-        ok = ok and cur.q_two_way >= prev.q_two_way
-        if not ok:
-            raise PreconditionViolated(
-                f"sequence invariant failed between terms {prev.n} and {cur.n}"
-            )
+        item = SequenceItem(n, x_n, q_lb(x_n), q_ub(x_n), q_twoway(x_n))
+        # the two-way value rises exactly as x falls through the strictly
+        # decreasing curve, but its rounded doubles tie once the x step drops
+        # below one ulp of the value: hence >= here and the strict x check above
+        if not (item.q_ub < lb_prev and item.q_two_way >= tw_prev):
+            raise PreconditionViolated(f"sequence invariant failed between terms {n - 1} and {n}")
+        items.append(item)
+        x_prev, lb_prev, tw_prev = x_n, item.q_lb, item.q_two_way
     return items
 
 
@@ -715,27 +733,6 @@ def default_sequence(n_terms: int) -> tuple[list[SequenceItem], dict]:
 # figure sweeps
 
 
-def _check_rows(t: SweepTable) -> None:
-    """CapacityCurvePoint's conditions, once over the columns of a table.
-
-    Every present value lies in [0, 1] (to 1e-12); one_way is absent only
-    where lambda > 1/2, and where present it is at least the lower bound
-    (to 1e-12) and at most the two-way value (to 1e-9).  NaN fails the range.
-    """
-    certified = ~np.isnan(t.one_way)
-    present = [t.x, t.lam, t.p, t.two_way, t.one_way[certified]]
-    present += [c for c in (t.lower_bound, t.upper_bound) if c is not None]
-    if not all(np.all((c >= -1e-12) & (c <= 1.0 + 1e-12)) for c in present):
-        raise DomainError("sweep has a value outside [0, 1]")
-    if not np.all(certified | (t.lam > 0.5)):
-        raise DomainError("sweep lacks a one-way value at lambda <= 1/2")
-    one = t.one_way[certified]
-    if t.lower_bound is not None and np.any(t.lower_bound[certified] > one + 1e-12):
-        raise DomainError("lower bound exceeds certified one-way value")
-    if np.any(one > t.two_way[certified] + 1e-9):
-        raise DomainError("certified one-way value exceeds two-way value")
-
-
 def sweep(curve: Curve, points: int) -> SweepTable:
     """Rows of ``curve`` on a uniform grid of ``points`` x values over its range.
 
@@ -746,7 +743,6 @@ def sweep(curve: Curve, points: int) -> SweepTable:
     x = np.linspace(*curve.x_range, points)
     lam, p = curve.params(x)
     table = SweepTable(x, lam, p, *curve.row(lam, p))
-    _check_rows(table)
     for col in vars(table).values():
         if col is not None:
             col.flags.writeable = False
@@ -854,10 +850,7 @@ def custom_curve(lam_min: float, lam_max: float, p_min: float, p_max: float) -> 
 def two_way_postselected_fidelity(lam: float, p: float) -> float:
     """Fidelity of the kept-block post-selected state with the maximally
     entangled target; 1 by construction, recomputed as a consistency check."""
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
-    n = channel_N(lam, p)
-    k0 = n.kraus[0]
+    k0 = channel_N(lam, p).kraus[0]
     if np.abs(k0).max() == 0.0:  # lam = 1: the kept branch never fires
         return 1.0
     phi = maximally_entangled(2).amplitudes

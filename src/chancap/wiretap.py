@@ -138,6 +138,11 @@ def secrecy_capacity_bruteforce(ch: WiretapChannel, grid: int = 201) -> tuple[fl
     does strictly better.  Ties thus go to the smallest grid q: where the
     objective is nowhere positive, e.g. (lam, p) = (1/2, 1/2) or (0.75, 0.2),
     the search reports q = 0.
+
+    For lam <= 1/2 the channel is degraded and this maximum is the secrecy
+    capacity.  Above 1/2 it is not degraded, and the maximum over the input
+    law alone, with no prefix channel U -> X (Csiszar and Korner 1978), is
+    only a lower bound on the secrecy capacity.
     """
     grid = check_count("grid", grid, 101)
     qs = np.linspace(0.0, 1.0, grid)

@@ -591,6 +591,35 @@ def test_sequence_precondition_checks():
             cap.alternating_bounds_sequence(*curves, 0.0, 1.0, 3)
 
 
+def test_sequence_nan_where_the_bounds_meet():
+    # abs(NaN - ub) > 1e-9 is False, so the meeting check must be written to fail on NaN
+    lb = lambda x: math.nan if x == 0.0 else x  # noqa: E731
+    with pytest.raises(PreconditionViolated, match="do not meet") as info:
+        cap.alternating_bounds_sequence(lb, lambda x: 2.0 * x, lambda x: 4.0 - x, 0.0, 1.0, 3)
+    assert "lb=nan, ub=0.0" in str(info.value)
+    # grid points print as plain floats
+    with pytest.raises(PreconditionViolated, match=r"not strictly increasing at x=0\.5\d*$"):
+        cap.alternating_bounds_sequence(
+            lambda x: min(x, 0.5), lambda x: 2.0 * x, lambda x: 4.0 - x, 0.0, 1.0, 3)
+
+
+def test_sequence_term_one_is_checked_against_b():
+    # x_1 = 0.25 falls in a window of the two-way curve that holds no grid
+    # node, where the curve drops to 0, below q_two_way(b) = 3
+    tw = lambda x: 0.0 if 0.245 < x < 0.251 else 4.0 - x  # noqa: E731
+    assert not any(0.245 < x < 0.251 for x in np.linspace(0.0, 1.0, 100))
+    with pytest.raises(PreconditionViolated, match="between terms 0 and 1"):
+        cap.alternating_bounds_sequence(lambda x: x, lambda x: 2.0 * x, tw, 0.0, 1.0, 3)
+
+
+def test_bisect_refuses_nan():
+    with pytest.raises(PreconditionViolated, match=r"NaN at x=0\.5$"):
+        cap.bisect(lambda x: math.nan, 0.0, 1.0)
+    # a NaN met after the bracket has moved names the point it was met at
+    with pytest.raises(PreconditionViolated, match=r"NaN at x=0\.25$"):
+        cap.bisect(lambda x: math.nan if x < 0.3 else x - 0.1, 0.0, 1.0)
+
+
 def test_sequence_underflow_raises():
     with pytest.raises(PreconditionViolated):
         cap.default_sequence(8)
@@ -807,6 +836,37 @@ def test_two_way_protocol_matches_the_earlier_body_bit_for_bit(lam, p, uses, see
 def test_two_way_postselected_fidelity():
     for lam in (0.0, 0.3, 0.99, 1.0):
         assert abs(1.0 - cap.two_way_postselected_fidelity(lam, 0.4)) <= 1e-10
+
+
+_ROW = dict(x=0.3, lam=0.3, p=0.1, one_way=0.5, two_way=0.7, lower_bound=0.4, upper_bound=0.7)
+
+
+@pytest.mark.parametrize("change, accepted", [
+    ({}, True),
+    ({"one_way": None, "lower_bound": None, "upper_bound": None}, False),
+    ({"one_way": None}, False),
+    ({"one_way": None, "lam": 0.5}, False),
+    ({"one_way": None, "lam": 0.6}, True),
+    ({"x": math.nan}, False),
+    ({"two_way": math.nan}, False),
+    ({"lower_bound": math.nan}, False),
+    ({"p": -2e-12}, False),
+    ({"upper_bound": -2e-12}, False),
+    ({"lower_bound": 0.5 + 2e-12}, False),
+    ({"one_way": 0.7 + 2e-9}, False),
+], ids=["complete", "no-values", "no-one-way", "no-one-way-at-half", "no-one-way-above-half",
+        "nan-x", "nan-two-way", "nan-lower", "negative-p", "negative-upper", "lower-above-one-way",
+        "one-way-above-two-way"])
+def test_row_type_and_table_refuse_the_same_rows(change, accepted):
+    row = {**_ROW, **change}
+    one_way = math.nan if row["one_way"] is None else row["one_way"]
+    columns = {k: None if v is None else np.array([v]) for k, v in {**row, "one_way": one_way}.items()}
+    for build in (lambda: cap.CapacityCurvePoint(**row), lambda: cap.SweepTable(**columns)):
+        if accepted:
+            build()
+        else:
+            with pytest.raises(DomainError):
+                build()
 
 
 def test_curve_point_validation():
