@@ -514,16 +514,29 @@ def verify_degradable(lam: float, p: float) -> float:
 _Z_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
+def _conjugation_residuals(
+    ch: KrausChannel, comp: KrausChannel, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """|I_c(m) - I_c(Z m Z)| and |I_c(m) - I_c(X m X)| for each of the
+    already validated qubit states ``states`` (k, 2, 2).
+
+    Row k does not depend on the other rows: ``_ic_stack`` scores each state
+    of a stack as it scores that state alone.
+    """
+    stack = np.empty((len(states), 3, 2, 2), dtype=complex)
+    stack[:, 0] = states
+    stack[:, 1] = states * _Z_SIGNS  # Z m Z
+    stack[:, 2] = states[:, ::-1, ::-1]  # X m X
+    ic = _ic_stack(ch, comp, stack)
+    dz, dx = np.abs(ic[:, :1] - ic[:, 1:]).T
+    return dz, dx
+
+
 def ic_conjugation_residual(lam: float, p: float, rho) -> tuple[float, float]:
     """Coherent-information change under Z and X conjugation of the input."""
     n, nb = channel_N(lam, p), complement_N(lam, p)
-    m = chn.checked_input(n, rho)
-    stack = np.empty((3, 2, 2), dtype=complex)
-    stack[0] = m
-    stack[1] = m * _Z_SIGNS  # Z m Z
-    stack[2] = m[::-1, ::-1]  # X m X
-    base, z, x = _ic_stack(n, nb, stack)
-    return float(abs(base - z)), float(abs(base - x))
+    dz, dx = _conjugation_residuals(n, nb, chn.checked_input(n, rho)[None])
+    return float(dz[0]), float(dx[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ are plain complex numpy arrays; eigenwork is delegated to LAPACK via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,10 +31,11 @@ TRACE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
-    ``eigenvalues`` are real and ascending; ``eigenvectors[:, k]`` is the
-    unit-norm eigenvector for ``eigenvalues[k]``.
+    ``eigenvalues`` are real and ascending along the last axis;
+    ``eigenvectors[..., :, k]`` is the unit-norm eigenvector for
+    ``eigenvalues[..., k]``.
     """
 
     eigenvalues: np.ndarray
@@ -42,7 +43,7 @@ class HermitianSpectrum:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -59,6 +60,50 @@ def _require_square(a: np.ndarray) -> int:
     if d == 0:
         raise ShapeMismatch("expected a matrix of dimension >= 1, got shape (0, 0)")
     return d
+
+
+def _require_supported(a: np.ndarray) -> int:
+    """The dimension of a square matrix, or DimensionTooLarge above 16."""
+    d = _require_square(a)
+    if d > MAX_DIM:
+        raise DimensionTooLarge(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
+    return d
+
+
+def _as_stack(ms) -> np.ndarray:
+    """Matrices as one complex stack (k, d, d), after the shape checks of the
+    single-matrix path on each.
+
+    ``ms`` is a non-empty sequence of square matrices of one dimension <= 16,
+    such as an array (k, d, d).  A refusal raises the error the single path
+    raises for the first bad matrix, its message prefixed with that matrix's
+    index; an empty stack is a ShapeMismatch.
+    """
+    try:
+        a = np.asarray(ms, dtype=complex)
+        if a.ndim == 3 and len(a) and 0 < a.shape[1] == a.shape[2] <= MAX_DIM:
+            return a
+    except ValueError:  # matrices of different shapes
+        pass
+    if len(ms) == 0:
+        raise ShapeMismatch("expected a non-empty stack of matrices")
+    for k, m in enumerate(ms):
+        try:
+            b = _as_matrix(m)
+            _require_supported(b)
+            if b.shape != np.shape(ms[0]):
+                raise ShapeMismatch(f"shape {b.shape} differs from matrix 0's {np.shape(ms[0])}")
+        except (ShapeMismatch, DimensionTooLarge) as exc:
+            raise type(exc)(f"matrix {k}: {exc}") from None
+    raise ShapeMismatch(f"expected a stack of matrices, got {type(ms).__name__}")
+
+
+def _refuse_first(bad: np.ndarray, error: type, message: Callable[[int], str]) -> None:
+    """Raise ``error`` for the first matrix k of a stack whose ``bad[k]`` is
+    True, with the message ``message(k)`` prefixed with k."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise error(f"matrix {k}: {message(k)}")
 
 
 def is_dimension(x) -> bool:
@@ -98,15 +143,26 @@ def _checked_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     difference never meets an infinity.
     """
     a = _as_matrix(m)
-    d = _require_square(a)
-    if d > MAX_DIM:
-        raise DimensionTooLarge(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
+    _require_supported(a)
     if not np.isfinite(a).all():
         raise NonHermitian("matrix has non-finite entries")
     ah = a.conj().T
     asym = np.abs(a - ah).max()
     if asym > HERMITIAN_TOL:
         raise NonHermitian(f"symmetry residual {asym:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    return a, ah
+
+
+def _checked_hermitians(ms) -> tuple[np.ndarray, np.ndarray]:
+    """``_checked_hermitian`` of each matrix of a stack (see ``_as_stack``),
+    with the same checks in the same order."""
+    a = _as_stack(ms)
+    _refuse_first(~np.isfinite(a).all(axis=(1, 2)), NonHermitian,
+                  lambda k: "matrix has non-finite entries")
+    ah = a.conj().swapaxes(-1, -2)
+    asym = np.abs(a - ah).max(axis=(1, 2))
+    _refuse_first(asym > HERMITIAN_TOL, NonHermitian,
+                  lambda k: f"symmetry residual {asym[k]:.3e} exceeds {HERMITIAN_TOL:.0e}")
     return a, ah
 
 
@@ -121,6 +177,14 @@ def hermitian_eig(m) -> HermitianSpectrum:
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
 
+def _hermitian_eigs(ms) -> HermitianSpectrum:
+    """``hermitian_eig`` of each matrix of a stack (see ``_as_stack``), as one
+    stacked spectrum whose row k equals ``hermitian_eig(ms[k])`` bit for bit."""
+    a, ah = _checked_hermitians(ms)
+    w, v = np.linalg.eigh((a + ah) / 2)
+    return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
+
+
 def _entropy_bits(weights: np.ndarray) -> float:
     w = weights[weights > 0.0]
     if w.size == 0:
@@ -128,12 +192,33 @@ def _entropy_bits(weights: np.ndarray) -> float:
     return float(max(0.0, -(w * np.log2(w)).sum()))
 
 
+def _entropy_bits_rows(weights: np.ndarray) -> np.ndarray:
+    """``_entropy_bits`` of each row of ``weights`` (k, d), bit for bit.
+
+    Each row's positive entries move to its front in their order, and rows
+    with the same count m of them are summed together over their first m
+    entries, so that every sum adds the terms ``_entropy_bits`` adds, in the
+    same order.
+    """
+    pos = weights > 0.0
+    w = np.take_along_axis(weights, np.argsort(~pos, axis=-1, kind="stable"), axis=-1)
+    counts = pos.sum(axis=-1)
+    out = np.zeros(len(w))
+    for m in np.unique(counts[counts > 0]):
+        rows = counts == m
+        t = w[rows, :m]
+        out[rows] = -(t * np.log2(t)).sum(axis=-1)
+    return np.where(out > 0.0, out, 0.0)
+
+
 def entropies_bits(stack: np.ndarray) -> np.ndarray:
     """Von Neumann entropies (bits) of a stack (n, d, d) of unchecked states.
 
     The batched kernel behind every optimizer and stacked evaluation; callers
     validate their inputs once at the public boundary.  Eigenvalues below 0
-    are roundoff and count as 0.
+    are roundoff and count as 0.  Unlike ``von_neumann_entropy``, the result
+    is not clamped at 0: a pure state can come out as -0.0 or a few 1e-16
+    below 0.
     """
     w = np.maximum(np.linalg.eigvalsh(stack), 0.0)
     logs = np.log2(np.where(w > 0.0, w, 1.0))
@@ -152,9 +237,27 @@ def state_eigenvalues(rho) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
+def _states_eigenvalues(ms) -> np.ndarray:
+    """``state_eigenvalues`` of each matrix of a stack (see ``_as_stack``), as
+    rows (k, d), with the same checks in the same order."""
+    a, ah = _checked_hermitians(ms)
+    tr = a.trace(axis1=1, axis2=2).real
+    _refuse_first(np.abs(tr - 1.0) > TRACE_TOL, NotAState,
+                  lambda k: f"trace {float(tr[k])!r} is not 1 within {TRACE_TOL:.0e}")
+    w = np.linalg.eigvalsh((a + ah) / 2)
+    _refuse_first(w[:, 0] < STATE_EIG_FLOOR, NotAState,
+                  lambda k: f"smallest eigenvalue {w[k, 0]:.3e} below {STATE_EIG_FLOOR:.0e}")
+    return np.maximum(w, 0.0)
+
+
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy of a density operator, in bits."""
     return _entropy_bits(state_eigenvalues(rho))
+
+
+def _von_neumann_entropies(ms) -> np.ndarray:
+    """``von_neumann_entropy`` of each matrix of a stack (see ``_as_stack``), bit for bit."""
+    return _entropy_bits_rows(_states_eigenvalues(ms))
 
 
 # no real parameter, though float() converts str, bytes and bool; None and complex fail untyped
@@ -224,12 +327,18 @@ def shannon_entropy(dist) -> float:
 def trace_norm(m) -> float:
     """Sum of singular values of a square matrix (dimension <= 16)."""
     a = _as_matrix(m)
-    d = _require_square(a)
-    if d > MAX_DIM:
-        raise DimensionTooLarge(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
+    _require_supported(a)
     if not np.isfinite(a).all():
         raise DomainError("matrix has non-finite entries")
     return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+def _trace_norms(ms) -> np.ndarray:
+    """``trace_norm`` of each matrix of a stack (see ``_as_stack``), bit for bit."""
+    a = _as_stack(ms)
+    _refuse_first(~np.isfinite(a).all(axis=(1, 2)), DomainError,
+                  lambda k: "matrix has non-finite entries")
+    return np.linalg.svd(a, compute_uv=False).sum(axis=-1)
 
 
 def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -243,12 +352,18 @@ def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
     da, db = check_dims(dims)
     if da * db != d:
         raise ShapeMismatch(f"dims {dims} do not factor dimension {d}")
-    t = a.reshape(da, db, da, db)
-    if side == "first":
-        return np.einsum("abad->bd", t)
-    if side == "second":
-        return np.einsum("abcb->ac", t)
-    raise ShapeMismatch(f"side must be 'first' or 'second', got {side!r}")
+    if side not in ("first", "second"):
+        raise ShapeMismatch(f"side must be 'first' or 'second', got {side!r}")
+    return _partial_traces(a, (da, db), side)
+
+
+def _partial_traces(a: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
+    """``partial_trace`` of a matrix, or of each matrix of a stack
+    (..., dA dB, dA dB), without its checks; row k of a stack equals the
+    call on that matrix alone."""
+    da, db = dims
+    t = a.reshape(*a.shape[:-2], da, db, da, db)
+    return np.einsum("...abad->...bd" if side == "first" else "...abcb->...ac", t)
 
 
 def tensor(a, b) -> np.ndarray:

@@ -25,12 +25,14 @@ from . import channels as chn
 from . import output
 from . import wiretap as wt
 from .qmath import (
+    _hermitian_eigs,
+    _partial_traces,
+    _states_eigenvalues,
+    _trace_norms,
+    _von_neumann_entropies,
     binary_entropy,
-    hermitian_eig,
-    partial_trace,
     shannon_entropy,
     tensor,
-    trace_norm,
     von_neumann_entropy,
 )
 from .sampling import random_density_matrix, random_hermitian, random_unitary
@@ -146,19 +148,29 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
 # qmath
 
 
+def _stacked_draws(count: int, key: Callable[[], object],
+                   draw: Callable[[object], tuple]) -> dict[object, list[np.ndarray]]:
+    """``count`` draws, each a key ``k = key()`` and then the tuple ``draw(k)``,
+    made in that order; per key, one stack of each tuple entry."""
+    groups: dict[object, list[tuple]] = {}
+    for _ in range(count):
+        k = key()
+        groups.setdefault(k, []).append(draw(k))
+    return {k: [np.stack(entries) for entries in zip(*g)] for k, g in groups.items()}
+
+
 @_register("qmath.eig_reconstruction")
 def _check_eig_reconstruction() -> CheckResult:
     def residuals():
         rng = np.random.default_rng(101)
-        for _ in range(1000):
-            d = int(rng.integers(2, 13))
-            m = random_hermitian(rng, d)
-            spectrum = hermitian_eig(m)
-            yield float(np.abs(spectrum.reconstruct() - m).max())
-            gram = spectrum.eigenvectors.conj().T @ spectrum.eigenvectors
-            yield float(np.abs(gram - np.eye(d)).max())
-            if np.any(np.diff(spectrum.eigenvalues) < 0):
-                yield 1.0
+        dim = lambda: int(rng.integers(2, 13))  # noqa: E731
+        for d, (ms,) in _stacked_draws(1000, dim, lambda d: (random_hermitian(rng, d),)).items():
+            spectrum = _hermitian_eigs(ms)
+            v = spectrum.eigenvectors
+            gram = v.conj().swapaxes(-1, -2) @ v
+            yield from np.abs(spectrum.reconstruct() - ms).max(axis=(1, 2)).tolist()
+            yield from np.abs(gram - np.eye(d)).max(axis=(1, 2)).tolist()
+            yield from (np.diff(spectrum.eigenvalues) < 0).any(axis=-1).astype(float).tolist()
     return _result(_worst(residuals()), 1e-10)
 
 
@@ -166,11 +178,12 @@ def _check_eig_reconstruction() -> CheckResult:
 def _check_entropy_unitary() -> CheckResult:
     def residuals():
         rng = np.random.default_rng(102)
-        for _ in range(200):
-            d = int(rng.integers(2, 7))
-            rho = random_density_matrix(rng, d)
-            u = random_unitary(rng, d)
-            yield abs(von_neumann_entropy(u @ rho @ u.conj().T) - von_neumann_entropy(rho))
+        dim = lambda: int(rng.integers(2, 7))  # noqa: E731
+        draw = lambda d: (random_density_matrix(rng, d), random_unitary(rng, d))  # noqa: E731
+        for rhos, us in _stacked_draws(200, dim, draw).values():
+            turned = us @ rhos @ us.conj().swapaxes(-1, -2)
+            diff = _von_neumann_entropies(turned) - _von_neumann_entropies(rhos)
+            yield from np.abs(diff).tolist()
     return _result(_worst(residuals()), 1e-10)
 
 
@@ -178,10 +191,12 @@ def _check_entropy_unitary() -> CheckResult:
 def _check_entropy_diagonal() -> CheckResult:
     def residuals():
         rng = np.random.default_rng(103)
-        for _ in range(200):
-            d = int(rng.integers(2, 9))
-            w = rng.dirichlet(np.ones(d))
-            yield abs(von_neumann_entropy(np.diag(w.astype(complex))) - shannon_entropy(w))
+        dim = lambda: int(rng.integers(2, 9))  # noqa: E731
+        for d, (ws,) in _stacked_draws(200, dim, lambda d: (rng.dirichlet(np.ones(d)),)).items():
+            diagonals = np.zeros((len(ws), d, d), dtype=complex)
+            diagonals[:, range(d), range(d)] = ws
+            shannon = [shannon_entropy(w) for w in ws]
+            yield from np.abs(_von_neumann_entropies(diagonals) - shannon).tolist()
     return _result(_worst(residuals()), 1e-12)
 
 
@@ -189,10 +204,10 @@ def _check_entropy_diagonal() -> CheckResult:
 def _check_trace_norm() -> CheckResult:
     def residuals():
         rng = np.random.default_rng(104)
-        for _ in range(200):
-            d = int(rng.integers(2, 9))
-            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            yield abs(np.trace(m)) - trace_norm(m)
+        dim = lambda: int(rng.integers(2, 9))  # noqa: E731
+        draw = lambda d: (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),)  # noqa: E731
+        for (ms,) in _stacked_draws(200, dim, draw).values():
+            yield from (np.abs(ms.trace(axis1=1, axis2=2)) - _trace_norms(ms)).tolist()
     return _result(_worst(residuals()), 1e-12)
 
 
@@ -200,13 +215,16 @@ def _check_trace_norm() -> CheckResult:
 def _check_partial_trace() -> CheckResult:
     def residuals():
         rng = np.random.default_rng(105)
-        for _ in range(100):
-            da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-            rho = random_density_matrix(rng, da)
-            sigma = random_density_matrix(rng, db)
-            prod = tensor(rho, sigma)
-            yield float(np.abs(partial_trace(prod, (da, db), "second") - rho).max())
-            yield float(np.abs(partial_trace(prod, (da, db), "first") - sigma).max())
+
+        def draw(dims):
+            rho = random_density_matrix(rng, dims[0])
+            sigma = random_density_matrix(rng, dims[1])
+            return rho, sigma, tensor(rho, sigma)
+
+        factors = lambda: (int(rng.integers(2, 4)), int(rng.integers(2, 4)))  # noqa: E731
+        for dims, (rhos, sigmas, prods) in _stacked_draws(100, factors, draw).items():
+            for side, kept in (("second", rhos), ("first", sigmas)):
+                yield from np.abs(_partial_traces(prods, dims, side) - kept).max(axis=(1, 2)).tolist()
     return _result(_worst(residuals()), 1e-12)
 
 
@@ -319,9 +337,11 @@ def _check_pauli_invariance() -> CheckResult:
         rng = np.random.default_rng(109)
         pairs = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)) for _ in range(5)]
         for lam, p in pairs:
-            for _ in range(100):
-                rho = random_density_matrix(rng, 2)
-                yield from cap.ic_conjugation_residual(lam, p, rho)
+            states = np.stack([random_density_matrix(rng, 2) for _ in range(100)])
+            _states_eigenvalues(states)  # the state checks of ic_conjugation_residual
+            n, nb = chn.channel_N(lam, p), chn.complement_N(lam, p)
+            for r in cap._conjugation_residuals(n, nb, states):
+                yield from r.tolist()
     return _result(_worst(residuals()), 1e-9)
 
 

@@ -8,6 +8,7 @@ require the current code to give the same bytes on every output.
 
 import re
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -239,6 +240,85 @@ def test_conjugation_residual_on_signed_zero_entries(rho):
 
 
 # ---------------------------------------------------------------------------
+# the stacked kernels: row k of a stack gives the bytes of the single call on
+# matrix k, whatever the stack around it
+
+
+STACK_SIZES = (1, 3, 257)
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_kernel_rows_equal_the_single_calls(kind, dim):
+    states = [_state(kind, dim, 1000 * dim + k) for k in range(max(STACK_SIZES))]
+    rng = np.random.default_rng(dim)
+    shape = (len(states), dim, dim)
+    general = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    spectra = [qmath.hermitian_eig(m) for m in states]
+    singles = {
+        "eigenvalues": np.stack([s.eigenvalues for s in spectra]),
+        "eigenvectors": np.stack([s.eigenvectors for s in spectra]),
+        "reconstruct": np.stack([s.reconstruct() for s in spectra]),
+        "state_eigenvalues": np.stack([qmath.state_eigenvalues(m) for m in states]),
+        "von_neumann": np.array([qmath.von_neumann_entropy(m) for m in states]),
+        "trace_norm": np.array([qmath.trace_norm(m) for m in states]),
+        "trace_norm_general": np.array([qmath.trace_norm(m) for m in general]),
+    }
+    factors = [(da, dim // da) for da in range(2, dim) if dim % da == 0]
+    for dims, side in product(factors, ("first", "second")):
+        singles[dims, side] = np.stack([qmath.partial_trace(m, dims, side) for m in general])
+    for n in STACK_SIZES:
+        stack = np.stack(states[:n])
+        spectrum = qmath._hermitian_eigs(stack)
+        stacked = {
+            "eigenvalues": spectrum.eigenvalues,
+            "eigenvectors": spectrum.eigenvectors,
+            "reconstruct": spectrum.reconstruct(),
+            "state_eigenvalues": qmath._states_eigenvalues(stack),
+            "von_neumann": qmath._von_neumann_entropies(stack),
+            "trace_norm": qmath._trace_norms(stack),
+            "trace_norm_general": qmath._trace_norms(general[:n]),
+        }
+        for dims, side in product(factors, ("first", "second")):
+            stacked[dims, side] = qmath._partial_traces(general[:n], dims, side)
+        for key, rows in stacked.items():
+            assert rows.tobytes() == singles[key][:n].tobytes(), (key, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    rows=st.integers(1, 40),
+    dim=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_entropy_rows_equal_entropy_bits_of_each_row(rows, dim, seed):
+    # unsorted rows holding zeros of both signs, negatives and NaN, which
+    # _entropy_bits leaves out of its sum
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(dim), size=rows)
+    specials = np.array([0.0, -0.0, -1e-17, -0.3, np.nan, 1.0, 5e-324])
+    hit = rng.random(w.shape) < rng.random()
+    w[hit] = rng.choice(specials, size=hit.sum())
+    got = qmath._entropy_bits_rows(w)
+    assert got.tobytes() == np.array([qmath._entropy_bits(row) for row in w]).tobytes()
+
+
+CONJUGATION_POINTS = [*product((0.0, 0.5, 1.0), repeat=2), (0.5, 5e-324),
+                      *np.random.default_rng(19).uniform(0.0, 1.0, size=(6, 2)).tolist()]
+
+
+@pytest.mark.parametrize("lam, p", CONJUGATION_POINTS)
+def test_conjugation_kernel_rows_equal_the_single_calls(lam, p):
+    states = [*SIGNED_ZERO_STATES, *(_state(kind, 2, seed) for kind in KINDS for seed in range(64))]
+    n, nb = chn.channel_N(lam, p), chn.complement_N(lam, p)
+    singles = np.array([cap.ic_conjugation_residual(lam, p, rho) for rho in states])
+    for size in (1, 3, len(states)):
+        dz, dx = cap._conjugation_residuals(n, nb, np.stack(states[:size]))
+        assert dz.tobytes() == singles[:size, 0].copy().tobytes()
+        assert dx.tobytes() == singles[:size, 1].copy().tobytes()
+
+
+# ---------------------------------------------------------------------------
 # reject paths: the former error type and message, and no warning
 
 
@@ -315,6 +395,45 @@ def test_reject_paths_keep_type_and_message(entry, kind):
         error, message = ShapeMismatch, CHANNEL_SHAPE[kind]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         ENTRIES[entry](_bad(kind))
+
+
+# each stacked validator against the single-matrix entry it stacks
+STACKED = {
+    "_checked_hermitians": (qmath._checked_hermitians, qmath._checked_hermitian),
+    "_hermitian_eigs": (qmath._hermitian_eigs, qmath.hermitian_eig),
+    "_states_eigenvalues": (qmath._states_eigenvalues, qmath.state_eigenvalues),
+    "_von_neumann_entropies": (qmath._von_neumann_entropies, qmath.von_neumann_entropy),
+    "_trace_norms": (qmath._trace_norms, qmath.trace_norm),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(STACKED))
+@pytest.mark.parametrize("kind", sorted(REJECTS))
+@pytest.mark.parametrize("k", (0, 2))
+def test_stacked_validators_refuse_what_the_single_one_refuses(entry, kind, k):
+    stacked, single = STACKED[entry]
+    ms = [np.eye(2, dtype=complex) / 2] * 4
+    ms[k] = _bad(kind)
+    try:
+        single(_bad(kind))
+    except (ShapeMismatch, DimensionTooLarge, NonHermitian, NotAState, DomainError) as exc:
+        with pytest.raises(type(exc), match=f"^matrix {k}: {re.escape(str(exc))}$"):
+            stacked(ms)
+    else:
+        stacked(ms)
+
+
+@pytest.mark.parametrize("entry", sorted(STACKED))
+def test_stacked_validators_refuse_empty_and_mixed_stacks(entry):
+    stacked, _ = STACKED[entry]
+    for empty in ([], np.zeros((0, 2, 2), dtype=complex)):
+        with pytest.raises(ShapeMismatch, match="^expected a non-empty stack of matrices$"):
+            stacked(empty)
+    mixed = [np.eye(2) / 2, np.eye(2) / 2, np.eye(3) / 3]
+    message = "matrix 2: shape (3, 3) differs from matrix 0's (2, 2)"
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        stacked(mixed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """The verify registry: names, per-name selection, no results reused across runs,
-and the same results from the worker pool as in-process."""
+the same results from the worker pool as in-process, and the same residuals
+from the stacked sampling checks as from their former per-sample loops."""
 
 import math
 import os
 
+import numpy as np
 import pytest
 
 from chancap import capacity as cap
+from chancap import qmath
 from chancap import verify
 from chancap import wiretap as wt
+from chancap.sampling import random_density_matrix, random_hermitian, random_unitary
 
 NAMES = [
     "qmath.eig_reconstruction",
@@ -243,3 +247,110 @@ def test_no_result_is_reused_after_a_full_run(monkeypatch, cpus):
         assert not any(r.passed for r in results), results
     failed = {r.name for r in verify.run_checks() if not r.passed}
     assert failed >= set(_PATCHED), failed
+
+
+# ---------------------------------------------------------------------------
+# the sampling checks score stacks; the ``_old_*`` generators below are the
+# per-sample loops they had before, one public call per sampled matrix
+
+
+def _old_eig_reconstruction():
+    rng = np.random.default_rng(101)
+    for _ in range(1000):
+        d = int(rng.integers(2, 13))
+        m = random_hermitian(rng, d)
+        spectrum = qmath.hermitian_eig(m)
+        v = spectrum.eigenvectors
+        yield float(np.abs((v * spectrum.eigenvalues) @ v.conj().T - m).max())
+        yield float(np.abs(v.conj().T @ v - np.eye(d)).max())
+        if np.any(np.diff(spectrum.eigenvalues) < 0):
+            yield 1.0
+
+
+def _old_entropy_unitary():
+    rng = np.random.default_rng(102)
+    for _ in range(200):
+        d = int(rng.integers(2, 7))
+        rho = random_density_matrix(rng, d)
+        u = random_unitary(rng, d)
+        yield abs(qmath.von_neumann_entropy(u @ rho @ u.conj().T) - qmath.von_neumann_entropy(rho))
+
+
+def _old_entropy_diagonal():
+    rng = np.random.default_rng(103)
+    for _ in range(200):
+        d = int(rng.integers(2, 9))
+        w = rng.dirichlet(np.ones(d))
+        yield abs(qmath.von_neumann_entropy(np.diag(w.astype(complex))) - qmath.shannon_entropy(w))
+
+
+def _old_trace_norm():
+    rng = np.random.default_rng(104)
+    for _ in range(200):
+        d = int(rng.integers(2, 9))
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        yield abs(np.trace(m)) - qmath.trace_norm(m)
+
+
+def _old_partial_trace():
+    rng = np.random.default_rng(105)
+    for _ in range(100):
+        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        rho = random_density_matrix(rng, da)
+        sigma = random_density_matrix(rng, db)
+        prod = qmath.tensor(rho, sigma)
+        yield float(np.abs(qmath.partial_trace(prod, (da, db), "second") - rho).max())
+        yield float(np.abs(qmath.partial_trace(prod, (da, db), "first") - sigma).max())
+
+
+def _old_pauli_invariance():
+    rng = np.random.default_rng(109)
+    pairs = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)) for _ in range(5)]
+    for lam, p in pairs:
+        for _ in range(100):
+            yield from cap.ic_conjugation_residual(lam, p, random_density_matrix(rng, 2))
+
+
+OLD_LOOPS = {
+    "qmath.eig_reconstruction": _old_eig_reconstruction,
+    "qmath.entropy_unitary_invariance": _old_entropy_unitary,
+    "qmath.entropy_diagonal_matches_shannon": _old_entropy_diagonal,
+    "qmath.trace_norm_dominates_trace": _old_trace_norm,
+    "qmath.partial_trace_factorization": _old_partial_trace,
+    "capacity.pauli_conjugation_invariance": _old_pauli_invariance,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_LOOPS))
+def test_stacked_checks_give_the_former_residuals(name):
+    [result] = verify.run_checks(only=name)
+    assert result.passed, result
+    assert result.residual.hex() == verify._worst(OLD_LOOPS[name]()).hex()
+
+
+def _nan_row(out):
+    """A copy of a stacked kernel's output with a NaN in row 1 (of each array)."""
+    if isinstance(out, qmath.HermitianSpectrum):
+        w = out.eigenvalues.copy()
+        w[1, 0] = math.nan
+        return qmath.HermitianSpectrum(w, out.eigenvectors)
+    if isinstance(out, tuple):
+        return tuple(_nan_row(a) for a in out)
+    out = out.copy()
+    out[1] = math.nan
+    return out
+
+
+@pytest.mark.parametrize("name, module, attr", [
+    ("qmath.eig_reconstruction", verify, "_hermitian_eigs"),
+    ("qmath.entropy_unitary_invariance", verify, "_von_neumann_entropies"),
+    ("qmath.entropy_diagonal_matches_shannon", verify, "_von_neumann_entropies"),
+    ("qmath.trace_norm_dominates_trace", verify, "_trace_norms"),
+    ("qmath.partial_trace_factorization", verify, "_partial_traces"),
+    ("capacity.pauli_conjugation_invariance", cap, "_conjugation_residuals"),
+])
+def test_a_nan_in_one_stacked_sample_fails_its_check(monkeypatch, name, module, attr):
+    hits = _inject(monkeypatch, module, attr, lambda i, args, out: _nan_row(out) if i == 1 else out)
+    [result] = verify.run_checks(only=name)
+    assert len(hits) == 1
+    assert not result.passed and math.isnan(result.residual), result
