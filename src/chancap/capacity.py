@@ -39,6 +39,7 @@ from .channels import (
 from .errors import ChancapError, DimensionTooLarge, DomainError, PreconditionViolated, ShapeMismatch
 from .qmath import (
     MAX_DIM,
+    _as_complex,
     as_real,
     binary_entropies,
     binary_entropy,
@@ -46,10 +47,9 @@ from .qmath import (
     check_dims,
     check_prob,
     embed_operator,
-    _entropy_bits,
     entropies_bits,
     partial_trace,
-    state_eigenvalues,
+    von_neumann_entropy,
 )
 from .sampling import STREAM_QUANTUM_PROTOCOL, check_run, draw_chunks
 
@@ -208,12 +208,12 @@ def coherent_information(ch: KrausChannel, comp: KrausChannel, rho) -> float:
 
 def coherent_information_state(rho_ab, dims: tuple[int, int]) -> float:
     """H(B) - H(AB) of a bipartite state with declared factor dimensions."""
-    m = np.asarray(getattr(rho_ab, "matrix", rho_ab), dtype=complex)
+    m = _as_complex(getattr(rho_ab, "matrix", rho_ab))
     da, db = check_dims(dims)
     if m.shape != (da * db, da * db):
         raise ShapeMismatch(f"state shape {m.shape} does not match dims {dims}")
     # the marginal of a validated state is a state: its entropy needs no checks
-    h_ab = _entropy_bits(state_eigenvalues(m))
+    h_ab = von_neumann_entropy(m)
     h_b = entropies_bits(partial_trace(m, (da, db), "first")[None])[0]
     return float(h_b - h_ab)
 

@@ -59,7 +59,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = qmath._as_complex(self.matrix)
         object.__setattr__(self, "matrix", m)
         qmath.state_eigenvalues(m)  # validates; raises NotAState / NonHermitian
 
@@ -380,7 +380,7 @@ def checked_input(ch: KrausChannel, rho, dim_ref: int = 1) -> np.ndarray:
         raise ShapeMismatch(f"reference dimension must be an int >= 1, got {dim_ref!r}")
     if ch.dim_out * dim_ref > qmath.MAX_DIM:
         raise DimensionTooLarge(f"output dimension {ch.dim_out * dim_ref} exceeds {qmath.MAX_DIM}")
-    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    m = qmath._as_complex(getattr(rho, "matrix", rho))
     d = ch.dim_in * dim_ref
     if m.shape != (d, d):
         raise ShapeMismatch(f"state shape {m.shape} != channel input ({d}, {d})")

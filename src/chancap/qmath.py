@@ -8,7 +8,7 @@ are plain complex numpy arrays; eigenwork is delegated to LAPACK via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +27,11 @@ HERMITIAN_TOL = 1e-10
 # anything more negative means the input was not a state.
 STATE_EIG_FLOOR = -1e-10
 TRACE_TOL = 1e-9
+# refusal templates, formatted with the offending value (see _refuse)
+_NON_FINITE = "matrix has non-finite entries"
+_ASYMMETRY = f"symmetry residual {{:.3e}} exceeds {HERMITIAN_TOL:.0e}"
+_NOT_UNIT_TRACE = f"trace {{!r}} is not 1 within {TRACE_TOL:.0e}"
+_BELOW_FLOOR = f"smallest eigenvalue {{:.3e}} below {STATE_EIG_FLOOR:.0e}"
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,16 @@ class HermitianSpectrum:
         return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
+def _as_complex(x) -> np.ndarray:
+    """``x`` as a complex array, or ShapeMismatch unless it is a regular array of numbers."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError):  # a string, a non-number entry or ragged rows
+        raise ShapeMismatch(f"expected a regular array of numbers, got {type(x).__name__}") from None
+
+
 def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    a = _as_complex(getattr(m, "matrix", m))
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got array of ndim {a.ndim}")
     return a
@@ -62,12 +75,13 @@ def _require_square(a: np.ndarray) -> int:
     return d
 
 
-def _require_supported(a: np.ndarray) -> int:
-    """The dimension of a square matrix, or DimensionTooLarge above 16."""
+def _require_supported(a: np.ndarray) -> np.ndarray:
+    """``a`` if square of dimension 1 to 16: after ``_as_matrix``, the shape
+    gate of a single matrix, as ``_as_stack`` is that of a stack."""
     d = _require_square(a)
     if d > MAX_DIM:
         raise DimensionTooLarge(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
-    return d
+    return a
 
 
 def _as_stack(ms) -> np.ndarray:
@@ -80,17 +94,16 @@ def _as_stack(ms) -> np.ndarray:
     index; an empty stack is a ShapeMismatch.
     """
     try:
-        a = np.asarray(ms, dtype=complex)
+        a = _as_complex(ms)
         if a.ndim == 3 and len(a) and 0 < a.shape[1] == a.shape[2] <= MAX_DIM:
             return a
-    except ValueError:  # matrices of different shapes
+    except ShapeMismatch:  # matrices of different shapes, or one not numeric
         pass
     if len(ms) == 0:
         raise ShapeMismatch("expected a non-empty stack of matrices")
     for k, m in enumerate(ms):
         try:
-            b = _as_matrix(m)
-            _require_supported(b)
+            b = _require_supported(_as_matrix(m))
             if b.shape != np.shape(ms[0]):
                 raise ShapeMismatch(f"shape {b.shape} differs from matrix 0's {np.shape(ms[0])}")
         except (ShapeMismatch, DimensionTooLarge) as exc:
@@ -98,12 +111,26 @@ def _as_stack(ms) -> np.ndarray:
     raise ShapeMismatch(f"expected a stack of matrices, got {type(ms).__name__}")
 
 
-def _refuse_first(bad: np.ndarray, error: type, message: Callable[[int], str]) -> None:
-    """Raise ``error`` for the first matrix k of a stack whose ``bad[k]`` is
-    True, with the message ``message(k)`` prefixed with k."""
-    if bad.any():
+def _refuse(bad, error: type, message: str, *values: np.ndarray) -> None:
+    """Raise ``error`` if a check failed: ``bad`` is its verdict on one
+    matrix (a scalar) or on each matrix k of a stack (k,).
+
+    The message is ``message`` formatted with the float of each of
+    ``values`` for the bad matrix, and for a stack prefixed with the first
+    bad k.  Rank, not length, tells the two apart; ``.ndim`` goes first as
+    ``.any()`` on a numpy scalar costs 50 times more.  A template, unlike a
+    message function, costs a passing check nothing to build.
+    """
+    if bad.ndim == 0:
+        if not bad:
+            return
+        k, prefix = (), ""
+    elif bad.any():
         k = int(np.argmax(bad))
-        raise error(f"matrix {k}: {message(k)}")
+        prefix = f"matrix {k}: "
+    else:
+        return
+    raise error(prefix + message.format(*(float(v[k]) for v in values)))
 
 
 def is_dimension(x) -> bool:
@@ -133,56 +160,37 @@ def check_dims(dims) -> tuple[int, int]:
     return int(da), int(db)
 
 
-def _checked_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """``m`` as a complex matrix, and its conjugate transpose, after the checks
-    shared by the eigen routines.
+def _checked_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A shape-checked matrix (d, d) or stack (k, d, d) and its conjugate
+    transpose, after the checks shared by the eigen routines.
 
-    Raises ShapeMismatch unless square of dimension >= 1, DimensionTooLarge
-    above dimension 16, and NonHermitian on a non-finite entry or
-    max|m - m^dag| above 1e-10.  The finite check comes first so that the
+    Raises NonHermitian on a non-finite entry or max|m - m^dag| above 1e-10
+    (see ``_refuse`` for a stack).  The finite check comes first so that the
     difference never meets an infinity.
     """
-    a = _as_matrix(m)
-    _require_supported(a)
-    if not np.isfinite(a).all():
-        raise NonHermitian("matrix has non-finite entries")
-    ah = a.conj().T
-    asym = np.abs(a - ah).max()
-    if asym > HERMITIAN_TOL:
-        raise NonHermitian(f"symmetry residual {asym:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    return a, ah
-
-
-def _checked_hermitians(ms) -> tuple[np.ndarray, np.ndarray]:
-    """``_checked_hermitian`` of each matrix of a stack (see ``_as_stack``),
-    with the same checks in the same order."""
-    a = _as_stack(ms)
-    _refuse_first(~np.isfinite(a).all(axis=(1, 2)), NonHermitian,
-                  lambda k: "matrix has non-finite entries")
+    _refuse(np.logical_not(np.isfinite(a).all(axis=(-2, -1))), NonHermitian, _NON_FINITE)
     ah = a.conj().swapaxes(-1, -2)
-    asym = np.abs(a - ah).max(axis=(1, 2))
-    _refuse_first(asym > HERMITIAN_TOL, NonHermitian,
-                  lambda k: f"symmetry residual {asym[k]:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    asym = np.abs(a - ah).max(axis=(-2, -1))
+    _refuse(asym > HERMITIAN_TOL, NonHermitian, _ASYMMETRY, asym)
     return a, ah
+
+
+def _hermitian_spectrum(a: np.ndarray) -> HermitianSpectrum:
+    """``hermitian_eig`` of a shape-checked matrix or stack; row k of a stack
+    equals the call on matrix k alone, bit for bit."""
+    a, ah = _checked_hermitian(a)
+    w, v = np.linalg.eigh((a + ah) / 2)
+    return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
 
 def hermitian_eig(m) -> HermitianSpectrum:
     """Eigendecompose a Hermitian matrix (dimension <= 16).
 
-    Raises NonHermitian if max|m - m^dag| exceeds 1e-10 and DimensionTooLarge
-    above dimension 16.
+    Raises ShapeMismatch unless ``m`` is a square, non-empty 2-D matrix of
+    numbers, DimensionTooLarge above dimension 16, and NonHermitian on a
+    non-finite entry or if max|m - m^dag| exceeds 1e-10.
     """
-    a, ah = _checked_hermitian(m)
-    w, v = np.linalg.eigh((a + ah) / 2)
-    return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
-
-
-def _hermitian_eigs(ms) -> HermitianSpectrum:
-    """``hermitian_eig`` of each matrix of a stack (see ``_as_stack``), as one
-    stacked spectrum whose row k equals ``hermitian_eig(ms[k])`` bit for bit."""
-    a, ah = _checked_hermitians(ms)
-    w, v = np.linalg.eigh((a + ah) / 2)
-    return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
+    return _hermitian_spectrum(_require_supported(_as_matrix(m)))
 
 
 def _entropy_bits(weights: np.ndarray) -> float:
@@ -225,39 +233,26 @@ def entropies_bits(stack: np.ndarray) -> np.ndarray:
     return -(w * logs).sum(axis=-1)
 
 
+def _state_spectrum(a: np.ndarray) -> np.ndarray:
+    """``state_eigenvalues`` of a shape-checked matrix or stack, as (d,) or
+    rows (k, d); row k of a stack equals the call on matrix k alone."""
+    a, ah = _checked_hermitian(a)
+    tr = a.trace(axis1=-2, axis2=-1).real
+    _refuse(abs(tr - 1.0) > TRACE_TOL, NotAState, _NOT_UNIT_TRACE, tr)
+    w = np.linalg.eigvalsh((a + ah) / 2)
+    lo = w.T[0]  # the smallest eigenvalue of each matrix; cheaper than w[..., 0]
+    _refuse(lo < STATE_EIG_FLOOR, NotAState, _BELOW_FLOOR, lo)
+    return np.maximum(w, 0.0, out=w)
+
+
 def state_eigenvalues(rho) -> np.ndarray:
     """Eigenvalues of a density operator, validated and clamped to >= 0."""
-    a, ah = _checked_hermitian(rho)
-    tr = float(a.trace().real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotAState(f"trace {tr!r} is not 1 within {TRACE_TOL:.0e}")
-    w = np.linalg.eigvalsh((a + ah) / 2)
-    if w[0] < STATE_EIG_FLOOR:
-        raise NotAState(f"smallest eigenvalue {w[0]:.3e} below {STATE_EIG_FLOOR:.0e}")
-    return np.maximum(w, 0.0)
-
-
-def _states_eigenvalues(ms) -> np.ndarray:
-    """``state_eigenvalues`` of each matrix of a stack (see ``_as_stack``), as
-    rows (k, d), with the same checks in the same order."""
-    a, ah = _checked_hermitians(ms)
-    tr = a.trace(axis1=1, axis2=2).real
-    _refuse_first(np.abs(tr - 1.0) > TRACE_TOL, NotAState,
-                  lambda k: f"trace {float(tr[k])!r} is not 1 within {TRACE_TOL:.0e}")
-    w = np.linalg.eigvalsh((a + ah) / 2)
-    _refuse_first(w[:, 0] < STATE_EIG_FLOOR, NotAState,
-                  lambda k: f"smallest eigenvalue {w[k, 0]:.3e} below {STATE_EIG_FLOOR:.0e}")
-    return np.maximum(w, 0.0)
+    return _state_spectrum(_require_supported(_as_matrix(rho)))
 
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy of a density operator, in bits."""
     return _entropy_bits(state_eigenvalues(rho))
-
-
-def _von_neumann_entropies(ms) -> np.ndarray:
-    """``von_neumann_entropy`` of each matrix of a stack (see ``_as_stack``), bit for bit."""
-    return _entropy_bits_rows(_states_eigenvalues(ms))
 
 
 # no real parameter, though float() converts str, bytes and bool; None and complex fail untyped
@@ -324,21 +319,15 @@ def shannon_entropy(dist) -> float:
     return _entropy_bits(np.maximum(d, 0.0))
 
 
+def _trace_norm(a: np.ndarray):
+    """``trace_norm`` of a shape-checked matrix or stack, one per matrix."""
+    _refuse(np.logical_not(np.isfinite(a).all(axis=(-2, -1))), DomainError, _NON_FINITE)
+    return np.linalg.svd(a, compute_uv=False).sum(axis=-1)
+
+
 def trace_norm(m) -> float:
     """Sum of singular values of a square matrix (dimension <= 16)."""
-    a = _as_matrix(m)
-    _require_supported(a)
-    if not np.isfinite(a).all():
-        raise DomainError("matrix has non-finite entries")
-    return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def _trace_norms(ms) -> np.ndarray:
-    """``trace_norm`` of each matrix of a stack (see ``_as_stack``), bit for bit."""
-    a = _as_stack(ms)
-    _refuse_first(~np.isfinite(a).all(axis=(1, 2)), DomainError,
-                  lambda k: "matrix has non-finite entries")
-    return np.linalg.svd(a, compute_uv=False).sum(axis=-1)
+    return float(_trace_norm(_require_supported(_as_matrix(m))))
 
 
 def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:

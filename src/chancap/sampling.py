@@ -122,9 +122,9 @@ def draw_chunks(
         yield tuple(read(n) for read in readers)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (g + g.conj().T) / 2
+    return (g + g.conj().T) / 2
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -25,11 +25,12 @@ from . import channels as chn
 from . import output
 from . import wiretap as wt
 from .qmath import (
-    _hermitian_eigs,
+    _as_stack,
+    _entropy_bits_rows,
+    _hermitian_spectrum,
     _partial_traces,
-    _states_eigenvalues,
-    _trace_norms,
-    _von_neumann_entropies,
+    _state_spectrum,
+    _trace_norm,
     binary_entropy,
     shannon_entropy,
     tensor,
@@ -165,7 +166,7 @@ def _check_eig_reconstruction() -> CheckResult:
         rng = np.random.default_rng(101)
         dim = lambda: int(rng.integers(2, 13))  # noqa: E731
         for d, (ms,) in _stacked_draws(1000, dim, lambda d: (random_hermitian(rng, d),)).items():
-            spectrum = _hermitian_eigs(ms)
+            spectrum = _hermitian_spectrum(_as_stack(ms))
             v = spectrum.eigenvectors
             gram = v.conj().swapaxes(-1, -2) @ v
             yield from np.abs(spectrum.reconstruct() - ms).max(axis=(1, 2)).tolist()
@@ -182,8 +183,8 @@ def _check_entropy_unitary() -> CheckResult:
         draw = lambda d: (random_density_matrix(rng, d), random_unitary(rng, d))  # noqa: E731
         for rhos, us in _stacked_draws(200, dim, draw).values():
             turned = us @ rhos @ us.conj().swapaxes(-1, -2)
-            diff = _von_neumann_entropies(turned) - _von_neumann_entropies(rhos)
-            yield from np.abs(diff).tolist()
+            h = [_entropy_bits_rows(_state_spectrum(_as_stack(ms))) for ms in (turned, rhos)]
+            yield from np.abs(h[0] - h[1]).tolist()
     return _result(_worst(residuals()), 1e-10)
 
 
@@ -196,7 +197,8 @@ def _check_entropy_diagonal() -> CheckResult:
             diagonals = np.zeros((len(ws), d, d), dtype=complex)
             diagonals[:, range(d), range(d)] = ws
             shannon = [shannon_entropy(w) for w in ws]
-            yield from np.abs(_von_neumann_entropies(diagonals) - shannon).tolist()
+            h = _entropy_bits_rows(_state_spectrum(_as_stack(diagonals)))
+            yield from np.abs(h - shannon).tolist()
     return _result(_worst(residuals()), 1e-12)
 
 
@@ -207,7 +209,7 @@ def _check_trace_norm() -> CheckResult:
         dim = lambda: int(rng.integers(2, 9))  # noqa: E731
         draw = lambda d: (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),)  # noqa: E731
         for (ms,) in _stacked_draws(200, dim, draw).values():
-            yield from (np.abs(ms.trace(axis1=1, axis2=2)) - _trace_norms(ms)).tolist()
+            yield from (np.abs(ms.trace(axis1=1, axis2=2)) - _trace_norm(_as_stack(ms))).tolist()
     return _result(_worst(residuals()), 1e-12)
 
 
@@ -338,7 +340,7 @@ def _check_pauli_invariance() -> CheckResult:
         pairs = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)) for _ in range(5)]
         for lam, p in pairs:
             states = np.stack([random_density_matrix(rng, 2) for _ in range(100)])
-            _states_eigenvalues(states)  # the state checks of ic_conjugation_residual
+            _state_spectrum(_as_stack(states))  # the state checks of ic_conjugation_residual
             n, nb = chn.channel_N(lam, p), chn.complement_N(lam, p)
             for r in cap._conjugation_residuals(n, nb, states):
                 yield from r.tolist()

@@ -156,7 +156,7 @@ KINDS = ("mixed", "pure", "diagonal", "rank_deficient")
 @example(kind="rank_deficient", dim=16, seed=2)
 def test_state_kernels_give_the_former_bytes(kind, dim, seed):
     rho = _state(kind, dim, seed)
-    a, ah = qmath._checked_hermitian(rho)
+    a, ah = qmath._checked_hermitian(qmath._as_matrix(rho))
     assert a.tobytes() == _old_checked_hermitian(rho).tobytes()
     assert ah.tobytes() == np.ascontiguousarray(a.conj().T).tobytes()
     w = qmath.state_eigenvalues(rho)
@@ -269,15 +269,15 @@ def test_stacked_kernel_rows_equal_the_single_calls(kind, dim):
         singles[dims, side] = np.stack([qmath.partial_trace(m, dims, side) for m in general])
     for n in STACK_SIZES:
         stack = np.stack(states[:n])
-        spectrum = qmath._hermitian_eigs(stack)
+        spectrum = STACKED["hermitian_eig"][0](stack)
         stacked = {
             "eigenvalues": spectrum.eigenvalues,
             "eigenvectors": spectrum.eigenvectors,
             "reconstruct": spectrum.reconstruct(),
-            "state_eigenvalues": qmath._states_eigenvalues(stack),
-            "von_neumann": qmath._von_neumann_entropies(stack),
-            "trace_norm": qmath._trace_norms(stack),
-            "trace_norm_general": qmath._trace_norms(general[:n]),
+            "state_eigenvalues": STACKED["state_eigenvalues"][0](stack),
+            "von_neumann": STACKED["von_neumann_entropy"][0](stack),
+            "trace_norm": STACKED["trace_norm"][0](stack),
+            "trace_norm_general": STACKED["trace_norm"][0](general[:n]),
         }
         for dims, side in product(factors, ("first", "second")):
             stacked[dims, side] = qmath._partial_traces(general[:n], dims, side)
@@ -346,6 +346,10 @@ def _bad(kind: str) -> np.ndarray:
         m = np.ones((2, 3), dtype=complex) / 2
     elif kind == "3d":
         m = np.stack([m, m])
+    elif kind == "non_numeric":
+        m = [[0.5, "x"], [0.0, 0.5]]
+    elif kind == "ragged":
+        m = [[0.5, 0.0], [0.5]]
     return m
 
 
@@ -372,6 +376,8 @@ REJECTS = {
     "0x0": (ShapeMismatch, "expected a matrix of dimension >= 1, got shape (0, 0)"),
     "non_square": (ShapeMismatch, "expected a square matrix, got shape (2, 3)"),
     "3d": (ShapeMismatch, "expected a matrix, got array of ndim 3"),
+    "non_numeric": (ShapeMismatch, "expected a regular array of numbers, got list"),
+    "ragged": (ShapeMismatch, "expected a regular array of numbers, got list"),
 }
 CHANNEL_SHAPE = {
     "17x17": "state shape (17, 17) != channel input (2, 2)",
@@ -397,23 +403,37 @@ def test_reject_paths_keep_type_and_message(entry, kind):
         ENTRIES[entry](_bad(kind))
 
 
-# each stacked validator against the single-matrix entry it stacks
+def _stacked(kernel):
+    """The stacked call of a qmath kernel, as ``verify`` makes it."""
+    return lambda ms: kernel(qmath._as_stack(ms))
+
+
+# each stacked call (a kernel behind the stack gate) against the
+# single-matrix call (the same kernel behind the matrix gate)
 STACKED = {
-    "_checked_hermitians": (qmath._checked_hermitians, qmath._checked_hermitian),
-    "_hermitian_eigs": (qmath._hermitian_eigs, qmath.hermitian_eig),
-    "_states_eigenvalues": (qmath._states_eigenvalues, qmath.state_eigenvalues),
-    "_von_neumann_entropies": (qmath._von_neumann_entropies, qmath.von_neumann_entropy),
-    "_trace_norms": (qmath._trace_norms, qmath.trace_norm),
+    "checked_hermitian": (
+        _stacked(qmath._checked_hermitian),
+        lambda m: qmath._checked_hermitian(qmath._require_supported(qmath._as_matrix(m))),
+    ),
+    "hermitian_eig": (_stacked(qmath._hermitian_spectrum), qmath.hermitian_eig),
+    "state_eigenvalues": (_stacked(qmath._state_spectrum), qmath.state_eigenvalues),
+    "von_neumann_entropy": (
+        _stacked(lambda a: qmath._entropy_bits_rows(qmath._state_spectrum(a))),
+        qmath.von_neumann_entropy,
+    ),
+    "trace_norm": (_stacked(qmath._trace_norm), qmath.trace_norm),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", sorted(STACKED))
 @pytest.mark.parametrize("kind", sorted(REJECTS))
-@pytest.mark.parametrize("k", (0, 2))
-def test_stacked_validators_refuse_what_the_single_one_refuses(entry, kind, k):
+@pytest.mark.parametrize("k, size", ((0, 4), (2, 4), (0, 1)))
+def test_stacked_validators_refuse_what_the_single_one_refuses(entry, kind, k, size):
+    # a stack of one bad matrix keeps the "matrix 0: " prefix: a stack is
+    # told from a matrix by rank, not by length
     stacked, single = STACKED[entry]
-    ms = [np.eye(2, dtype=complex) / 2] * 4
+    ms = [np.eye(2, dtype=complex) / 2] * size
     ms[k] = _bad(kind)
     try:
         single(_bad(kind))
@@ -501,6 +521,22 @@ def test_zero_dimension_is_a_shape_mismatch_at_every_matrix_entry():
     ):
         with pytest.raises(ShapeMismatch, match="dimension >= 1"):
             f(empty)
+
+
+@pytest.mark.parametrize("bad", ("abc", [[1, "x"], [2, 3]], [[1, 2], [3]]))
+def test_non_numeric_input_is_a_shape_mismatch_at_every_matrix_entry(bad):
+    for f in (
+        qmath.hermitian_eig,
+        qmath.state_eigenvalues,
+        qmath.von_neumann_entropy,
+        qmath.trace_norm,
+        lambda m: qmath.partial_trace(m, (1, 2), "first"),
+        chn.DensityMatrix,
+        lambda m: cap.coherent_information(_N, _NB, m),
+        lambda m: cap.coherent_information_state(m, (1, 2)),
+    ):
+        with pytest.raises(ShapeMismatch, match="^expected a regular array of numbers, got "):
+            f(bad)
 
 
 def test_factor_dimensions_must_be_ints():

@@ -342,10 +342,10 @@ def _nan_row(out):
 
 
 @pytest.mark.parametrize("name, module, attr", [
-    ("qmath.eig_reconstruction", verify, "_hermitian_eigs"),
-    ("qmath.entropy_unitary_invariance", verify, "_von_neumann_entropies"),
-    ("qmath.entropy_diagonal_matches_shannon", verify, "_von_neumann_entropies"),
-    ("qmath.trace_norm_dominates_trace", verify, "_trace_norms"),
+    ("qmath.eig_reconstruction", verify, "_hermitian_spectrum"),
+    ("qmath.entropy_unitary_invariance", verify, "_entropy_bits_rows"),
+    ("qmath.entropy_diagonal_matches_shannon", verify, "_entropy_bits_rows"),
+    ("qmath.trace_norm_dominates_trace", verify, "_trace_norm"),
     ("qmath.partial_trace_factorization", verify, "_partial_traces"),
     ("capacity.pauli_conjugation_invariance", cap, "_conjugation_residuals"),
 ])
