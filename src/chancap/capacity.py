@@ -2,10 +2,10 @@
 
 Closed forms implemented here, all in qubits (or private bits) per use:
 
-* one-way capacity of the glued channel, degradable regime
-  ``lam <= 1/2``:        ``1 - lam * (2 - H(p))``
+* one-way capacity of the glued channel where it is ``degradable``:
+  ``1 - lam * (2 - H(p))``
 * two-way capacity, all ``lam``:  ``1 - lam`` (independent of ``p``)
-* complement two-way capacity (``lam <= 1/2``):  ``lam * (1 - H(p))``,
+* complement two-way capacity (where ``degradable``):  ``lam * (1 - H(p))``,
   which is also a relative-entropy upper bound valid for every ``lam``
 * erasure reference values:  ``max(0, 1 - 2 lam)`` and ``1 - lam``
 * lower bound from one-shot coherent information:
@@ -13,6 +13,9 @@ Closed forms implemented here, all in qubits (or private bits) per use:
 * continuity upper bound via the closeness ``eps = 4 lam sqrt(p(1-p))`` to an
   antidegradable trace-and-replace channel:
   ``min(1 - lam, 4 eps + 2 (2 + eps) H(eps / (2 + eps)))``
+
+Each is one unchecked function of floats or arrays, shared by the scalar
+functions and the sweep rows; ``degradable`` decides where it is certified.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from .errors import ChancapError, DimensionTooLarge, DomainError, PreconditionVi
 from .qmath import (
     MAX_DIM,
     _as_complex,
+    _binary_entropy,
     as_real,
-    binary_entropies,
     binary_entropy,
     check_count,
     check_dims,
@@ -56,12 +59,20 @@ from .sampling import STREAM_QUANTUM_PROTOCOL, check_run, draw_chunks
 GRID_STEP = 0.1  # coarse Bloch-ball scan used before pattern refinement
 
 
-def _check_degradable_lambda(lam: float) -> float:
-    """``lam`` as a float, or DomainError outside the degradable regime [0, 1/2]."""
-    lam = as_real("lambda", lam)
-    if not 0.0 <= lam <= 0.5:
+def degradable(lam, p):
+    """Where the glued channel is degradable, elementwise: 0 <= lam <= 1/2 (not NaN)."""
+    return (0.0 <= lam) & (lam <= 0.5)
+
+
+def _checked(lam, p, region=None) -> tuple[float, float]:
+    """(lam, p) as floats, or DomainError unless p lies in [0, 1] and lam in
+    [0, 1] or, given a predicate ``region``, where it holds at p."""
+    if region is None:
+        return check_prob("lambda", lam), check_prob("p", p)
+    lam, p = as_real("lambda", lam), check_prob("p", p)
+    if not region(lam, p):
         raise DomainError(f"lambda must lie in the degradable regime [0, 1/2], got {lam!r}")
-    return lam
+    return lam, p
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +115,9 @@ class SweepTable(Sequence):
     rows on demand, with None where a value is absent.
 
     A table checks its rows when it is built: every present value lies in
-    [0, 1] (to 1e-12); one_way is absent only where lambda > 1/2, and where
-    present it is at least the lower bound (to 1e-12) and at most the
-    two-way value (to 1e-9).  NaN fails the range.
+    [0, 1] (to 1e-12); one_way is absent only where the channel is not
+    ``degradable``, and where present it is at least the lower bound (to
+    1e-12) and at most the two-way value (to 1e-9).  NaN fails the range.
     """
 
     x: np.ndarray
@@ -123,8 +134,8 @@ class SweepTable(Sequence):
         present += [c for c in (self.lower_bound, self.upper_bound) if c is not None]
         if not all(np.all((c >= -1e-12) & (c <= 1.0 + 1e-12)) for c in present):
             raise DomainError("sweep row has a value outside [0, 1]")
-        if not np.all(certified | (self.lam > 0.5)):
-            raise DomainError("sweep row lacks a one-way value at lambda <= 1/2")
+        if not np.all(certified | ~degradable(self.lam, self.p)):
+            raise DomainError("sweep row lacks a one-way value where the channel is degradable")
         one = self.one_way[certified]
         if self.lower_bound is not None and np.any(self.lower_bound[certified] > one + 1e-12):
             raise DomainError("lower bound exceeds certified one-way value")
@@ -353,44 +364,70 @@ def maximize_coherent_information(
 # closed forms
 
 
+def _two_way(lam):
+    return 1.0 - lam
+
+
+def _one_way(lam, p):
+    return 1.0 - lam * (2.0 - _binary_entropy(p))
+
+
+def _lower_bound(lam, p):
+    # a selection, not np.maximum, so that a tie or a NaN resolves as max(0.0, x)
+    one = _one_way(lam, p)
+    return np.where(one > 0.0, one, 0.0)
+
+
+def _complement_two_way(lam, p):
+    return lam * (1.0 - _binary_entropy(p))
+
+
+def _closeness(lam, p):
+    """Distance 4 lam sqrt(p(1-p)) to the comparison channel T."""
+    return 4.0 * lam * np.sqrt(p * (1.0 - p))
+
+
+def _continuity_entropic(lam, p):
+    eps = _closeness(lam, p)
+    return 4.0 * eps + 2.0 * (2.0 + eps) * _binary_entropy(eps / (2.0 + eps))
+
+
+def _continuity_bound(lam, p):
+    # a selection, not np.minimum, so that a tie or a NaN resolves as min(1 - lam, x)
+    two, entropic = _two_way(lam), _continuity_entropic(lam, p)
+    return np.where(entropic < two, entropic, two)
+
+
 def one_way_capacity(lam: float, p: float) -> float:
-    """1 - lam (2 - H(p)); certified only in the degradable regime lam <= 1/2."""
-    lam = _check_degradable_lambda(lam)
-    p = check_prob("p", p)
-    return 1.0 - lam * (2.0 - binary_entropy(p))
+    """1 - lam (2 - H(p)); certified only where the channel is ``degradable``."""
+    return float(_one_way(*_checked(lam, p, degradable)))
 
 
 def two_way_capacity(lam: float) -> float:
     """1 - lam, for every lam in [0, 1] (independent of the dephasing weight)."""
-    lam = check_prob("lambda", lam)
-    return 1.0 - lam
+    return _two_way(check_prob("lambda", lam))
 
 
 def complement_one_way_capacity(lam: float, p: float) -> float:
-    """Zero: the environment channel is antidegradable when lam <= 1/2."""
-    _check_degradable_lambda(lam)
-    check_prob("p", p)
+    """Zero: the environment channel is antidegradable where the channel is ``degradable``."""
+    _checked(lam, p, degradable)
     return 0.0
 
 
 def complement_two_way_capacity(lam: float, p: float) -> float:
-    """lam (1 - H(p)), certified for lam <= 1/2."""
-    lam = _check_degradable_lambda(lam)
-    p = check_prob("p", p)
-    return lam * (1.0 - binary_entropy(p))
+    """lam (1 - H(p)), certified where the channel is ``degradable``."""
+    return float(_complement_two_way(*_checked(lam, p, degradable)))
 
 
 def er_bound_complement(lam: float, p: float) -> float:
     """Relative-entropy upper bound lam (1 - H(p)), valid for every lam."""
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
-    return lam * (1.0 - binary_entropy(p))
+    return float(_complement_two_way(*_checked(lam, p)))
 
 
 def erasure_capacities(lam: float) -> tuple[float, float]:
     """(one-way, two-way) reference values for the plain erasure channel."""
     lam = check_prob("lambda", lam)
-    return max(0.0, 1.0 - 2.0 * lam), 1.0 - lam
+    return max(0.0, 1.0 - 2.0 * lam), _two_way(lam)
 
 
 def coherent_info_lower_bound(lam: float, p: float) -> float:
@@ -404,14 +441,7 @@ def coherent_info_lower_bound(lam: float, p: float) -> float:
     near 0 or 1 (at lam ~ 0.505 for p = 0.001, ~ 0.56 for p = 0.05) and
     later for p nearer 1/2.
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
-    return max(0.0, 1.0 - lam * (2.0 - binary_entropy(p)))
-
-
-def _continuity_entropic(lam: float, p: float) -> float:
-    eps = 4.0 * lam * float(np.sqrt(p * (1.0 - p)))
-    return 4.0 * eps + 2.0 * (2.0 + eps) * binary_entropy(eps / (2.0 + eps))
+    return float(_lower_bound(*_checked(lam, p)))
 
 
 def continuity_upper_bound(lam: float, p: float) -> float:
@@ -421,9 +451,7 @@ def continuity_upper_bound(lam: float, p: float) -> float:
     trace-and-replace comparison channel is antidegradable); below 1/2 the
     expression is still well defined but no longer bounds the capacity.
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
-    return min(1.0 - lam, _continuity_entropic(lam, p))
+    return float(_continuity_bound(*_checked(lam, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +491,8 @@ def diamond_distance_to_T(lam: float, p: float) -> tuple[float, float]:
     no slack: the objective scales with lam sqrt(p), so an absolute tie width
     would flatten it for tiny lam or p.
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
-    analytic = 4.0 * lam * float(np.sqrt(p * (1.0 - p)))
+    lam, p = _checked(lam, p)
+    analytic = float(_closeness(lam, p))
     estimate, _ = _maximize_over_bloch_ball(_diamond_evaluator(lam, p), 1e-6, slack=0.0)
     return estimate, analytic
 
@@ -480,10 +507,10 @@ def degrading_map(lam: float, p: float) -> KrausChannel:
     On the dephasing-complement block it prepares the flag; on the identity
     block it prepares the flag with probability ``x = (1-2 lam)/(1- lam)`` and
     otherwise dephases the qubit into the environment's dephasing block.
-    Only defined for lam <= 1/2 (above that x would be negative).
+    Only defined where the channel is ``degradable`` (above lam = 1/2, x
+    would be negative).
     """
-    lam = _check_degradable_lambda(lam)
-    p = check_prob("p", p)
+    lam, p = _checked(lam, p, degradable)
     x = (1.0 - 2.0 * lam) / (1.0 - lam)
     flag = ket(0, 3)
 
@@ -755,7 +782,10 @@ def sweep(curve: Curve, points: int) -> SweepTable:
     points = check_count("points", points, 2)
     x = np.linspace(*curve.x_range, points)
     lam, p = curve.params(x)
-    table = SweepTable(x, lam, p, *curve.row(lam, p))
+    # the forms are unchecked: a lam or p outside [0, 1] gives a value outside
+    # [0, 1] or NaN somewhere in its row, which the table's range rule refuses
+    with np.errstate(all="ignore"):
+        table = SweepTable(x, lam, p, *curve.row(lam, p))
     for col in vars(table).values():
         if col is not None:
             col.flags.writeable = False
@@ -763,17 +793,9 @@ def sweep(curve: Curve, points: int) -> SweepTable:
 
 
 def _glued_row(lam: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One-way value only where certified (lambda <= 1/2), two-way and both bounds.
-
-    The scalar closed forms' operations in their order; Python's max/min are
-    written as selections so that ties resolve as they do.
-    """
-    one = 1.0 - lam * (2.0 - binary_entropies(p))
-    two = 1.0 - lam
-    eps = 4.0 * lam * np.sqrt(p * (1.0 - p))
-    entropic = 4.0 * eps + 2.0 * (2.0 + eps) * binary_entropies(eps / (2.0 + eps))
-    return (np.where(lam <= 0.5, one, np.nan), two, np.where(one > 0.0, one, 0.0),
-            np.where(entropic < two, entropic, two))
+    """One-way value only where certified (``degradable``), two-way and both bounds."""
+    return (np.where(degradable(lam, p), _one_way(lam, p), np.nan), _two_way(lam),
+            _lower_bound(lam, p), _continuity_bound(lam, p))
 
 
 _UPPER_BOUND_NOTE = "continuity bound certifies the capacity only for lambda >= 1/2"
@@ -791,21 +813,6 @@ FIG3 = Curve(
 )
 
 
-def fig4_lambda(p: float) -> float:
-    """Parametrization lam(p) = p / log2(1/p).
-
-    Dividing by log2(1/p) rather than log(p) keeps the weight nonnegative
-    and inside [0, 1/2] on [0.35, 0.5], and makes the one-way value meet the
-    two-way value at p = 1/2.  Under this reading the one-way curve is NOT
-    monotone on the range, so sweeps record the reading in their metadata
-    and no monotonicity is asserted.
-    """
-    p = as_real("p", p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"parametrization needs p in (0, 1), got {p!r}")
-    return p / float(np.log2(1.0 / p))
-
-
 FIG4 = Curve(
     x_range=(0.35, 0.5),
     params=lambda p: (p / np.log2(1.0 / p), p),
@@ -816,12 +823,26 @@ FIG4 = Curve(
         "p_range": [0.35, 0.5],
         "log_base_note": (
             "log read base-2 via p/log2(1/p) so the weight stays in [0, 1/2]. "
-            "Under this reading the one-way curve is not monotone on the "
-            "range; only the p=1/2 endpoint equality is asserted."
+            "Under this reading both the one-way and the two-way curve strictly "
+            "decrease on the range and meet at p=1/2."
         ),
         "upper_bound_note": _UPPER_BOUND_NOTE,
     },
 )
+
+
+def fig4_lambda(p: float) -> float:
+    """Parametrization lam(p) = p / log2(1/p) of ``FIG4``.
+
+    Dividing by log2(1/p) rather than log(p) keeps the weight nonnegative
+    and inside [0, 1/2] on [0.35, 0.5], and makes the one-way value meet the
+    two-way value at p = 1/2.  Both curves strictly decrease on the range: on
+    100,001 grid points every one-way step lies in [-3.67e-6, -1.75e-6].
+    """
+    p = as_real("p", p)
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"parametrization needs p in (0, 1), got {p!r}")
+    return float(FIG4.params(p)[0])
 
 
 def custom_curve(lam_min: float, lam_max: float, p_min: float, p_max: float) -> Curve:
@@ -829,7 +850,7 @@ def custom_curve(lam_min: float, lam_max: float, p_min: float, p_max: float) -> 
 
     Exactly one parameter must vary (min < max); the fixed one needs min ==
     max, so that no range end is silently dropped.  The one-way column is
-    populated only where the closed form is certified (lambda <= 1/2);
+    populated only where the closed form is certified (``degradable``);
     elsewhere the rows carry the bound columns.
     """
     lam_min, lam_max = check_prob("lambda", lam_min), check_prob("lambda", lam_max)
@@ -886,8 +907,7 @@ def simulate_two_way_protocol(
     is fixed by one uniform per use from stream ``STREAM_QUANTUM_PROTOCOL``,
     counted chunk by chunk (``sampling.draw_chunks``).
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
+    lam, p = _checked(lam, p)
     uses, seed = check_run(uses, seed)
 
     fid = two_way_postselected_fidelity(lam, p)

@@ -420,29 +420,3 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
         raise ShapeMismatch("composition dimensions do not match")
     kraus = tuple(k2 @ k1 for k2 in second.kraus for k1 in first.kraus)
     return KrausChannel(first.dim_in, second.dim_out, kraus)
-
-
-# ---------------------------------------------------------------------------
-# golden-file dump format: one line per entry, "row col re im", 17 digits
-
-
-def matrix_dump(m) -> str:
-    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
-    lines = []
-    for r in range(a.shape[0]):
-        for c in range(a.shape[1]):
-            lines.append(f"{r} {c} {a[r, c].real:.17g} {a[r, c].imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def matrix_load(text: str) -> np.ndarray:
-    rows, cols, vals = [], [], []
-    for line in text.strip().splitlines():
-        r, c, re_part, im_part = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(complex(float(re_part), float(im_part)))
-    out = np.zeros((max(rows) + 1, max(cols) + 1), dtype=complex)
-    for r, c, v in zip(rows, cols, vals):
-        out[r, c] = v
-    return out

@@ -249,7 +249,7 @@ def _check_completeness() -> CheckResult:
                 chn.comparison_channel_T(lam, p),
                 chn.erasure_channel(lam),
             ]
-            if lam <= 0.5:
+            if cap.degradable(lam, p):
                 chans.append(cap.degrading_map(lam, p))
             for c in chans:
                 yield float(np.abs(sum(k.conj().T @ k for k in c.kraus) - np.eye(c.dim_in)).max())

@@ -8,9 +8,12 @@ independent distribution is a free choice; uniform keeps outputs symmetric).
 
 Closed forms, in bits per use:
 
-* one-way secrecy capacity (degraded regime ``lam <= 1/2``):
+* one-way secrecy capacity where the channel is ``degraded``:
   ``1 - lam (1 + H(p))``
 * two-way secrecy capacity, every ``lam``:  ``1 - lam``
+
+Each is one unchecked function of floats or arrays, shared by the scalar
+functions and ``FIG6``'s rows; ``degraded`` decides where it is certified.
 
 The joint table is indexed ``table[x, y, z, l]`` with ``l = 0`` meaning L = 1
 and ``l = 1`` meaning L = 2.
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import Curve, _check_degradable_lambda, bisect
+from .capacity import Curve, _checked, _two_way, bisect
 from .errors import DomainError, NotADistribution
-from .qmath import as_real, binary_entropies, binary_entropy, check_count, check_prob
+from .qmath import _binary_entropy, as_real, check_count, check_prob
 from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, draw_chunks
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -68,8 +71,7 @@ class WiretapChannel:
 
 def build_wiretap(lam: float, p: float) -> WiretapChannel:
     """Assemble the joint conditional table for parameters (lam, p)."""
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
+    lam, p = _checked(lam, p)
     t = np.zeros((2, 2, 2, 2))
     for x in range(2):
         for y in range(2):
@@ -170,28 +172,35 @@ def secrecy_capacity_bruteforce(ch: WiretapChannel, grid: int = 201) -> tuple[fl
     return float(f_best), float(q_best)
 
 
+def degraded(lam, p):
+    """Where Eve's view is degraded from Bob's, elementwise: 0 <= lam <= 1/2 (not NaN)."""
+    return (0.0 <= lam) & (lam <= 0.5)
+
+
+def _one_way_secrecy(lam, p):
+    return 1.0 - lam * (1.0 + _binary_entropy(p))
+
+
 def one_way_secrecy_capacity(lam: float, p: float) -> float:
-    """1 - lam (1 + H(p)); certified in the degraded regime lam <= 1/2."""
-    lam = _check_degradable_lambda(lam)
-    p = check_prob("p", p)
-    return 1.0 - lam * (1.0 + binary_entropy(p))
+    """1 - lam (1 + H(p)); certified only where the channel is ``degraded``."""
+    return float(_one_way_secrecy(*_checked(lam, p, degraded)))
 
 
 def two_way_secrecy_capacity(lam: float) -> float:
     """1 - lam for every lam in [0, 1]."""
-    lam = check_prob("lambda", lam)
-    return 1.0 - lam
+    return _two_way(check_prob("lambda", lam))
 
 
-def degrading_stochastic_map(lam: float) -> np.ndarray:
+def degrading_stochastic_map(lam: float, p: float) -> np.ndarray:
     """Stochastic map T(z, l' | y, l) taking Bob's view to Eve's view.
 
     On L = 1 it reports L' = 2 with a fresh uniform bit; on L = 2 it reports
     (L' = 1, z = y) with probability lam / (1 - lam) and a fresh uniform bit
-    under L' = 2 otherwise.  Indexing: map[y, l, z, l'].  Requires lam <= 1/2
-    so the mixing probability stays in [0, 1].
+    under L' = 2 otherwise.  Indexing: map[y, l, z, l'].  T does not depend
+    on p, but it exists only where the channel is ``degraded`` at (lam, p),
+    which keeps the mixing probability in [0, 1].
     """
-    lam = _check_degradable_lambda(lam)
+    lam, _ = _checked(lam, p, degraded)
     mix = lam / (1.0 - lam)
     t = np.zeros((2, 2, 2, 2))
     for y in range(2):
@@ -204,7 +213,7 @@ def degrading_stochastic_map(lam: float) -> np.ndarray:
 
 def verify_degraded(ch: WiretapChannel) -> float:
     """Max residual of T applied to Bob's conditional versus Eve's conditional."""
-    t = degrading_stochastic_map(ch.lam)
+    t = degrading_stochastic_map(ch.lam, ch.p)
     bob = ch.bob_given_x()  # (x, y, l)
     eve = ch.eve_given_x()  # (x, z, l)
     composed = np.einsum("xyl,ylzm->xzm", bob, t)
@@ -228,8 +237,7 @@ def simulate_feedback_protocol(
     may not.  They are counted chunk by chunk (``sampling.draw_chunks``), so
     memory does not grow with ``uses``.
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
+    lam, p = _checked(lam, p)
     uses, seed = check_run(uses, seed)
     accepted = x1 = z1 = both = 0
     # flag2 is True where L = 2 (accepted); z is Eve's bit there
@@ -246,14 +254,6 @@ def simulate_feedback_protocol(
     counts = np.array([[accepted - x1 - z1 + both, z1 - both], [x1 - both, both]], dtype=float)
     leakage = mutual_information(counts / accepted)
     return throughput, leakage
-
-
-def fig6_lambda(p: float) -> float:
-    """Parametrization lam(p) = p / (2 log2(6 / p))."""
-    p = as_real("p", p)
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"parametrization needs p in (0, 1], got {p!r}")
-    return p / (2.0 * float(np.log2(6.0 / p)))
 
 
 def fig6_crossover() -> float:
@@ -284,7 +284,8 @@ def fig6_crossover() -> float:
 FIG6 = Curve(
     x_range=(0.8687, 1.0),
     params=lambda p: (p / (2.0 * np.log2(6.0 / p)), p),
-    row=lambda lam, p: (1.0 - lam * (1.0 + binary_entropies(p)), 1.0 - lam, None, None),
+    row=lambda lam, p: (np.where(degraded(lam, p), _one_way_secrecy(lam, p), np.nan),
+                        _two_way(lam), None, None),
     meta=lambda: {
         "scenario": "fig6",
         "lambda_of_p": "p / (2*log2(6/p))",
@@ -293,3 +294,11 @@ FIG6 = Curve(
         "crossover_note": "display range endpoint 0.8687 is not asserted equal to the crossover",
     },
 )
+
+
+def fig6_lambda(p: float) -> float:
+    """Parametrization lam(p) = p / (2 log2(6 / p)) of ``FIG6``."""
+    p = as_real("p", p)
+    if not 0.0 < p <= 1.0:
+        raise DomainError(f"parametrization needs p in (0, 1], got {p!r}")
+    return float(FIG6.params(p)[0])

@@ -199,17 +199,15 @@ def test_criterion_10_monte_carlo_protocols():
 
 def test_criterion_11_disclosure_and_fig4_endpoint():
     # Every analytic statement above runs at desk scale; nothing in the source
-    # material needs substitution.  The fig4 one-way monotonicity claim is
-    # deliberately NOT asserted: under the base-2 reading of its lambda(p) the
-    # one-way curve is non-monotone (see capacity.fig4_lambda docstring), so
-    # only the p = 1/2 endpoint equality is checked.
+    # material needs substitution.  Under the base-2 reading of fig4's
+    # lambda(p) both the one-way and the two-way column strictly decrease
+    # (see capacity.fig4_lambda docstring) and meet at p = 1/2.
     pts = cap.sweep(cap.FIG4, 100)
     endpoint_err = max(abs(pts[-1].one_way - 0.5), abs(pts[-1].two_way - 0.5))
     assert endpoint_err <= 1e-9
-    one = np.array([p.one_way for p in pts])
-    monotone = bool(np.all(np.diff(one) > 0))
-    print(f"  fig4 one-way monotone under base-2 reading: {monotone} (documented, not asserted)")
-    assert not monotone  # documents the ambiguity; the endpoint is the assertion
+    steps = {name: float(np.diff(getattr(pts, name)).max()) for name in ("one_way", "two_way")}
+    print(f"  fig4 largest step under base-2 reading: {steps}")
+    assert all(step < 0.0 for step in steps.values()), steps
     _report("criterion-11 fig4-endpoint-equality", endpoint_err, 1e-9)
 
 

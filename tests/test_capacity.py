@@ -644,10 +644,9 @@ def test_sweep_fig4():
     assert abs(pts[-1].one_way - 0.5) < 1e-9
     assert abs(pts[-1].two_way - 0.5) < 1e-9
     # all points stay in the certified regime under the base-2 reading
-    assert all(p.lam <= 0.5 for p in pts)
-    # the one-way column is not monotone under this reading (documented)
-    one = np.array([p.one_way for p in pts])
-    assert not np.all(np.diff(one) > 0)
+    assert all(cap.degradable(p.lam, p.p) for p in pts)
+    # under this reading both columns strictly decrease toward their meeting at p = 1/2
+    assert np.all(np.diff(pts.one_way) < 0) and np.all(np.diff(pts.two_way) < 0)
 
 
 def test_sweep_custom():
@@ -680,13 +679,13 @@ def test_custom_curve_rows(vary_lambda, fixed, ends, points):
     for pt in pts:
         assert pt.x == (pt.lam if vary_lambda else pt.p)
         assert (pt.p if vary_lambda else pt.lam) == fixed
-        assert (pt.one_way is None) == (pt.lam > 0.5)
+        assert (pt.one_way is None) == (not cap.degradable(pt.lam, pt.p))
         if pt.one_way is not None:
             assert pt.lower_bound <= pt.one_way <= pt.two_way
 
 
 def _glued_scalar_row(lam, p):
-    one = cap.one_way_capacity(lam, p) if lam <= 0.5 else None
+    one = cap.one_way_capacity(lam, p) if cap.degradable(lam, p) else None
     return (lam, p, one, cap.two_way_capacity(lam), cap.coherent_info_lower_bound(lam, p),
             cap.continuity_upper_bound(lam, p))
 
@@ -773,6 +772,72 @@ def test_sweep_table_reads_as_rows():
 def test_sweep_rejects_invalid_rows(row):
     curve = cap.Curve(x_range=(0.1, 0.4), params=lambda x: (x, x), row=row, meta=dict)
     with pytest.raises(DomainError):
+        cap.sweep(curve, 4)
+
+
+# lambda at and around the edges of today's certified region [0, 1/2], and NaN
+REGION_LAMBDAS = (0.0, 5e-324, 0.25, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0, math.nan)
+REGION_PS = (0.0, 0.5, 1.0)
+# each region-checked scalar function, beside the predicate it is checked by
+REGION_CHECKED = {
+    "one_way_capacity": (cap.one_way_capacity, cap.degradable),
+    "complement_one_way_capacity": (cap.complement_one_way_capacity, cap.degradable),
+    "complement_two_way_capacity": (cap.complement_two_way_capacity, cap.degradable),
+    "degrading_map": (cap.degrading_map, cap.degradable),
+    "one_way_secrecy_capacity": (wt.one_way_secrecy_capacity, wt.degraded),
+    "degrading_stochastic_map": (wt.degrading_stochastic_map, wt.degraded),
+}
+
+
+@pytest.mark.parametrize("lam", REGION_LAMBDAS)
+@pytest.mark.parametrize("p", REGION_PS)
+def test_predicates_are_the_certified_region(lam, p):
+    for region in (cap.degradable, wt.degraded):
+        assert bool(region(lam, p)) == (0.0 <= lam <= 0.5)
+        grid = region(np.array([lam, lam]), np.array([p, p]))
+        assert grid.tolist() == [bool(region(lam, p))] * 2
+
+
+@pytest.mark.parametrize("lam", REGION_LAMBDAS)
+@pytest.mark.parametrize("p", REGION_PS)
+@pytest.mark.parametrize("name", sorted(REGION_CHECKED))
+def test_scalar_functions_refuse_exactly_outside_their_region(name, lam, p):
+    function, region = REGION_CHECKED[name]
+    if region(lam, p):
+        function(lam, p)
+    else:
+        with pytest.raises(DomainError, match="^lambda must lie in the degradable regime"):
+            function(lam, p)
+
+
+@pytest.mark.parametrize("lam", REGION_LAMBDAS[:-1])
+def test_sweep_rows_leave_one_way_out_exactly_outside_the_region(lam):
+    # a p sweep at fixed lambda whose three points are exactly REGION_PS
+    pts = cap.sweep(cap.custom_curve(lam, lam, 0.0, 1.0), len(REGION_PS))
+    assert pts.p.tolist() == list(REGION_PS)
+    assert np.isnan(pts.one_way).tolist() == [not cap.degradable(lam, p) for p in REGION_PS]
+
+
+@pytest.mark.parametrize("lam", REGION_LAMBDAS)
+@pytest.mark.parametrize("p", REGION_PS)
+def test_curve_point_needs_one_way_exactly_inside_the_region(lam, p):
+    def build():
+        return cap.CapacityCurvePoint(x=lam, lam=lam, p=p, one_way=None, two_way=0.0)
+
+    if math.isnan(lam):  # a NaN lambda fails the range rule first
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            build()
+    elif cap.degradable(lam, p):
+        with pytest.raises(DomainError, match="lacks a one-way value"):
+            build()
+    else:
+        assert build().one_way is None
+
+
+def test_sweep_refuses_params_with_p_above_one():
+    curve = cap.Curve(x_range=(0.1, 0.4), params=lambda x: (x, x + 1.0), row=cap._glued_row,
+                      meta=dict)
+    with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
         cap.sweep(curve, 4)
 
 

@@ -287,14 +287,3 @@ def test_entropy_decompositions():
         h_env = chn.apply(chn.complement_N(lam, p), rho).entropy()
         h_d = chn.apply(chn.dephasing_channel(p), rho).entropy()
         assert abs(h_env - (binary_entropy(lam) + lam * h_d)) < 1e-10
-
-
-def test_matrix_dump_roundtrip():
-    rng = np.random.default_rng(9)
-    m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    text = chn.matrix_dump(m)
-    lines = text.strip().splitlines()
-    assert len(lines) == 12
-    assert lines[0].split()[:2] == ["0", "0"]
-    back = chn.matrix_load(text)
-    assert np.array_equal(back, m)  # 17 significant digits round-trip exactly

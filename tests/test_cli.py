@@ -123,10 +123,13 @@ def test_sweep_json_meta(capsys):
     doc = json.loads(out)
     assert doc["meta"]["scenario"] == "fig4"
     assert "log2" in doc["meta"]["lambda_of_p"]
-    assert "not monotone" in doc["meta"]["log_base_note"]
+    assert "strictly decrease" in doc["meta"]["log_base_note"]
     assert doc["meta"]["version"]
     assert len(doc["rows"]) == 5
     assert doc["rows"][-1]["one_way"] == 0.5
+    for column in ("one_way", "two_way"):
+        values = [row[column] for row in doc["rows"]]
+        assert all(b < a for a, b in zip(values, values[1:])), column
 
     code, out, _ = run(["sweep", "--scenario", "fig6", "--points", "5", "--format", "json"], capsys)
     doc = json.loads(out)
@@ -332,7 +335,7 @@ def test_default_output_digests(capsys, monkeypatch):
         ("sweep", "--scenario", "fig4"):
             "0e55b00b3d3595dd7f30c59f1654a40eb01497152f5164c61df738c952da7353",
         ("sweep", "--scenario", "fig4", "--format", "json"):
-            "0e590067fc5516f8f2fef56b6d4a3179357947e2bbd7748f6ca72f07154e1536",
+            "8ce4e150c5f603245f9cd3e8165b1b90c503e3b3b0ff5df47e21e6a9cdb44034",
         # a lambda sweep across 1/2 (one-way column ends) and a p sweep at lambda > 1/2
         ("sweep", "--scenario", "custom", "--lambda-min", "0.1", "--lambda-max", "0.9",
          "--p", "0.2"):

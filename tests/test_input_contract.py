@@ -338,6 +338,8 @@ def _bad(kind: str) -> np.ndarray:
         m = 1.1 * m
     elif kind == "negative_eigenvalue":
         m = np.diag([1.05, -0.05]).astype(complex)
+    elif kind == "overflow":  # m + m^dag overflows; m/2 + m^dag/2 does not
+        m = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
     elif kind == "17x17":
         m = np.eye(17, dtype=complex) / 17
     elif kind == "0x0":
@@ -372,6 +374,7 @@ REJECTS = {
     "asymmetric": (NonHermitian, "symmetry residual 1.000e-06 exceeds 1e-10"),
     "trace": (NotAState, "trace 1.1 is not 1 within 1e-09"),
     "negative_eigenvalue": (NotAState, "smallest eigenvalue -5.000e-02 below -1e-10"),
+    "overflow": (NotAState, "smallest eigenvalue -1.000e+308 below -1e-10"),
     "17x17": (DimensionTooLarge, "dimension 17 exceeds the supported maximum 16"),
     "0x0": (ShapeMismatch, "expected a matrix of dimension >= 1, got shape (0, 0)"),
     "non_square": (ShapeMismatch, "expected a square matrix, got shape (2, 3)"),
@@ -386,7 +389,7 @@ CHANNEL_SHAPE = {
     "3d": "state shape (2, 2, 2) != channel input (2, 2)",
 }
 # hermitian_eig takes any finite Hermitian matrix: trace and sign are no concern of it
-EIG_ACCEPTS = ("trace", "negative_eigenvalue")
+EIG_ACCEPTS = ("trace", "negative_eigenvalue", "overflow")
 
 
 @pytest.mark.filterwarnings("error")
@@ -477,6 +480,10 @@ def test_trace_norm_rejects_non_finite_entries():
             with pytest.raises(DomainError, match="non-finite"):
                 qmath.trace_norm(m)
     assert qmath.trace_norm(np.diag([1.0, -2.0])) == 3.0
+    # finite entries whose singular values sum past the float64 range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qmath.trace_norm(_bad("overflow")) == np.inf
 
 
 def test_kraus_channel_and_isometry_reject_nan_entries():
@@ -517,7 +524,6 @@ def test_zero_dimension_is_a_shape_mismatch_at_every_matrix_entry():
         qmath.trace_norm,
         chn.DensityMatrix,
         lambda m: qmath.partial_trace(m, (1, 1), "first"),
-        lambda m: qmath.direct_sum_embed(m, 0, 2),
     ):
         with pytest.raises(ShapeMismatch, match="dimension >= 1"):
             f(empty)
@@ -616,7 +622,7 @@ def test_degradable_lambda_refuses_non_reals():
             lambda: cap.one_way_capacity(bad, 0.1),
             lambda: cap.degrading_map(bad, 0.1),
             lambda: wt.one_way_secrecy_capacity(bad, 0.1),
-            lambda: wt.degrading_stochastic_map(bad),
+            lambda: wt.degrading_stochastic_map(bad, 0.1),
         ):
             with pytest.raises(DomainError, match="lambda must be a real number"):
                 call()

@@ -13,7 +13,6 @@ from chancap.qmath import (
     HermitianSpectrum,
     binary_entropies,
     binary_entropy,
-    direct_sum_embed,
     hermitian_eig,
     partial_trace,
     shannon_entropy,
@@ -192,13 +191,3 @@ def test_partial_trace_shape_errors():
 
 def test_tensor_identity():
     assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_direct_sum_embed():
-    rho = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
-    out = direct_sum_embed(rho, 2, 4)
-    assert np.abs(out[2:4, 2:4] - rho).max() == 0.0
-    assert np.abs(out[:2, :]).max() == 0.0
-    assert np.abs(out[:, :2]).max() == 0.0
-    with pytest.raises(ShapeMismatch):
-        direct_sum_embed(rho, 3, 4)

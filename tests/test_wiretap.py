@@ -119,15 +119,15 @@ def test_secrecy_closed_forms():
 
 
 def test_degrading_stochastic_map():
-    t = wt.degrading_stochastic_map(0.0)
+    t = wt.degrading_stochastic_map(0.0, 0.2)
     # always flag 2 with a uniform bit
     assert np.abs(t[:, :, :, 0]).max() == 0.0
     assert np.abs(t.sum(axis=(2, 3)) - 1.0).max() < 1e-15
 
-    t5 = wt.degrading_stochastic_map(0.5)  # mixing probability exactly 1
+    t5 = wt.degrading_stochastic_map(0.5, 0.2)  # mixing probability exactly 1
     assert abs(t5[0, 1, 0, 0] - 1.0) < 1e-15
     with pytest.raises(DomainError):
-        wt.degrading_stochastic_map(0.51)
+        wt.degrading_stochastic_map(0.51, 0.2)
 
 
 def test_verify_degraded_grid():
