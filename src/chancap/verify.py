@@ -32,9 +32,9 @@ from .qmath import (
     _state_spectrum,
     _trace_norm,
     binary_entropy,
+    entropies_bits,
     shannon_entropy,
     tensor,
-    von_neumann_entropy,
 )
 from .sampling import random_density_matrix, random_hermitian, random_unitary
 
@@ -270,43 +270,52 @@ def _check_complement_consistency() -> CheckResult:
     return _result(_worst(residuals()), 1e-10)
 
 
+def _stacked_entropies(ms) -> np.ndarray:
+    """``von_neumann_entropy`` of each matrix of ``ms``, validated and scored as one stack."""
+    return _entropy_bits_rows(_state_spectrum(_as_stack(ms)))
+
+
 @_register("channels.entropy_decomposition_output", "channels.entropy_decomposition_complement")
 def _check_entropy_decomposition() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(106)
-    runs = []
-    for _ in range(100):
-        lam, p = rng.uniform(0.0, 1.0, size=2)
-        rho = random_density_matrix(rng, 2)
-        h_rho = von_neumann_entropy(rho)
-        h_dbar = chn.apply(chn.complementary_dephasing(p), rho).entropy()
-        h_d = chn.apply(chn.dephasing_channel(p), rho).entropy()
-        lhs_out = chn.apply(chn.channel_N(lam, p), rho).entropy()
-        rhs_out = binary_entropy(lam) + lam * h_dbar + (1.0 - lam) * h_rho
-        lhs_env = chn.apply(chn.complement_N(lam, p), rho).entropy()
-        rhs_env = binary_entropy(lam) + lam * h_d
-        runs.append((abs(lhs_out - rhs_out), abs(lhs_env - rhs_env)))
-    return (_result(_worst(out for out, _ in runs), 1e-10),
-            _result(_worst(env for _, env in runs), 1e-10))
+    draws = [(*rng.uniform(0.0, 1.0, size=2), random_density_matrix(rng, 2)) for _ in range(100)]
+    lam, p, rhos = (np.array(column) for column in zip(*draws))
+    h_rho = _stacked_entropies(rhos)  # also the state checks of every apply below
+
+    def h(make):
+        return _stacked_entropies([chn._apply_stack(make(*args).superoperator, rho)
+                                   for *args, rho in draws])
+
+    h_dbar = h(lambda lam, p: chn.complementary_dephasing(p))
+    h_d = h(lambda lam, p: chn.dephasing_channel(p))
+    lhs_out, lhs_env = h(chn.channel_N), h(chn.complement_N)
+    h_lam = np.array([binary_entropy(x) for x in lam])
+    rhs_out = h_lam + lam * h_dbar + (1.0 - lam) * h_rho
+    rhs_env = h_lam + lam * h_d
+    return (_result(_worst(np.abs(lhs_out - rhs_out).tolist()), 1e-10),
+            _result(_worst(np.abs(lhs_env - rhs_env).tolist()), 1e-10))
 
 
 @_register("channels.block_orthogonality")
 def _check_block_orthogonality() -> CheckResult:
     def residuals():
         rng = np.random.default_rng(107)
-        for _ in range(25):
-            lam, p = rng.uniform(0.0, 1.0, size=2)
-            rho = random_density_matrix(rng, 2)
-            for c in (
-                chn.channel_N(lam, p),
-                chn.complement_N(lam, p),
-                chn.comparison_channel_T(lam, p),
-                chn.erasure_channel(lam),
-            ):
-                out = chn.apply(c, rho).matrix
-                mask = np.ones_like(out, dtype=bool)
-                for off, size in c.blocks:
-                    mask[off : off + size, off : off + size] = False
-                yield float(np.abs(out[mask]).max())
+        draws = [(*rng.uniform(0.0, 1.0, size=2), random_density_matrix(rng, 2))
+                 for _ in range(25)]
+        _state_spectrum(_as_stack([rho for *_, rho in draws]))  # the state checks of apply
+        for make in (
+            chn.channel_N,
+            chn.complement_N,
+            chn.comparison_channel_T,
+            lambda lam, p: chn.erasure_channel(lam),
+        ):
+            chans = [make(lam, p) for lam, p, _ in draws]
+            outs = np.stack([chn._apply_stack(c.superoperator, rho)
+                             for c, (*_, rho) in zip(chans, draws)])
+            off_block = np.ones(outs.shape[1:], dtype=bool)
+            for off, size in chans[0].blocks:
+                off_block[off : off + size, off : off + size] = False
+            yield from np.abs(outs[:, off_block]).max(axis=1).tolist()
     return _result(_worst(residuals()), 1e-12)
 
 
@@ -427,17 +436,20 @@ def _check_derivative() -> CheckResult:
 def _check_choi_ic() -> CheckResult:
     # both routes start from N's superoperator but use different entropy
     # formulas: H(B) - H(AB) of the Choi state and H(N(pi)) - H(N^c(pi))
-    def residuals():
-        rng = np.random.default_rng(111)
-        pi = chn.maximally_mixed(2)
-        for _ in range(10):
-            lam, p = rng.uniform(0.0, 1.0, size=2)
-            n = chn.channel_N(lam, p)
-            nb = chn.complement_N(lam, p)
-            via_state = cap.coherent_information_state(chn.choi(n).state.matrix, (2, 4))
-            via_channel = cap.coherent_information(n, nb, pi)
-            yield abs(via_state - via_channel)
-    return _result(_worst(residuals()), 1e-10)
+    rng = np.random.default_rng(111)
+    params = [rng.uniform(0.0, 1.0, size=2) for _ in range(10)]
+    ns = [chn.channel_N(lam, p) for lam, p in params]
+    nbs = [chn.complement_N(lam, p) for lam, p in params]
+    chois = np.stack([chn.choi(n).state.matrix for n in ns])
+    # the checks and H(AB) of coherent_information_state, then H(B) of the marginals
+    via_state = entropies_bits(_partial_traces(chois, (2, 4), "first")) - _stacked_entropies(chois)
+    # the checks of coherent_information on pi, then H(N(pi)) - H(N^c(pi))
+    pi = chn.checked_input(ns[0], chn.maximally_mixed(2))
+
+    def h(chans):
+        return entropies_bits(np.stack([chn._apply_stack(c.superoperator, pi) for c in chans]))
+
+    return _result(_worst(np.abs(via_state - (h(ns) - h(nbs))).tolist()), 1e-10)
 
 
 @_register("capacity.fig4_endpoint_equality")
@@ -469,14 +481,11 @@ def _check_postselect_fidelity() -> CheckResult:
 @_register("wiretap.bruteforce_oracle_value", "wiretap.bruteforce_oracle_argmax")
 def _check_wiretap_oracle() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(112)
-    runs = []
-    for _ in range(20):
-        lam = rng.uniform(0.0, 0.5)
-        p = rng.uniform(0.0, 1.0)
-        value, q = wt.secrecy_capacity_bruteforce(wt.build_wiretap(lam, p))
-        runs.append((abs(value - wt.one_way_secrecy_capacity(lam, p)), abs(q - 0.5)))
-    return (_result(_worst(value for value, _ in runs), 1e-4),
-            _result(_worst(argmax for _, argmax in runs), 1e-4))
+    params = [(rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0)) for _ in range(20)]
+    values, qs = wt._secrecy_capacity_search([wt.build_wiretap(lam, p) for lam, p in params], 201)
+    closed = np.array([wt.one_way_secrecy_capacity(lam, p) for lam, p in params])
+    return (_result(_worst(np.abs(values - closed).tolist()), 1e-4),
+            _result(_worst(np.abs(qs - 0.5).tolist()), 1e-4))
 
 
 @_register("wiretap.degraded_composition")

@@ -21,6 +21,7 @@ and ``l = 1`` meaning L = 2.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,12 +110,25 @@ def _mutual_information_stack(joints: np.ndarray) -> np.ndarray:
     return (joints * np.log2(ratio)).sum(axis=(1, 2))
 
 
+def _secrecy_objectives(views: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``secrecy_objective`` at the inputs ``qs`` (...) of the channels whose
+    conditionals P(y, l | x) and P(z, l | x) are ``views`` (2, ..., 2, 2, 2),
+    Bob's then Eve's, in one stacked call."""
+    w = np.empty(qs.shape + (2, 1, 1))
+    w[..., 0, 0, 0] = qs
+    w[..., 1, 0, 0] = 1.0 - qs
+    bob, eve = _mutual_information_stack((views * w).reshape(-1, 2, 4)).reshape(2, -1)
+    return (bob - eve).reshape(qs.shape)
+
+
+def _views(ch: WiretapChannel) -> np.ndarray:
+    """Bob's and Eve's conditionals of ``ch``, stacked (2, 2, 2, 2)."""
+    return np.stack([ch.bob_given_x(), ch.eve_given_x()])
+
+
 def _secrecy_objective_grid(ch: WiretapChannel, qs: np.ndarray) -> np.ndarray:
     """``secrecy_objective`` at every q of a grid in [0, 1], in one batch."""
-    w = np.column_stack([qs, 1.0 - qs])[:, :, None, None]
-    bob = (ch.bob_given_x() * w).reshape(-1, 2, 4)
-    eve = (ch.eve_given_x() * w).reshape(-1, 2, 4)
-    return _mutual_information_stack(bob) - _mutual_information_stack(eve)
+    return _secrecy_objectives(_views(ch)[:, None], qs)
 
 
 def decomposition_residual(ch: WiretapChannel, q: float) -> float:
@@ -133,48 +147,78 @@ def decomposition_residual(ch: WiretapChannel, q: float) -> float:
 
 
 def secrecy_capacity_bruteforce(ch: WiretapChannel, grid: int = 201) -> tuple[float, float]:
-    """Maximize the secrecy objective over the input law.
+    """Maximize the secrecy objective over the input law: (value, argmax q).
 
     Scans a uniform grid in q (at least 101 points), then refines around the
     best point with a golden-section search to 1e-10 in q, kept only if it
     does strictly better.  Ties thus go to the smallest grid q: where the
     objective is nowhere positive, e.g. (lam, p) = (1/2, 1/2) or (0.75, 0.2),
-    the search reports q = 0.
+    the search reports q = 0.  This is ``_secrecy_capacity_search`` of the
+    batch of one channel.
 
     For lam <= 1/2 the channel is degraded and this maximum is the secrecy
     capacity.  Above 1/2 it is not degraded, and the maximum over the input
     law alone, with no prefix channel U -> X (Csiszar and Korner 1978), is
     only a lower bound on the secrecy capacity.
     """
+    values, qs = _secrecy_capacity_search([ch], grid)
+    return float(values[0]), float(qs[0])
+
+
+def _secrecy_capacity_search(
+    chs: Sequence[WiretapChannel], grid: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``secrecy_capacity_bruteforce`` of each channel of a non-empty batch,
+    as arrays of values and of argmax q, each entry the call on that channel.
+
+    One grid call scores every channel.  The golden-section searches then
+    run in rounds: each round narrows every bracket still wider than 1e-10
+    and scores all their new points in one call.  A bracket shrinks by the
+    same factor whichever side it keeps, so the searches stay in lockstep,
+    and one whose grid argmax lies at a grid end, with a half-width bracket,
+    stops some rounds earlier.  Each channel's conditionals are built once.
+    """
     grid = check_count("grid", grid, 101)
+    views = np.stack([_views(ch) for ch in chs], axis=1)  # (2, n, 2, 2, 2)
     qs = np.linspace(0.0, 1.0, grid)
-    vals = _secrecy_objective_grid(ch, qs)
-    i = int(np.argmax(vals))
-    lo = qs[max(0, i - 1)]
-    hi = qs[min(grid - 1, i + 1)]
+    vals = _secrecy_objectives(views[:, :, None], np.tile(qs, (len(chs), 1)))
+    i = np.argmax(vals, axis=1)
+    lo = qs[np.maximum(i - 1, 0)]
+    hi = qs[np.minimum(i + 1, grid - 1)]
 
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
-    fc, fd = secrecy_objective(ch, c), secrecy_objective(ch, d)
-    while hi - lo > 1e-10:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = secrecy_objective(ch, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = secrecy_objective(ch, d)
-    q_best = 0.5 * (lo + hi)
-    f_best = secrecy_objective(ch, q_best)
-    if vals[i] >= f_best:
-        q_best, f_best = float(qs[i]), float(vals[i])
-    return float(f_best), float(q_best)
+    fc, fd = _secrecy_objectives(views[:, None], np.stack([c, d]))
+    # the searches still running: their channels, views and brackets
+    live, live_views, ends = np.arange(len(chs)), views, np.empty((2, len(chs)))
+    while True:
+        running = hi - lo > 1e-10
+        if not running.all():
+            ends[:, live[~running]] = lo[~running], hi[~running]
+            live, lo, c, d, hi, fc, fd = (a[running] for a in (live, lo, c, d, hi, fc, fd))
+            live_views = live_views[:, running]
+            if not live.size:
+                break
+        # keep [lo, d] where f(c) >= f(d), else [c, hi]; score the one new point
+        left = fc >= fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        x = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
+        fx = _secrecy_objectives(live_views, x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    q_best = 0.5 * (ends[0] + ends[1])
+    f_best = _secrecy_objectives(views, q_best)
+    top = vals.max(axis=1)
+    on_grid = top >= f_best
+    return np.where(on_grid, top, f_best), np.where(on_grid, qs[i], q_best)
 
 
 def degraded(lam, p):
     """Where Eve's view is degraded from Bob's, elementwise: 0 <= lam <= 1/2 (not NaN)."""
     return (0.0 <= lam) & (lam <= 0.5)
+
+
+degraded.refusal = "lambda must lie in the degraded regime [0, 1/2]"
 
 
 def _one_way_secrecy(lam, p):

@@ -1,10 +1,15 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chancap
 from chancap import capacity as cap
 from chancap import output
 from chancap import wiretap as wt
@@ -23,6 +28,16 @@ def test_verify_only_filter(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert lines and all("degradable" in ln for ln in lines)
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+def test_python_m_chancap_runs_the_cli(capsys):
+    argv = ["verify", "--only", "cli.sweep_byte_determinism"]
+    env = {**os.environ, "PYTHONPATH": str(Path(chancap.__file__).resolve().parents[1])}
+    child = subprocess.run([sys.executable, "-m", "chancap", *argv], env=env,
+                           capture_output=True, text=True)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
 
 def test_verify_unknown_filter(capsys):

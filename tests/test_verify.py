@@ -1,6 +1,7 @@
 """The verify registry: names, per-name selection, no results reused across runs,
-the same results from the worker pool as in-process, and the same residuals
-from the stacked sampling checks as from their former per-sample loops."""
+the same results from the worker pool as in-process, the same residuals
+from the stacked checks as from their former per-sample loops, and the calls
+of the oracle's Bloch-ball searches."""
 
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from chancap import capacity as cap
+from chancap import channels as chn
 from chancap import qmath
 from chancap import verify
 from chancap import wiretap as wt
@@ -250,8 +252,9 @@ def test_no_result_is_reused_after_a_full_run(monkeypatch, cpus):
 
 
 # ---------------------------------------------------------------------------
-# the sampling checks score stacks; the ``_old_*`` generators below are the
-# per-sample loops they had before, one public call per sampled matrix
+# the sampling, channel and wiretap-oracle checks score stacks; the ``_old_*``
+# generators below are the per-sample loops they had before, one public call
+# per sampled matrix, channel output or channel
 
 
 def _old_eig_reconstruction():
@@ -311,6 +314,59 @@ def _old_pauli_invariance():
             yield from cap.ic_conjugation_residual(lam, p, random_density_matrix(rng, 2))
 
 
+def _old_entropy_decomposition():
+    rng = np.random.default_rng(106)
+    for _ in range(100):
+        lam, p = rng.uniform(0.0, 1.0, size=2)
+        rho = random_density_matrix(rng, 2)
+        h_rho = qmath.von_neumann_entropy(rho)
+        h_dbar = chn.apply(chn.complementary_dephasing(p), rho).entropy()
+        h_d = chn.apply(chn.dephasing_channel(p), rho).entropy()
+        lhs_out = chn.apply(chn.channel_N(lam, p), rho).entropy()
+        rhs_out = qmath.binary_entropy(lam) + lam * h_dbar + (1.0 - lam) * h_rho
+        lhs_env = chn.apply(chn.complement_N(lam, p), rho).entropy()
+        rhs_env = qmath.binary_entropy(lam) + lam * h_d
+        yield abs(lhs_out - rhs_out), abs(lhs_env - rhs_env)
+
+
+def _old_block_orthogonality():
+    rng = np.random.default_rng(107)
+    for _ in range(25):
+        lam, p = rng.uniform(0.0, 1.0, size=2)
+        rho = random_density_matrix(rng, 2)
+        for c in (chn.channel_N(lam, p), chn.complement_N(lam, p),
+                  chn.comparison_channel_T(lam, p), chn.erasure_channel(lam)):
+            out = chn.apply(c, rho).matrix
+            mask = np.ones_like(out, dtype=bool)
+            for off, size in c.blocks:
+                mask[off : off + size, off : off + size] = False
+            yield float(np.abs(out[mask]).max())
+
+
+def _old_choi_ic():
+    rng = np.random.default_rng(111)
+    pi = chn.maximally_mixed(2)
+    for _ in range(10):
+        lam, p = rng.uniform(0.0, 1.0, size=2)
+        n, nb = chn.channel_N(lam, p), chn.complement_N(lam, p)
+        via_state = cap.coherent_information_state(chn.choi(n).state.matrix, (2, 4))
+        yield abs(via_state - cap.coherent_information(n, nb, pi))
+
+
+def _old_wiretap_oracle():
+    rng = np.random.default_rng(112)
+    for _ in range(20):
+        lam = rng.uniform(0.0, 0.5)
+        p = rng.uniform(0.0, 1.0)
+        value, q = wt.secrecy_capacity_bruteforce(wt.build_wiretap(lam, p))
+        yield abs(value - wt.one_way_secrecy_capacity(lam, p)), abs(q - 0.5)
+
+
+def _column(pairs, k):
+    """The generator of entry ``k`` of each pair a paired check's former loop yields."""
+    return lambda: (pair[k] for pair in pairs())
+
+
 OLD_LOOPS = {
     "qmath.eig_reconstruction": _old_eig_reconstruction,
     "qmath.entropy_unitary_invariance": _old_entropy_unitary,
@@ -318,6 +374,12 @@ OLD_LOOPS = {
     "qmath.trace_norm_dominates_trace": _old_trace_norm,
     "qmath.partial_trace_factorization": _old_partial_trace,
     "capacity.pauli_conjugation_invariance": _old_pauli_invariance,
+    "channels.entropy_decomposition_output": _column(_old_entropy_decomposition, 0),
+    "channels.entropy_decomposition_complement": _column(_old_entropy_decomposition, 1),
+    "channels.block_orthogonality": _old_block_orthogonality,
+    "capacity.choi_state_ic_consistency": _old_choi_ic,
+    "wiretap.bruteforce_oracle_value": _column(_old_wiretap_oracle, 0),
+    "wiretap.bruteforce_oracle_argmax": _column(_old_wiretap_oracle, 1),
 }
 
 
@@ -341,16 +403,47 @@ def _nan_row(out):
     return out
 
 
-@pytest.mark.parametrize("name, module, attr", [
-    ("qmath.eig_reconstruction", verify, "_hermitian_spectrum"),
-    ("qmath.entropy_unitary_invariance", verify, "_entropy_bits_rows"),
-    ("qmath.entropy_diagonal_matches_shannon", verify, "_entropy_bits_rows"),
-    ("qmath.trace_norm_dominates_trace", verify, "_trace_norm"),
-    ("qmath.partial_trace_factorization", verify, "_partial_traces"),
-    ("capacity.pauli_conjugation_invariance", cap, "_conjugation_residuals"),
+# the kernel whose output gets a NaN in one sample, and at which of its calls
+@pytest.mark.parametrize("name, module, attr, call", [
+    ("qmath.eig_reconstruction", verify, "_hermitian_spectrum", 1),
+    ("qmath.entropy_unitary_invariance", verify, "_entropy_bits_rows", 1),
+    ("qmath.entropy_diagonal_matches_shannon", verify, "_entropy_bits_rows", 1),
+    ("qmath.trace_norm_dominates_trace", verify, "_trace_norm", 1),
+    ("qmath.partial_trace_factorization", verify, "_partial_traces", 1),
+    ("capacity.pauli_conjugation_invariance", cap, "_conjugation_residuals", 1),
+    # H(rho) enters the output identity alone, H(D(rho)) the complement's alone
+    ("channels.entropy_decomposition_output", verify, "_entropy_bits_rows", 1),
+    ("channels.entropy_decomposition_complement", verify, "_entropy_bits_rows", 3),
+    ("channels.block_orthogonality", chn, "_apply_stack", 1),
+    ("capacity.choi_state_ic_consistency", verify, "_entropy_bits_rows", 1),
+    ("wiretap.bruteforce_oracle_value", wt, "_secrecy_capacity_search", 1),
+    ("wiretap.bruteforce_oracle_argmax", wt, "_secrecy_capacity_search", 1),
 ])
-def test_a_nan_in_one_stacked_sample_fails_its_check(monkeypatch, name, module, attr):
-    hits = _inject(monkeypatch, module, attr, lambda i, args, out: _nan_row(out) if i == 1 else out)
+def test_a_nan_in_one_stacked_sample_fails_its_check(monkeypatch, name, module, attr, call):
+    hits = _inject(monkeypatch, module, attr,
+                   lambda i, args, out: _nan_row(out) if i == call else out)
     [result] = verify.run_checks(only=name)
     assert len(hits) == 1
     assert not result.passed and math.isnan(result.residual), result
+
+
+def test_each_oracle_search_makes_three_calls(monkeypatch):
+    # the maximum of each search sits at the grid point r = 0: the grid call,
+    # one sweep at the first step and one ladder over the remaining steps
+    original, searches = cap._ic_evaluator, []
+
+    def counted(lam, p):
+        evaluate, sizes = original(lam, p), []
+        searches.append(sizes)
+
+        def logged(rs):
+            sizes.append(len(rs))
+            return evaluate(rs)
+
+        return logged
+
+    monkeypatch.setattr(cap, "_ic_evaluator", counted)
+    [result] = verify.run_checks(only="capacity.oneway_oracle_value")
+    assert result.passed, result
+    # 614 rotation classes, six moves at step 0.1, six at each of the 16 halvings
+    assert searches == [[614, 6, 96]] * 20

@@ -95,6 +95,65 @@ def test_secrecy_argmax_is_the_uniform_input(lam, p):
         assert (value, q) == (0.0, 0.0)
 
 
+def _scalar_bruteforce(ch, grid=201):
+    """The one-channel golden-section search that ``_secrecy_capacity_search``
+    batches, kept as its reference: one objective call per point."""
+    qs = np.linspace(0.0, 1.0, grid)
+    vals = np.array([wt.secrecy_objective(ch, q) for q in qs])
+    i = int(np.argmax(vals))
+    lo, hi = qs[max(0, i - 1)], qs[min(grid - 1, i + 1)]
+    c, d = hi - wt.GOLDEN * (hi - lo), lo + wt.GOLDEN * (hi - lo)
+    fc, fd = wt.secrecy_objective(ch, c), wt.secrecy_objective(ch, d)
+    while hi - lo > 1e-10:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - wt.GOLDEN * (hi - lo)
+            fc = wt.secrecy_objective(ch, c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + wt.GOLDEN * (hi - lo)
+            fd = wt.secrecy_objective(ch, d)
+    q_best = 0.5 * (lo + hi)
+    f_best = wt.secrecy_objective(ch, q_best)
+    if vals[i] >= f_best:
+        return float(vals[i]), float(qs[i])
+    return f_best, float(q_best)
+
+
+EDGES = [(lam, p) for lam in (0.0, 0.5, 1.0) for p in (0.0, 0.5, 1.0)]
+# interior maxima beside maxima at q = 0, a grid end, whose half-width
+# brackets stop some rounds earlier; (1/2, 1/2) and (0.75, 0.2) are ties
+# that report q = 0
+MIXED = [(0.3, 0.2), (0.5, 0.5), (0.1, 0.9), (0.75, 0.2), (0.0, 0.7), (1.0, 0.0)]
+
+
+def _hex(pairs):
+    return [tuple(float(x).hex() for x in pair) for pair in pairs]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(params=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=5))
+@example(params=EDGES)
+@example(params=[(0.5, 0.5), (0.75, 0.2)])
+@example(params=MIXED)
+def test_batched_golden_search_matches_one_search_per_channel(params):
+    chs = [wt.build_wiretap(lam, p) for lam, p in params]
+    batch = _hex(zip(*wt._secrecy_capacity_search(chs, 201)))
+    assert batch == _hex(wt.secrecy_capacity_bruteforce(ch) for ch in chs)
+    assert batch == _hex(_scalar_bruteforce(ch) for ch in chs)
+
+
+def test_the_mixed_batch_holds_searches_of_both_bracket_widths():
+    qs = np.linspace(0.0, 1.0, 201)
+    ends = [int(np.argmax(wt._secrecy_objective_grid(wt.build_wiretap(*lp), qs))) in (0, 200)
+            for lp in MIXED]
+    assert any(ends) and not all(ends)
+    values, qs = wt._secrecy_capacity_search([wt.build_wiretap(*lp) for lp in MIXED], 201)
+    assert (values[1], qs[1]) == (0.0, 0.0)
+    assert (values[3], qs[3]) == (0.0, 0.0)
+
+
 def test_secrecy_objective_grid_matches_scalar():
     qs = np.linspace(0.0, 1.0, 201)
     for lam in (0.0, 0.5, 1.0):
