@@ -57,7 +57,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .qmath import (
-    binary_entropies,
     binary_entropy,
     hermitian_eig,
     partial_trace,

@@ -316,20 +316,15 @@ def _maximize_over_bloch_ball(
 
     Each sweep tries the six moves +x, -x, +y, -y, +z, -z in order and takes
     every move that beats the current value by more than ``slack``; a step
-    is swept until a sweep takes no move, then halved.  The moves still to
-    try are scored from the current point in one ``evaluate`` call and the
-    first improving one is taken; the moves after it are then scored again
-    from the new point in one further call.  After a step at which the point
-    did not move (the grid point counts as a move, so the first step always
-    sweeps), the six moves of every remaining step are scored from that
-    point in one call, a ladder of rows: the first improving move in step
-    order, then move order, is taken, and that step's sweep goes on from the
-    move after it; when none improves the search ends there.  ``evaluate``
-    scores each vector of a stack as it scores that vector alone, so a move
-    is taken exactly when the one-move-at-a-time search would take it: the
-    trajectory, value and argmax are that search's.  A maximum at a grid
-    point costs three calls (grid, one sweep, one ladder) where one sweep
-    per step would cost 18 at ``tol`` = 1e-6.
+    is swept until a sweep takes no move, then halved.  Each round scores,
+    in one ``evaluate`` call, either the moves of the current step still to
+    try or, after a full sweep that took no move, a ladder: the six moves of
+    every remaining step.  It takes the first improving candidate and goes
+    on from the move after it, at that candidate's step; a ladder that takes
+    none ends the search.  ``evaluate`` scores each vector of a stack as it
+    scores that vector alone, so the trajectory, value and argmax are those
+    of the one-move-at-a-time search.  A maximum at a grid point costs three
+    calls: grid, one sweep, one ladder.
     """
     pts, first, cls = _bloch_grid()
     # one evaluation per rotation class, whose points score alike up to roundoff
@@ -343,36 +338,23 @@ def _maximize_over_bloch_ball(
     while step >= tol:
         steps.append(step)
         step /= 2.0
-    i, moved = 0, True  # the grid point counts as a move
+    i, j, ladder = 0, 0, False
     while i < len(steps):
-        j = 0
-        if not moved:
-            # the ladder: every remaining step's moves from the unmoved point
-            cands = _moves(r, steps[i:])
-            fc = evaluate(cands)
-            hits = np.flatnonzero(fc > f + slack)
-            if hits.size == 0:
-                break
-            h = int(hits[0])
-            r, f = cands[h].copy(), float(fc[h])
-            i, j = i + h // len(_MOVES), h % len(_MOVES) + 1
-        # sweeps at steps[i], the first from move j, until one takes no move
-        moved = improved = j > 0
-        while True:
-            while j < len(_MOVES):
-                cands = _moves(r, steps[i : i + 1], j)
-                fc = evaluate(cands)
-                hits = np.flatnonzero(fc > f + slack)
-                if hits.size == 0:
-                    break
-                k = int(hits[0])
-                r, f = cands[k].copy(), float(fc[k])
-                moved = improved = True
-                j += k + 1
-            if not improved:
-                break
-            j, improved = 0, False
-        i += 1
+        # a ladder scores every remaining step's moves, a sweep the rest of steps[i]'s
+        cands = _moves(r, steps[i:]) if ladder else _moves(r, steps[i : i + 1], j)
+        fc = evaluate(cands)
+        hits = np.flatnonzero(fc > f + slack)
+        if hits.size:
+            k = int(hits[0])
+            r, f = cands[k].copy(), float(fc[k])
+            # go on from the move after it, at its step; after -z, sweep that step again
+            i, j, ladder = i + (j + k) // len(_MOVES), (j + k + 1) % len(_MOVES), False
+        elif j:
+            j = 0  # the sweep took a move: sweep this step again
+        elif ladder:
+            break
+        else:
+            i, ladder = i + 1, True
     return f, r
 
 

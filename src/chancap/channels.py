@@ -29,7 +29,7 @@ import numpy as np
 
 from . import qmath
 from .errors import DimensionTooLarge, NotAState, ShapeMismatch
-from .qmath import check_prob, embed_operator, partial_trace, von_neumann_entropy
+from .qmath import check_prob, partial_trace, von_neumann_entropy
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -43,9 +43,10 @@ def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields``, skipping ``__post_init__``.
 
     Only for values valid by construction: a channel's output on a checked
-    state, and the glued-family Kraus formulas, which are complete and
-    block-supported for every (lam, p) in [0, 1]^2 (the tests check the whole
-    square, ``verify`` a grid).  Kraus lists from callers keep the full check.
+    state, and the closed-form Kraus formulas of the glued family, dephasing
+    and erasure, which are complete and block-supported for every lam and p
+    in [0, 1] (the tests check the whole range, ``verify`` a grid).  Kraus
+    lists from callers keep the full check.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -216,8 +217,7 @@ def maximally_entangled(dim: int) -> PureState:
 def dephasing_channel(p: float) -> KrausChannel:
     """Phase flip with probability p: rho -> (1-p) rho + p Z rho Z."""
     p = check_prob("p", p)
-    kraus = (np.sqrt(1.0 - p) * I2, np.sqrt(p) * PAULI_Z)
-    return KrausChannel(2, 2, kraus)
+    return _glued((math.sqrt(1.0 - p), math.sqrt(p)), np.stack([I2, PAULI_Z]), None)
 
 
 def complementary_dephasing(p: float) -> KrausChannel:
@@ -227,9 +227,8 @@ def complementary_dephasing(p: float) -> KrausChannel:
     |phi1>: rho -> <0|rho|0> phi0 + <1|rho|1> phi1.
     """
     p = check_prob("p", p)
-    phi0, phi1 = phi_states(p)
-    kraus = (np.outer(phi0, ket(0, 2).conj()), np.outer(phi1, ket(1, 2).conj()))
-    return KrausChannel(2, 2, kraus)
+    # |phi0><0| and |phi1><1|, the block {2,3} of channel_N's dephasing units
+    return _glued((1.0, 1.0), _phi_units(p)[1:, 2:], None)
 
 
 def _glued(weights, units: np.ndarray, blocks: tuple) -> KrausChannel:
@@ -324,13 +323,10 @@ def comparison_channel_T(lam: float, p: float) -> KrausChannel:
 def erasure_channel(lam: float) -> KrausChannel:
     """Transmit with probability 1-lam, output the flag at index 2 otherwise."""
     lam = check_prob("lambda", lam)
-    flag = ket(2, 3)
-    kraus = (
-        np.sqrt(1.0 - lam) * embed_operator(I2, 0, 3),
-        np.sqrt(lam) * np.outer(flag, ket(0, 2).conj()),
-        np.sqrt(lam) * np.outer(flag, ket(1, 2).conj()),
-    )
-    return KrausChannel(2, 3, kraus, blocks=((0, 2), (2, 1)))
+    u = np.zeros((3, 3, 2), dtype=complex)
+    u[0, 0, 0] = u[0, 1, 1] = u[1, 2, 0] = u[2, 2, 1] = 1.0
+    s0, sl = math.sqrt(1.0 - lam), math.sqrt(lam)
+    return _glued((s0, sl, sl), u, ((0, 2), (2, 1)))
 
 
 def channel_from_isometry(v: Isometry, dims: tuple[int, int], keep: str) -> KrausChannel:

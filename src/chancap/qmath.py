@@ -299,14 +299,6 @@ def binary_entropy(p: float) -> float:
     return float(_binary_entropy(float(p)))
 
 
-def binary_entropies(p: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` of every entry of a float64 array, bit for bit."""
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise DomainError("binary_entropies requires every p in [0, 1]")
-    return _binary_entropy(p)
-
-
 def shannon_entropy(dist) -> float:
     """Shannon entropy of a probability vector, in bits."""
     d = np.asarray(dist, dtype=float).ravel()

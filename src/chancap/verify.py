@@ -160,6 +160,11 @@ def _stacked_draws(count: int, key: Callable[[], object],
     return {k: [np.stack(entries) for entries in zip(*g)] for k, g in groups.items()}
 
 
+def _stacked_entropies(ms) -> np.ndarray:
+    """``von_neumann_entropy`` of each matrix of ``ms``, validated and scored as one stack."""
+    return _entropy_bits_rows(_state_spectrum(_as_stack(ms)))
+
+
 @_register("qmath.eig_reconstruction")
 def _check_eig_reconstruction() -> CheckResult:
     def residuals():
@@ -183,7 +188,7 @@ def _check_entropy_unitary() -> CheckResult:
         draw = lambda d: (random_density_matrix(rng, d), random_unitary(rng, d))  # noqa: E731
         for rhos, us in _stacked_draws(200, dim, draw).values():
             turned = us @ rhos @ us.conj().swapaxes(-1, -2)
-            h = [_entropy_bits_rows(_state_spectrum(_as_stack(ms))) for ms in (turned, rhos)]
+            h = [_stacked_entropies(ms) for ms in (turned, rhos)]
             yield from np.abs(h[0] - h[1]).tolist()
     return _result(_worst(residuals()), 1e-10)
 
@@ -197,7 +202,7 @@ def _check_entropy_diagonal() -> CheckResult:
             diagonals = np.zeros((len(ws), d, d), dtype=complex)
             diagonals[:, range(d), range(d)] = ws
             shannon = [shannon_entropy(w) for w in ws]
-            h = _entropy_bits_rows(_state_spectrum(_as_stack(diagonals)))
+            h = _stacked_entropies(diagonals)
             yield from np.abs(h - shannon).tolist()
     return _result(_worst(residuals()), 1e-12)
 
@@ -268,11 +273,6 @@ def _check_complement_consistency() -> CheckResult:
             yield chn.channel_distance(keep_b, chn.channel_N(lam, p))
             yield chn.channel_distance(keep_c, chn.complement_N(lam, p))
     return _result(_worst(residuals()), 1e-10)
-
-
-def _stacked_entropies(ms) -> np.ndarray:
-    """``von_neumann_entropy`` of each matrix of ``ms``, validated and scored as one stack."""
-    return _entropy_bits_rows(_state_spectrum(_as_stack(ms)))
 
 
 @_register("channels.entropy_decomposition_output", "channels.entropy_decomposition_complement")

@@ -172,11 +172,9 @@ def _secrecy_capacity_search(
     as arrays of values and of argmax q, each entry the call on that channel.
 
     One grid call scores every channel.  The golden-section searches then
-    run in rounds: each round narrows every bracket still wider than 1e-10
-    and scores all their new points in one call.  A bracket shrinks by the
-    same factor whichever side it keeps, so the searches stay in lockstep,
-    and one whose grid argmax lies at a grid end, with a half-width bracket,
-    stops some rounds earlier.  Each channel's conditionals are built once.
+    run in rounds while any bracket is wider than 1e-10: each round scores
+    one new point per channel in one call, and only the brackets still that
+    wide take their narrowed ends.  Each channel's conditionals are built once.
     """
     grid = check_count("grid", grid, 101)
     views = np.stack([_views(ch) for ch in chs], axis=1)  # (2, n, 2, 2, 2)
@@ -189,24 +187,18 @@ def _secrecy_capacity_search(
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
     fc, fd = _secrecy_objectives(views[:, None], np.stack([c, d]))
-    # the searches still running: their channels, views and brackets
-    live, live_views, ends = np.arange(len(chs)), views, np.empty((2, len(chs)))
-    while True:
-        running = hi - lo > 1e-10
-        if not running.all():
-            ends[:, live[~running]] = lo[~running], hi[~running]
-            live, lo, c, d, hi, fc, fd = (a[running] for a in (live, lo, c, d, hi, fc, fd))
-            live_views = live_views[:, running]
-            if not live.size:
-                break
+    while (running := hi - lo > 1e-10).any():
         # keep [lo, d] where f(c) >= f(d), else [c, hi]; score the one new point
         left = fc >= fd
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        x = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
-        fx = _secrecy_objectives(live_views, x)
-        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
-                        np.where(left, fx, fd), np.where(left, fc, fx))
-    q_best = 0.5 * (ends[0] + ends[1])
+        nlo, nhi = np.where(left, lo, c), np.where(left, d, hi)
+        x = np.where(left, nhi - GOLDEN * (nhi - nlo), nlo + GOLDEN * (nhi - nlo))
+        fx = _secrecy_objectives(views, x)
+        new = (nlo, nhi, np.where(left, x, d), np.where(left, c, x),
+               np.where(left, fx, fd), np.where(left, fc, fx))
+        # a finished bracket keeps its ends
+        lo, hi, c, d, fc, fd = (np.where(running, a, b)
+                                for a, b in zip(new, (lo, hi, c, d, fc, fd)))
+    q_best = 0.5 * (lo + hi)
     f_best = _secrecy_objectives(views, q_best)
     top = vals.max(axis=1)
     on_grid = top >= f_best

@@ -326,6 +326,36 @@ def test_batched_bloch_search_matches_sequential(lam, p):
         assert len(calls) < 1 + sum(map(len, runs[1:]))
 
 
+@pytest.mark.parametrize("lam, p", [(0.875, 0.875), (0.6, 0.05), (0.65, 0.9)])
+def test_a_moving_search_sweeps_after_each_move(lam, p):
+    # where the point moves, a ladder comes only after a sweep that took no
+    # move: the grid point and each taken move are followed by one sweep's rest
+    evaluate, sizes, took, f = cap._ic_evaluator(lam, p), [], [], None
+
+    def logged(rs):
+        nonlocal f
+        vals = evaluate(rs)
+        if f is None:  # the grid call: its best point, as the search picks it
+            _, _, cls = cap._bloch_grid()
+            grid = vals[cls]
+            f = float(grid[np.argmax(grid >= grid.max() - 1e-12)])
+            took.append(True)
+        else:
+            hits = np.flatnonzero(vals > f + 1e-12)
+            took.append(hits.size > 0)
+            if hits.size:
+                f = float(vals[hits[0]])
+        sizes.append(len(rs))
+        return vals
+
+    value, _ = cap._maximize_over_bloch_ball(logged, 1e-6)
+    assert value == f
+    assert all(size <= 6 for size, after_move in zip(sizes[1:], took) if after_move)
+    # the sequential search makes the grid call and one call per move
+    _, _, runs = _sequential_bloch_search(cap._ic_evaluator(lam, p), 1e-6)
+    assert len(sizes) < sum(map(len, runs[1:]))
+
+
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(lam=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 @example(lam=0.0, p=0.0, seed=0)

@@ -201,6 +201,50 @@ def test_glued_constructors_give_the_former_bytes(lam, p):
         assert ch.superoperator.tobytes() == old_superop.reshape(ch.superoperator.shape).tobytes()
 
 
+def _old_dephasing_channel(p):
+    p = qmath.check_prob("p", p)
+    return chn.KrausChannel(2, 2, (np.sqrt(1.0 - p) * I2, np.sqrt(p) * PAULI_Z))
+
+
+def _old_complementary_dephasing(p):
+    phi0, phi1 = _old_phi_states(p)
+    kraus = (np.outer(phi0, _ket(0, 2).conj()), np.outer(phi1, _ket(1, 2).conj()))
+    return chn.KrausChannel(2, 2, kraus)
+
+
+def _old_erasure_channel(lam):
+    lam = qmath.check_prob("lambda", lam)
+    flag = _ket(2, 3)
+    kraus = (
+        np.sqrt(1.0 - lam) * qmath.embed_operator(I2, 0, 3),
+        np.sqrt(lam) * np.outer(flag, _ket(0, 2).conj()),
+        np.sqrt(lam) * np.outer(flag, _ket(1, 2).conj()),
+    )
+    return chn.KrausChannel(2, 3, kraus, blocks=((0, 2), (2, 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(x=st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0)))
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=1.0 - 2.0**-53)
+def test_fixed_closed_form_channels_match_the_checked_constructor(x):
+    # built unchecked from their closed forms, to the bytes of the checked
+    # KrausChannel of the former per-operator formulas
+    for make, old in (
+        (chn.dephasing_channel, _old_dephasing_channel),
+        (chn.complementary_dephasing, _old_complementary_dephasing),
+        (chn.erasure_channel, _old_erasure_channel),
+    ):
+        ch, ref = make(x), old(x)
+        assert (ch.dim_in, ch.dim_out, ch.blocks) == (ref.dim_in, ref.dim_out, ref.blocks)
+        assert len(ch.kraus) == len(ref.kraus)
+        for k, k_ref in zip(ch.kraus, ref.kraus):
+            assert k.dtype == k_ref.dtype and k.shape == k_ref.shape
+            assert k.tobytes() == k_ref.tobytes()
+        assert ch.superoperator.tobytes() == ref.superoperator.tobytes()
+
+
 def _old_conjugation_residual(lam, p, rho):
     n, nb = chn.channel_N(lam, p), chn.complement_N(lam, p)
     base, z, x = cap._ic_stack(n, nb, _old_conjugation_stack(rho))
