@@ -42,7 +42,7 @@ from .channels import (
 from .errors import ChancapError, DimensionTooLarge, DomainError, PreconditionViolated, ShapeMismatch
 from .qmath import (
     MAX_DIM,
-    _as_complex,
+    _as_array,
     _binary_entropy,
     as_real,
     binary_entropy,
@@ -223,7 +223,7 @@ def coherent_information(ch: KrausChannel, comp: KrausChannel, rho) -> float:
 
 def coherent_information_state(rho_ab, dims: tuple[int, int]) -> float:
     """H(B) - H(AB) of a bipartite state with declared factor dimensions."""
-    m = _as_complex(getattr(rho_ab, "matrix", rho_ab))
+    m = _as_array(getattr(rho_ab, "matrix", rho_ab))
     da, db = check_dims(dims)
     if m.shape != (da * db, da * db):
         raise ShapeMismatch(f"state shape {m.shape} does not match dims {dims}")

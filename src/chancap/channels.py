@@ -43,10 +43,10 @@ def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields``, skipping ``__post_init__``.
 
     Only for values valid by construction: a channel's output on a checked
-    state, and the closed-form Kraus formulas of the glued family, dephasing
-    and erasure, which are complete and block-supported for every lam and p
-    in [0, 1] (the tests check the whole range, ``verify`` a grid).  Kraus
-    lists from callers keep the full check.
+    state, its Choi state, and the closed-form Kraus formulas of the glued
+    family, dephasing and erasure, which are complete and block-supported
+    for every lam and p in [0, 1] (the tests check the whole range,
+    ``verify`` a grid).  Kraus lists from callers keep the full check.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -60,7 +60,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = qmath._as_complex(self.matrix)
+        m = qmath._as_array(self.matrix)
         object.__setattr__(self, "matrix", m)
         qmath.state_eigenvalues(m)  # validates; raises NotAState / NonHermitian
 
@@ -79,7 +79,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).ravel()
+        v = qmath._as_array(self.amplitudes).ravel()
         norm = float(np.linalg.norm(v))
         if not abs(norm - 1.0) <= 1e-10:
             raise NotAState(f"amplitude norm {norm!r} is not 1 within 1e-10")
@@ -111,7 +111,7 @@ class KrausChannel:
     blocks: Optional[tuple] = None
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        ops = tuple(qmath._as_array(k) for k in self.kraus)
         if not ops:
             raise ShapeMismatch("a channel needs at least one Kraus operator")
         for k in ops:
@@ -193,13 +193,6 @@ def ket(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def phi_states(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The conditional output vectors |phi0>, |phi1> for dephasing weight p."""
-    p = check_prob("p", p)
-    a, b = np.sqrt(1.0 - p), np.sqrt(p)
-    return np.array([a, b], dtype=complex), np.array([a, -b], dtype=complex)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -376,7 +369,7 @@ def checked_input(ch: KrausChannel, rho, dim_ref: int = 1) -> np.ndarray:
         raise ShapeMismatch(f"reference dimension must be an int >= 1, got {dim_ref!r}")
     if ch.dim_out * dim_ref > qmath.MAX_DIM:
         raise DimensionTooLarge(f"output dimension {ch.dim_out * dim_ref} exceeds {qmath.MAX_DIM}")
-    m = qmath._as_complex(getattr(rho, "matrix", rho))
+    m = qmath._as_array(getattr(rho, "matrix", rho))
     d = ch.dim_in * dim_ref
     if m.shape != (d, d):
         raise ShapeMismatch(f"state shape {m.shape} != channel input ({d}, {d})")
@@ -397,10 +390,16 @@ def apply_with_reference(ch: KrausChannel, rho_ar, dim_ref: int) -> DensityMatri
 
 
 def choi(ch: KrausChannel) -> ChoiState:
-    """Choi state (I (x) ch)(|Phi+><Phi+|): the superoperator realigned, over dim_in."""
+    """Choi state (I (x) ch)(|Phi+><Phi+|): the superoperator realigned, over dim_in.
+
+    A state by construction, so only its dimension is checked: its trace and
+    reference marginal are off by at most the channel's completeness residual.
+    """
     din, dout = ch.dim_in, ch.dim_out
     s = ch.superoperator.reshape(dout, dout, din, din).transpose(2, 0, 3, 1)
-    return ChoiState(din, dout, DensityMatrix(s.reshape(din * dout, din * dout) / din))
+    m = qmath._require_supported(s.reshape(din * dout, din * dout) / din)
+    state = _unchecked(DensityMatrix, matrix=m)
+    return _unchecked(ChoiState, dim_in=din, dim_out=dout, state=state)
 
 
 def channel_distance(a: KrausChannel, b: KrausChannel) -> float:

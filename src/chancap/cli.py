@@ -104,19 +104,23 @@ class RunConfig:
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in CONFIG_TYPES:
-                raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in CONFIG_TYPES:
+            raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value
     return values
 
 

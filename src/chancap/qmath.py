@@ -51,16 +51,16 @@ class HermitianSpectrum:
         return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _as_complex(x) -> np.ndarray:
-    """``x`` as a complex array, or ShapeMismatch unless it is a regular array of numbers."""
+def _as_array(x, dtype=complex) -> np.ndarray:
+    """``x`` as a ``dtype`` array, or ShapeMismatch unless it is a regular array of numbers."""
     try:
-        return np.asarray(x, dtype=complex)
+        return np.asarray(x, dtype=dtype)
     except (TypeError, ValueError):  # a string, a non-number entry or ragged rows
         raise ShapeMismatch(f"expected a regular array of numbers, got {type(x).__name__}") from None
 
 
 def _as_matrix(m) -> np.ndarray:
-    a = _as_complex(getattr(m, "matrix", m))
+    a = _as_array(getattr(m, "matrix", m))
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got array of ndim {a.ndim}")
     return a
@@ -94,7 +94,7 @@ def _as_stack(ms) -> np.ndarray:
     index; an empty stack is a ShapeMismatch.
     """
     try:
-        a = _as_complex(ms)
+        a = _as_array(ms)
         if a.ndim == 3 and len(a) and 0 < a.shape[1] == a.shape[2] <= MAX_DIM:
             return a
     except ShapeMismatch:  # matrices of different shapes, or one not numeric
@@ -193,44 +193,24 @@ def hermitian_eig(m) -> HermitianSpectrum:
     return _hermitian_spectrum(_require_supported(_as_matrix(m)))
 
 
-def _entropy_bits(weights: np.ndarray) -> float:
-    w = weights[weights > 0.0]
-    if w.size == 0:
-        return 0.0
-    return float(max(0.0, -(w * np.log2(w)).sum()))
+def _entropy_bits(w: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of weights ``w`` (..., d) >= 0, unclamped.
 
-
-def _entropy_bits_rows(weights: np.ndarray) -> np.ndarray:
-    """``_entropy_bits`` of each row of ``weights`` (k, d), bit for bit.
-
-    Each row's positive entries move to its front in their order, and rows
-    with the same count m of them are summed together over their first m
-    entries, so that every sum adds the terms ``_entropy_bits`` adds, in the
-    same order.
+    The one entropy kernel.  Flooring the log's argument at the smallest
+    subnormal keeps each positive weight's term and makes a zero's 0, with no
+    bool-to-float add; a pure state can give -0.0 or a few 1e-16 below 0.
     """
-    pos = weights > 0.0
-    w = np.take_along_axis(weights, np.argsort(~pos, axis=-1, kind="stable"), axis=-1)
-    counts = pos.sum(axis=-1)
-    out = np.zeros(len(w))
-    for m in np.unique(counts[counts > 0]):
-        rows = counts == m
-        t = w[rows, :m]
-        out[rows] = -(t * np.log2(t)).sum(axis=-1)
-    return np.where(out > 0.0, out, 0.0)
+    return -(w * np.log2(np.maximum(w, 5e-324))).sum(axis=-1)
 
 
 def entropies_bits(stack: np.ndarray) -> np.ndarray:
     """Von Neumann entropies (bits) of a stack (n, d, d) of unchecked states.
 
-    The batched kernel behind every optimizer and stacked evaluation; callers
+    The batched call behind every optimizer and stacked evaluation; callers
     validate their inputs once at the public boundary.  Eigenvalues below 0
-    are roundoff and count as 0.  Unlike ``von_neumann_entropy``, the result
-    is not clamped at 0: a pure state can come out as -0.0 or a few 1e-16
-    below 0.
+    are roundoff and count as 0; the result is ``_entropy_bits``, unclamped.
     """
-    w = np.maximum(np.linalg.eigvalsh(stack), 0.0)
-    logs = np.log2(np.where(w > 0.0, w, 1.0))
-    return -(w * logs).sum(axis=-1)
+    return _entropy_bits(np.maximum(np.linalg.eigvalsh(stack), 0.0))
 
 
 def _state_spectrum(a: np.ndarray) -> np.ndarray:
@@ -252,7 +232,7 @@ def state_eigenvalues(rho) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy of a density operator, in bits."""
-    return _entropy_bits(state_eigenvalues(rho))
+    return max(0.0, float(_entropy_bits(state_eigenvalues(rho))))
 
 
 # no real parameter, though float() converts str, bytes and bool; None and complex fail untyped
@@ -301,7 +281,7 @@ def binary_entropy(p: float) -> float:
 
 def shannon_entropy(dist) -> float:
     """Shannon entropy of a probability vector, in bits."""
-    d = np.asarray(dist, dtype=float).ravel()
+    d = _as_array(dist, float).ravel()
     if d.size == 0 or np.any(d < -1e-12):
         raise NotADistribution("probabilities must be >= 0")
     s = d.sum()
@@ -310,7 +290,7 @@ def shannon_entropy(dist) -> float:
     # a NaN entry passes both checks above (an infinite one fails the sum)
     if not np.isfinite(d).all():
         raise NotADistribution("probabilities must be finite")
-    return _entropy_bits(np.maximum(d, 0.0))
+    return max(0.0, float(_entropy_bits(np.maximum(d, 0.0))))
 
 
 def _trace_norm(a: np.ndarray):

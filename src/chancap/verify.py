@@ -26,7 +26,7 @@ from . import output
 from . import wiretap as wt
 from .qmath import (
     _as_stack,
-    _entropy_bits_rows,
+    _entropy_bits,
     _hermitian_spectrum,
     _partial_traces,
     _state_spectrum,
@@ -162,7 +162,8 @@ def _stacked_draws(count: int, key: Callable[[], object],
 
 def _stacked_entropies(ms) -> np.ndarray:
     """``von_neumann_entropy`` of each matrix of ``ms``, validated and scored as one stack."""
-    return _entropy_bits_rows(_state_spectrum(_as_stack(ms)))
+    h = _entropy_bits(_state_spectrum(_as_stack(ms)))
+    return np.where(h > 0.0, h, 0.0)  # not np.maximum, which keeps a pure state's -0.0
 
 
 @_register("qmath.eig_reconstruction")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .capacity import Curve, _checked, _two_way, bisect
 from .errors import DomainError, NotADistribution
-from .qmath import _binary_entropy, as_real, check_count, check_prob
+from .qmath import _as_array, _binary_entropy, as_real, check_count, check_prob
 from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, draw_chunks
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -46,7 +46,7 @@ class WiretapChannel:
         # lam is typed first and range-checked last, so that a NaN lam fails the flag check
         lam = as_real("lambda", self.lam)
         p = check_prob("p", self.p)
-        t = np.asarray(self.table, dtype=float)
+        t = _as_array(self.table, float)
         if t.shape != (2, 2, 2, 2):
             raise NotADistribution(f"table shape {t.shape} != (2, 2, 2, 2)")
         if not np.all(t >= 0.0):
@@ -86,7 +86,7 @@ def build_wiretap(lam: float, p: float) -> WiretapChannel:
 
 def mutual_information(joint) -> float:
     """I(A; B) in bits from a joint pmf over two finite alphabets."""
-    j = np.asarray(joint, dtype=float)
+    j = _as_array(joint, float)
     if j.ndim != 2 or not np.all(j >= -1e-12):
         raise NotADistribution("joint pmf must be a nonnegative matrix")
     s = j.sum()

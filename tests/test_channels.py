@@ -13,6 +13,12 @@ PI = np.eye(2, dtype=complex) / 2
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 
+def _phi_states(p):
+    """|phi0> = sqrt(1-p)|0> + sqrt(p)|1> and |phi1> = sqrt(1-p)|0> - sqrt(p)|1>."""
+    a, b = np.sqrt(1.0 - p), np.sqrt(p)
+    return np.array([a, b], dtype=complex), np.array([a, -b], dtype=complex)
+
+
 def test_density_matrix_validation():
     chn.DensityMatrix(PI)
     with pytest.raises(NotAState):
@@ -129,7 +135,7 @@ def test_dephasing_examples():
 
 def test_complementary_dephasing_examples():
     p = 0.3
-    phi0, phi1 = chn.phi_states(p)
+    phi0, phi1 = _phi_states(p)
     ch = chn.complementary_dephasing(p)
     out = chn.apply(ch, np.diag([1.0, 0.0]).astype(complex))
     assert np.abs(out.matrix - np.outer(phi0, phi0.conj())).max() < 1e-12
@@ -190,7 +196,7 @@ def test_isometry_consistency():
 def test_comparison_channel_T():
     rho = np.diag([0.0, 1.0]).astype(complex)
     out = chn.apply(chn.comparison_channel_T(1.0, 0.3), rho).matrix
-    phi0, _ = chn.phi_states(0.3)
+    phi0, _ = _phi_states(0.3)
     assert np.abs(out[2:, 2:] - np.outer(phi0, phi0.conj())).max() < 1e-12
 
     lam = 0.6
@@ -287,3 +293,32 @@ def test_entropy_decompositions():
         h_env = chn.apply(chn.complement_N(lam, p), rho).entropy()
         h_d = chn.apply(chn.dephasing_channel(p), rho).entropy()
         assert abs(h_env - (binary_entropy(lam) + lam * h_d)) < 1e-10
+
+
+def _checked_choi(ch):
+    """The Choi state through the checked ``ChoiState`` and ``DensityMatrix`` constructors."""
+    din, dout = ch.dim_in, ch.dim_out
+    s = ch.superoperator.reshape(dout, dout, din, din).transpose(2, 0, 3, 1)
+    return chn.ChoiState(din, dout, chn.DensityMatrix(s.reshape(din * dout, din * dout) / din))
+
+
+def _no_eigen_call(*args, **kwargs):
+    raise AssertionError("choi made a numpy.linalg eigen call")
+
+
+def test_choi_is_built_unchecked_with_the_checked_bytes(monkeypatch):
+    grid = (0.0, 5e-324, 0.3, 0.5, 1.0)
+    families = (chn.channel_N, chn.complement_N, chn.comparison_channel_T)
+    chans = [f(lam, p) for f in families for lam in grid for p in grid]
+    # a caller-built channel, through the checked KrausChannel constructor
+    chans.append(chn.compose(chn.complementary_dephasing(0.2), chn.dephasing_channel(0.4)))
+    expected = [_checked_choi(ch) for ch in chans]
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _no_eigen_call)
+    for ch, want in zip(chans, expected):
+        got = chn.choi(ch)
+        assert type(got) is chn.ChoiState and type(got.state) is chn.DensityMatrix
+        assert (got.dim_in, got.dim_out) == (want.dim_in, want.dim_out)
+        assert got.state.matrix.dtype == want.state.matrix.dtype
+        assert got.state.matrix.shape == want.state.matrix.shape
+        assert got.state.matrix.tobytes() == want.state.matrix.tobytes()

@@ -323,6 +323,17 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
     assert "points" in err
 
 
+def test_config_file_not_utf8_exits_2(tmp_path):
+    # run as a child process, where an uncaught decode error prints a traceback
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"points = 3\n\xff\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(chancap.__file__).resolve().parents[1])}
+    child = subprocess.run([sys.executable, "-m", "chancap", "sweep", "--config", str(cfg)],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 2 and child.stdout == ""
+    assert str(cfg) in child.stderr and "Traceback" not in child.stderr
+
+
 def test_default_output_digests(capsys, monkeypatch):
     monkeypatch.delenv("CHANCAP_SEED", raising=False)
     # seq and the fig6 crossover in the JSON meta both come out of a bisection
@@ -330,8 +341,10 @@ def test_default_output_digests(capsys, monkeypatch):
         ("seq",): "315d40e4c0366f0c83612d0ffa028aa17b290e1759b84020c0a07a667a41f4df",
         ("seq", "--format", "json"):
             "bb9fd835b604c892a9cc27939c0d9606d234e4f656c45009fd8359dbfb96ef8f",
-        # the full verify report; its residual digits depend on the LAPACK build
-        ("verify",): "6aec9d41f588d3ce7dcb243a7c005fc06f4a8c5872ca4ce0e36ace42c144310c",
+        # the full verify report; its residual digits depend on the LAPACK build.
+        # Summing every entropy as a full row moved one line only:
+        # capacity.choi_state_ic_consistency, from 6.661338e-16 to 8.881784e-16
+        ("verify",): "1a292096c6e9edb3837d1f9859aaf6a47acc461b386c83dea752088497e580fc",
         # each protocol alone at the default lambda, p, uses and seed
         ("simulate", "--kind", "quantum_two_way"):
             "0f424dc45eff6e40c7cc3399d9a19c149d9fbbf700961ee848229c56655ac966",

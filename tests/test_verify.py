@@ -406,16 +406,16 @@ def _nan_row(out):
 # the kernel whose output gets a NaN in one sample, and at which of its calls
 @pytest.mark.parametrize("name, module, attr, call", [
     ("qmath.eig_reconstruction", verify, "_hermitian_spectrum", 1),
-    ("qmath.entropy_unitary_invariance", verify, "_entropy_bits_rows", 1),
-    ("qmath.entropy_diagonal_matches_shannon", verify, "_entropy_bits_rows", 1),
+    ("qmath.entropy_unitary_invariance", verify, "_stacked_entropies", 1),
+    ("qmath.entropy_diagonal_matches_shannon", verify, "_stacked_entropies", 1),
     ("qmath.trace_norm_dominates_trace", verify, "_trace_norm", 1),
     ("qmath.partial_trace_factorization", verify, "_partial_traces", 1),
     ("capacity.pauli_conjugation_invariance", cap, "_conjugation_residuals", 1),
     # H(rho) enters the output identity alone, H(D(rho)) the complement's alone
-    ("channels.entropy_decomposition_output", verify, "_entropy_bits_rows", 1),
-    ("channels.entropy_decomposition_complement", verify, "_entropy_bits_rows", 3),
+    ("channels.entropy_decomposition_output", verify, "_stacked_entropies", 1),
+    ("channels.entropy_decomposition_complement", verify, "_stacked_entropies", 3),
     ("channels.block_orthogonality", chn, "_apply_stack", 1),
-    ("capacity.choi_state_ic_consistency", verify, "_entropy_bits_rows", 1),
+    ("capacity.choi_state_ic_consistency", verify, "_stacked_entropies", 1),
     ("wiretap.bruteforce_oracle_value", wt, "_secrecy_capacity_search", 1),
     ("wiretap.bruteforce_oracle_argmax", wt, "_secrecy_capacity_search", 1),
 ])
