@@ -44,14 +44,14 @@ from .qmath import (
     MAX_DIM,
     _as_array,
     _binary_entropy,
+    _partial_traces,
     as_real,
     binary_entropy,
     check_count,
     check_dims,
+    check_params,
     check_prob,
-    embed_operator,
     entropies_bits,
-    partial_trace,
     von_neumann_entropy,
 )
 from .sampling import STREAM_QUANTUM_PROTOCOL, check_run, draw_chunks
@@ -65,18 +65,6 @@ def degradable(lam, p):
 
 
 degradable.refusal = "lambda must lie in the degradable regime [0, 1/2]"
-
-
-def _checked(lam, p, region=None) -> tuple[float, float]:
-    """(lam, p) as floats, or DomainError unless p lies in [0, 1] and lam in
-    [0, 1] or, given a predicate ``region``, where it holds at p; the error
-    then carries the predicate's own ``refusal``."""
-    if region is None:
-        return check_prob("lambda", lam), check_prob("p", p)
-    lam, p = as_real("lambda", lam), check_prob("p", p)
-    if not region(lam, p):
-        raise DomainError(f"{region.refusal}, got {lam!r}")
-    return lam, p
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +211,13 @@ def coherent_information(ch: KrausChannel, comp: KrausChannel, rho) -> float:
 
 def coherent_information_state(rho_ab, dims: tuple[int, int]) -> float:
     """H(B) - H(AB) of a bipartite state with declared factor dimensions."""
-    m = _as_array(getattr(rho_ab, "matrix", rho_ab))
+    m = _as_array(rho_ab)
     da, db = check_dims(dims)
     if m.shape != (da * db, da * db):
         raise ShapeMismatch(f"state shape {m.shape} does not match dims {dims}")
     # the marginal of a validated state is a state: its entropy needs no checks
     h_ab = von_neumann_entropy(m)
-    h_b = entropies_bits(partial_trace(m, (da, db), "first")[None])[0]
+    h_b = entropies_bits(_partial_traces(m, (da, db), "first")[None])[0]
     return float(h_b - h_ab)
 
 
@@ -423,7 +411,7 @@ def _continuity_bound(lam, p):
 
 def one_way_capacity(lam: float, p: float) -> float:
     """1 - lam (2 - H(p)); certified only where the channel is ``degradable``."""
-    return float(_one_way(*_checked(lam, p, degradable)))
+    return float(_one_way(*check_params(lam, p, degradable)))
 
 
 def two_way_capacity(lam: float) -> float:
@@ -433,18 +421,18 @@ def two_way_capacity(lam: float) -> float:
 
 def complement_one_way_capacity(lam: float, p: float) -> float:
     """Zero: the environment channel is antidegradable where the channel is ``degradable``."""
-    _checked(lam, p, degradable)
+    check_params(lam, p, degradable)
     return 0.0
 
 
 def complement_two_way_capacity(lam: float, p: float) -> float:
     """lam (1 - H(p)), certified where the channel is ``degradable``."""
-    return float(_complement_two_way(*_checked(lam, p, degradable)))
+    return float(_complement_two_way(*check_params(lam, p, degradable)))
 
 
 def er_bound_complement(lam: float, p: float) -> float:
     """Relative-entropy upper bound lam (1 - H(p)), valid for every lam."""
-    return float(_complement_two_way(*_checked(lam, p)))
+    return float(_complement_two_way(*check_params(lam, p)))
 
 
 def erasure_capacities(lam: float) -> tuple[float, float]:
@@ -464,7 +452,7 @@ def coherent_info_lower_bound(lam: float, p: float) -> float:
     near 0 or 1 (at lam ~ 0.505 for p = 0.001, ~ 0.56 for p = 0.05) and
     later for p nearer 1/2.
     """
-    return float(_lower_bound(*_checked(lam, p)))
+    return float(_lower_bound(*check_params(lam, p)))
 
 
 def continuity_upper_bound(lam: float, p: float) -> float:
@@ -474,7 +462,7 @@ def continuity_upper_bound(lam: float, p: float) -> float:
     trace-and-replace comparison channel is antidegradable); below 1/2 the
     expression is still well defined but no longer bounds the capacity.
     """
-    return float(_continuity_bound(*_checked(lam, p)))
+    return float(_continuity_bound(*check_params(lam, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +502,7 @@ def diamond_distance_to_T(lam: float, p: float) -> tuple[float, float]:
     no slack: the objective scales with lam sqrt(p), so an absolute tie width
     would flatten it for tiny lam or p.
     """
-    lam, p = _checked(lam, p)
+    lam, p = check_params(lam, p)
     analytic = float(_closeness(lam, p))
     estimate, _ = _maximize_over_bloch_ball(_diamond_evaluator(lam, p), 1e-6, slack=0.0)
     return estimate, analytic
@@ -533,7 +521,7 @@ def degrading_map(lam: float, p: float) -> KrausChannel:
     Only defined where the channel is ``degradable`` (above lam = 1/2, x
     would be negative).
     """
-    lam, p = _checked(lam, p, degradable)
+    lam, p = check_params(lam, p, degradable)
     x = (1.0 - 2.0 * lam) / (1.0 - lam)
     flag = ket(0, 3)
 
@@ -914,7 +902,7 @@ def two_way_postselected_fidelity(lam: float, p: float) -> float:
     i2 = np.eye(2, dtype=complex)
     post = np.kron(i2, k0) @ phi
     post /= np.linalg.norm(post)
-    target = np.kron(i2, embed_operator(i2, 0, 4)) @ phi
+    target = np.kron(i2, np.eye(4, 2, dtype=complex)) @ phi
     return float(np.abs(target.conj() @ post) ** 2)
 
 
@@ -930,7 +918,7 @@ def simulate_two_way_protocol(
     is fixed by one uniform per use from stream ``STREAM_QUANTUM_PROTOCOL``,
     counted chunk by chunk (``sampling.draw_chunks``).
     """
-    lam, p = _checked(lam, p)
+    lam, p = check_params(lam, p)
     uses, seed = check_run(uses, seed)
 
     fid = two_way_postselected_fidelity(lam, p)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import qmath
 from .errors import DimensionTooLarge, NotAState, ShapeMismatch
-from .qmath import check_prob, partial_trace, von_neumann_entropy
+from .qmath import check_count, check_params, check_prob, partial_trace, von_neumann_entropy
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -92,9 +92,6 @@ class PureState:
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(self.projector())
-
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -111,6 +108,7 @@ class KrausChannel:
     blocks: Optional[tuple] = None
 
     def __post_init__(self):
+        qmath.check_dims((self.dim_in, self.dim_out))
         ops = tuple(qmath._as_array(k) for k in self.kraus)
         if not ops:
             raise ShapeMismatch("a channel needs at least one Kraus operator")
@@ -125,7 +123,12 @@ class KrausChannel:
         if not resid <= COMPLETENESS_TOL:
             raise NotAState(f"Kraus completeness residual {resid:.3e} exceeds 1e-10")
         if self.blocks is not None:
-            blocks = tuple((int(o), int(s)) for o, s in self.blocks)
+            try:  # a DomainError from check_count is a ValueError, as is a pair's unpacking
+                blocks = tuple((check_count("offset", o, 0), check_count("size", s, 1))
+                               for o, s in self.blocks)
+            except (TypeError, ValueError):
+                bad = f"blocks must be (offset, size) pairs of ints, got {self.blocks!r}"
+                raise ShapeMismatch(bad) from None
             object.__setattr__(self, "blocks", blocks)
             flat = sorted(i for o, s in blocks for i in range(o, o + s))
             if flat != list(range(self.dim_out)):
@@ -159,7 +162,8 @@ class Isometry:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        qmath.check_dims((self.dim_in, self.dim_out))
+        m = qmath._as_array(self.matrix)
         if m.shape != (self.dim_out, self.dim_in):
             raise ShapeMismatch(f"isometry shape {m.shape} != ({self.dim_out}, {self.dim_in})")
         resid = np.abs(m.conj().T @ m - np.eye(self.dim_in)).max()
@@ -256,8 +260,7 @@ def channel_N(lam: float, p: float) -> KrausChannel:
 
     Output blocks: {0,1} identity, {2,3} dephasing complement.
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
+    lam, p = check_params(lam, p)
     s0, sl = math.sqrt(1.0 - lam), math.sqrt(lam)
     return _glued((s0, sl, sl), _phi_units(p), ((0, 2), (2, 2)))
 
@@ -267,8 +270,7 @@ def complement_N(lam: float, p: float) -> KrausChannel:
 
     Output blocks: {0} flag (weight 1-lam), {1,2} dephasing (weight lam).
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
+    lam, p = check_params(lam, p)
     u = np.zeros((4, 3, 2), dtype=complex)
     u[0, 0, 0] = u[1, 0, 1] = 1.0
     u[2, 1, 0] = u[2, 2, 1] = math.sqrt(1.0 - p)
@@ -283,8 +285,7 @@ def isometry_N(lam: float, p: float) -> Isometry:
     Tracing out C reproduces ``channel_N``; tracing out B reproduces
     ``complement_N``, with the block layouts documented in the module header.
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
+    lam, p = check_params(lam, p)
     v = np.zeros((12, 2), dtype=complex)  # index (b, c) -> 3*b + c
     sl, cl = np.sqrt(lam), np.sqrt(1.0 - lam)
     sp, cp = np.sqrt(p), np.sqrt(1.0 - p)
@@ -305,8 +306,7 @@ def comparison_channel_T(lam: float, p: float) -> KrausChannel:
 
     Shares the output block convention of ``channel_N``.
     """
-    lam = check_prob("lambda", lam)
-    p = check_prob("p", p)
+    lam, p = check_params(lam, p)
     u = _phi_units(p)
     u[2, 3, 1] = u[1, 3, 0]  # |phi0> for input |1> as well
     s0, sl = math.sqrt(1.0 - lam), math.sqrt(lam)
@@ -369,7 +369,7 @@ def checked_input(ch: KrausChannel, rho, dim_ref: int = 1) -> np.ndarray:
         raise ShapeMismatch(f"reference dimension must be an int >= 1, got {dim_ref!r}")
     if ch.dim_out * dim_ref > qmath.MAX_DIM:
         raise DimensionTooLarge(f"output dimension {ch.dim_out * dim_ref} exceeds {qmath.MAX_DIM}")
-    m = qmath._as_array(getattr(rho, "matrix", rho))
+    m = qmath._as_array(rho)
     d = ch.dim_in * dim_ref
     if m.shape != (d, d):
         raise ShapeMismatch(f"state shape {m.shape} != channel input ({d}, {d})")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -238,7 +238,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_seq(cfg: RunConfig) -> int:
     items, meta = cap.default_sequence(cfg.terms)
     meta.update(STAMP)
-    text = output.seq_json(items, meta) if cfg.format == "json" else output.seq_csv(items, meta)
+    rows = [asdict(it) for it in items]
+    text = (output.rows_json(rows, meta) if cfg.format == "json"
+            else output.rows_csv(output.SEQ_HEADER, rows, meta))
     _write(cfg, text, plot_columns=tuple(output.SEQ_HEADER.split(",")))
     return EXIT_OK
 
@@ -258,7 +260,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         })
     if not rows:
         raise DomainError(f"unknown simulation kind {cfg.kind!r}")
-    text = output.simulate_json(rows, STAMP) if cfg.format == "json" else output.simulate_csv(rows)
+    text = (output.rows_json(rows, STAMP) if cfg.format == "json"
+            else output.rows_csv(output.SIM_HEADER, rows))
     _write(cfg, text)
     return EXIT_OK
 

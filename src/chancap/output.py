@@ -8,10 +8,9 @@ enough for exact float64 round-trips.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple
 from typing import Optional, Sequence
 
-from .capacity import SequenceItem, SweepTable
+from .capacity import SweepTable
 
 SIM_HEADER = "kind,lambda,p,uses,seed,estimate,std_error,target,leakage"
 SEQ_HEADER = "n,x_n,q_lb,q_ub,q_two_way"
@@ -61,24 +60,17 @@ def _csv_row(cells) -> str:
     return ",".join(str(v) if isinstance(v, (str, int)) else fmt(v) for v in cells)
 
 
-def seq_csv(items: Sequence[SequenceItem], meta: dict) -> str:
-    lines = [f"# {k} = {v}" for k, v in sorted(meta.items())]
-    lines += [SEQ_HEADER, *(_csv_row(astuple(it)) for it in items)]
+def rows_csv(header: str, rows: Sequence[dict], meta: Optional[dict] = None) -> str:
+    """CSV of dict rows, each row's cells in ``header`` order, after one
+    ``# key = value`` line per item of ``meta``, sorted."""
+    keys = header.split(",")
+    lines = [f"# {k} = {v}" for k, v in sorted((meta or {}).items())]
+    lines += [header, *(_csv_row(r[k] for k in keys) for r in rows)]
     return "\n".join(lines) + "\n"
 
 
-def seq_json(items: Sequence[SequenceItem], meta: dict) -> str:
-    rows = [asdict(it) for it in items]
-    return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
-
-
-def simulate_csv(rows: Sequence[dict]) -> str:
-    """CSV of simulate rows, each row's cells in SIM_HEADER order."""
-    keys = SIM_HEADER.split(",")
-    return "\n".join([SIM_HEADER, *(_csv_row(r[k] for k in keys) for r in rows)]) + "\n"
-
-
-def simulate_json(rows: Sequence[dict], meta: dict) -> str:
+def rows_json(rows: Sequence[dict], meta: dict) -> str:
+    """JSON document ``{"meta": meta, "rows": rows}``, indented, keys sorted."""
     return json.dumps({"meta": meta, "rows": list(rows)}, indent=2, sort_keys=True) + "\n"
 
 

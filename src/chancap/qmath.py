@@ -52,15 +52,22 @@ class HermitianSpectrum:
 
 
 def _as_array(x, dtype=complex) -> np.ndarray:
-    """``x`` as a ``dtype`` array, or ShapeMismatch unless it is a regular array of numbers."""
+    """``x``, or a state's ``x.matrix``, as a ``dtype`` array, or ShapeMismatch
+    unless it is a regular array of numbers: its converted values decide, so a
+    string, bytes, ragged rows or a complex value where ``dtype`` is real are
+    refused in any container, and a numeric array is converted once."""
+    x = getattr(x, "matrix", x)
     try:
-        return np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError):  # a string, a non-number entry or ragged rows
-        raise ShapeMismatch(f"expected a regular array of numbers, got {type(x).__name__}") from None
+        a = np.asarray(x)
+        if a.dtype.kind in ("biuf" if dtype is float else "biufc"):
+            return a.astype(dtype, copy=False)
+    except (TypeError, ValueError):  # ragged rows
+        pass
+    raise ShapeMismatch(f"expected a regular array of numbers, got {type(x).__name__}")
 
 
 def _as_matrix(m) -> np.ndarray:
-    a = _as_array(getattr(m, "matrix", m))
+    a = _as_array(m)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got array of ndim {a.ndim}")
     return a
@@ -260,6 +267,18 @@ def check_prob(name: str, value: float) -> float:
     return v
 
 
+def check_params(lam, p, region=None) -> tuple[float, float]:
+    """(lam, p) as floats, or DomainError unless p lies in [0, 1] and lam in
+    [0, 1] or, given a predicate ``region``, where it holds at p; the error
+    then carries the predicate's own ``refusal``."""
+    if region is None:
+        return check_prob("lambda", lam), check_prob("p", p)
+    lam, p = as_real("lambda", lam), check_prob("p", p)
+    if not region(lam, p):
+        raise DomainError(f"{region.refusal}, got {lam!r}")
+    return lam, p
+
+
 def _binary_entropy(p):
     """H(p) in bits of a float or a float64 array in [0, 1], without branches.
 
@@ -335,19 +354,3 @@ def _partial_traces(a: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarr
 def tensor(a, b) -> np.ndarray:
     """Kronecker product."""
     return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def embed_operator(op, row_offset: int, rows_total: int) -> np.ndarray:
-    """Stack an operator into a taller one: rows shifted by ``row_offset``.
-
-    Used to route a block's output into its slot of a direct-sum output space.
-    """
-    a = _as_matrix(op)
-    r, c = a.shape
-    if row_offset < 0 or row_offset + r > rows_total:
-        raise ShapeMismatch(
-            f"operator with {r} rows at offset {row_offset} does not fit in {rows_total}"
-        )
-    out = np.zeros((rows_total, c), dtype=complex)
-    out[row_offset : row_offset + r, :] = a
-    return out

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import Curve, _checked, _two_way, bisect
+from .capacity import Curve, _two_way, bisect
 from .errors import DomainError, NotADistribution
-from .qmath import _as_array, _binary_entropy, as_real, check_count, check_prob
+from .qmath import _as_array, _binary_entropy, as_real, check_count, check_params, check_prob
 from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, draw_chunks
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -72,7 +72,7 @@ class WiretapChannel:
 
 def build_wiretap(lam: float, p: float) -> WiretapChannel:
     """Assemble the joint conditional table for parameters (lam, p)."""
-    lam, p = _checked(lam, p)
+    lam, p = check_params(lam, p)
     t = np.zeros((2, 2, 2, 2))
     for x in range(2):
         for y in range(2):
@@ -98,7 +98,7 @@ def mutual_information(joint) -> float:
 def secrecy_objective(ch: WiretapChannel, q: float) -> float:
     """I(X; Y, L) - I(X; Z, L) for the Bernoulli(q) input, q = P(x = 0)."""
     q = check_prob("q", q)
-    return float(_secrecy_objective_grid(ch, np.array([q]))[0])
+    return float(_secrecy_objectives(_views(ch), np.array(q)))
 
 
 def _mutual_information_stack(joints: np.ndarray) -> np.ndarray:
@@ -124,11 +124,6 @@ def _secrecy_objectives(views: np.ndarray, qs: np.ndarray) -> np.ndarray:
 def _views(ch: WiretapChannel) -> np.ndarray:
     """Bob's and Eve's conditionals of ``ch``, stacked (2, 2, 2, 2)."""
     return np.stack([ch.bob_given_x(), ch.eve_given_x()])
-
-
-def _secrecy_objective_grid(ch: WiretapChannel, qs: np.ndarray) -> np.ndarray:
-    """``secrecy_objective`` at every q of a grid in [0, 1], in one batch."""
-    return _secrecy_objectives(_views(ch)[:, None], qs)
 
 
 def decomposition_residual(ch: WiretapChannel, q: float) -> float:
@@ -219,7 +214,7 @@ def _one_way_secrecy(lam, p):
 
 def one_way_secrecy_capacity(lam: float, p: float) -> float:
     """1 - lam (1 + H(p)); certified only where the channel is ``degraded``."""
-    return float(_one_way_secrecy(*_checked(lam, p, degraded)))
+    return float(_one_way_secrecy(*check_params(lam, p, degraded)))
 
 
 def two_way_secrecy_capacity(lam: float) -> float:
@@ -236,7 +231,7 @@ def degrading_stochastic_map(lam: float, p: float) -> np.ndarray:
     on p, but it exists only where the channel is ``degraded`` at (lam, p),
     which keeps the mixing probability in [0, 1].
     """
-    lam, _ = _checked(lam, p, degraded)
+    lam, _ = check_params(lam, p, degraded)
     mix = lam / (1.0 - lam)
     t = np.zeros((2, 2, 2, 2))
     for y in range(2):
@@ -273,7 +268,7 @@ def simulate_feedback_protocol(
     may not.  They are counted chunk by chunk (``sampling.draw_chunks``), so
     memory does not grow with ``uses``.
     """
-    lam, p = _checked(lam, p)
+    lam, p = check_params(lam, p)
     uses, seed = check_run(uses, seed)
     accepted = x1 = z1 = both = 0
     # flag2 is True where L = 2 (accepted); z is Eve's bit there

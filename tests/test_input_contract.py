@@ -109,6 +109,12 @@ def _ket(index, dim):
     return v
 
 
+def _embed(op, row_offset, rows_total):
+    out = np.zeros((rows_total, op.shape[1]), dtype=complex)
+    out[row_offset : row_offset + op.shape[0]] = op
+    return out
+
+
 def _old_phi_states(p):
     p = qmath.check_prob("p", p)
     a, b = np.sqrt(1.0 - p), np.sqrt(p)
@@ -118,9 +124,9 @@ def _old_phi_states(p):
 def _old_channel_N(lam, p):
     phi0, phi1 = _old_phi_states(p)
     return (
-        np.sqrt(1.0 - lam) * qmath.embed_operator(I2, 0, 4),
-        np.sqrt(lam) * qmath.embed_operator(np.outer(phi0, _ket(0, 2).conj()), 2, 4),
-        np.sqrt(lam) * qmath.embed_operator(np.outer(phi1, _ket(1, 2).conj()), 2, 4),
+        np.sqrt(1.0 - lam) * _embed(I2, 0, 4),
+        np.sqrt(lam) * _embed(np.outer(phi0, _ket(0, 2).conj()), 2, 4),
+        np.sqrt(lam) * _embed(np.outer(phi1, _ket(1, 2).conj()), 2, 4),
     )
 
 
@@ -129,17 +135,17 @@ def _old_complement_N(lam, p):
     return (
         np.sqrt(1.0 - lam) * np.outer(flag, _ket(0, 2).conj()),
         np.sqrt(1.0 - lam) * np.outer(flag, _ket(1, 2).conj()),
-        np.sqrt(lam) * qmath.embed_operator(np.sqrt(1.0 - p) * I2, 1, 3),
-        np.sqrt(lam) * qmath.embed_operator(np.sqrt(p) * PAULI_Z, 1, 3),
+        np.sqrt(lam) * _embed(np.sqrt(1.0 - p) * I2, 1, 3),
+        np.sqrt(lam) * _embed(np.sqrt(p) * PAULI_Z, 1, 3),
     )
 
 
 def _old_comparison_channel_T(lam, p):
     phi0, _ = _old_phi_states(p)
     return (
-        np.sqrt(1.0 - lam) * qmath.embed_operator(I2, 0, 4),
-        np.sqrt(lam) * qmath.embed_operator(np.outer(phi0, _ket(0, 2).conj()), 2, 4),
-        np.sqrt(lam) * qmath.embed_operator(np.outer(phi0, _ket(1, 2).conj()), 2, 4),
+        np.sqrt(1.0 - lam) * _embed(I2, 0, 4),
+        np.sqrt(lam) * _embed(np.outer(phi0, _ket(0, 2).conj()), 2, 4),
+        np.sqrt(lam) * _embed(np.outer(phi0, _ket(1, 2).conj()), 2, 4),
     )
 
 
@@ -239,7 +245,7 @@ def _old_erasure_channel(lam):
     lam = qmath.check_prob("lambda", lam)
     flag = _ket(2, 3)
     kraus = (
-        np.sqrt(1.0 - lam) * qmath.embed_operator(I2, 0, 3),
+        np.sqrt(1.0 - lam) * _embed(I2, 0, 3),
         np.sqrt(lam) * np.outer(flag, _ket(0, 2).conj()),
         np.sqrt(lam) * np.outer(flag, _ket(1, 2).conj()),
     )
@@ -420,6 +426,8 @@ def _bad(kind: str) -> np.ndarray:
         m = [[0.5, "x"], [0.0, 0.5]]
     elif kind == "ragged":
         m = [[0.5, 0.0], [0.5]]
+    elif kind == "numeric_strings":
+        m = [["0.5", "0"], ["0", "0.5"]]
     return m
 
 
@@ -449,6 +457,7 @@ REJECTS = {
     "3d": (ShapeMismatch, "expected a matrix, got array of ndim 3"),
     "non_numeric": (ShapeMismatch, "expected a regular array of numbers, got list"),
     "ragged": (ShapeMismatch, "expected a regular array of numbers, got list"),
+    "numeric_strings": (ShapeMismatch, "expected a regular array of numbers, got list"),
 }
 CHANNEL_SHAPE = {
     "17x17": "state shape (17, 17) != channel input (2, 2)",
@@ -594,7 +603,7 @@ def test_zero_dimension_is_a_shape_mismatch_at_every_matrix_entry():
             f(empty)
 
 
-@pytest.mark.parametrize("bad", ("abc", [[1, "x"], [2, 3]], [[1, 2], [3]]))
+@pytest.mark.parametrize("bad", ("abc", [[1, "x"], [2, 3]], [[1, 2], [3]], [["1"]]))
 def test_non_numeric_input_is_a_shape_mismatch_at_every_matrix_entry(bad):
     for f in (
         qmath.hermitian_eig,
@@ -616,9 +625,20 @@ ARRAY_ENTRIES = {
     "mutual_information": wt.mutual_information,
     "WiretapChannel": lambda bad: wt.WiretapChannel(0.3, 0.2, bad),
     "KrausChannel": lambda bad: chn.KrausChannel(2, 2, (bad,)),
+    "Isometry": lambda bad: chn.Isometry(2, 2, bad),
     "PureState": chn.PureState,
 }
-NOT_AN_ARRAY = {"string": "ab", "ragged": [[0.5], [0.25, 0.25]], "object": [object()]}
+NOT_AN_ARRAY = {
+    "string": "ab",
+    "ragged": [[0.5], [0.25, 0.25]],
+    "object": [object()],
+    "numeric_string": "1",
+    "numeric_strings": ["0.5", "0.5"],
+    "numeric_bytes": b"1",
+}
+# the entries above that ask for a real array, and a complex value they refuse
+REAL_ARRAY_ENTRIES = ("shannon_entropy", "mutual_information", "WiretapChannel")
+NOT_A_REAL_ARRAY = np.array([0.5 + 1j, 0.5])
 
 
 @pytest.mark.filterwarnings("error")
@@ -629,6 +649,61 @@ def test_non_numeric_input_is_a_shape_mismatch(entry, kind):
     message = f"expected a regular array of numbers, got {type(bad).__name__}"
     with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
         ARRAY_ENTRIES[entry](bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", REAL_ARRAY_ENTRIES)
+def test_complex_input_to_a_real_array_is_a_shape_mismatch(entry):
+    # an ndarray: numpy itself casts it to float with only a ComplexWarning
+    message = "expected a regular array of numbers, got ndarray"
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        ARRAY_ENTRIES[entry](NOT_A_REAL_ARRAY)
+
+
+def test_a_numeric_array_passes_through_one_conversion():
+    a = np.eye(2, dtype=complex) / 2
+    assert qmath._as_array(a) is a
+    rho = chn.DensityMatrix(a)
+    assert qmath._as_array(rho) is rho.matrix
+    f = np.array([0.5, 0.5])
+    assert qmath._as_array(f, float) is f
+
+
+BAD_CHANNEL_DIMS = ((2.0, 2.0), (True, True), (0, 0), (2.0, 2), (2, np.bool_(True)), (-1, 2),
+                    ("2", 2), (None, 2))
+CHANNEL_CONSTRUCTORS = {
+    "KrausChannel": lambda d_in, d_out: chn.KrausChannel(d_in, d_out, (I2,)),
+    "Isometry": lambda d_in, d_out: chn.Isometry(d_in, d_out, I2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(CHANNEL_CONSTRUCTORS))
+@pytest.mark.parametrize("dims", BAD_CHANNEL_DIMS, ids=repr)
+def test_channel_dimensions_must_be_ints(entry, dims):
+    message = f"dims must be a pair of ints >= 1, got {dims!r}"
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        CHANNEL_CONSTRUCTORS[entry](*dims)
+
+
+def test_numpy_integer_channel_dimensions_keep_working():
+    two = np.int64(2)
+    assert chn.KrausChannel(two, two, (I2,)).dim_in == 2
+    assert chn.Isometry(two, 2, I2).dim_out == 2
+    blocks = chn.KrausChannel(2, 2, (I2,), blocks=((np.int64(0), np.int32(2)),)).blocks
+    assert blocks == ((0, 2),) and all(type(v) is int for v in blocks[0])
+
+
+BAD_BLOCKS = ("ab", 5, (0, 2), ((0,),), ((0, 2, 1),), ((0, 2.0),), ((0.0, 2),), ((True, 2),),
+              ((-1, 3),), ((0, 0), (0, 2)), ((0, None),))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("blocks", BAD_BLOCKS, ids=repr)
+def test_malformed_blocks_are_a_shape_mismatch(blocks):
+    message = f"blocks must be (offset, size) pairs of ints, got {blocks!r}"
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        chn.KrausChannel(2, 2, (I2,), blocks=blocks)
 
 
 def test_factor_dimensions_must_be_ints():

@@ -91,7 +91,7 @@ def test_secrecy_argmax_is_the_uniform_input(lam, p):
         assert abs(q - 0.5) <= 1e-4
         assert abs(value - wt.one_way_secrecy_capacity(lam, p)) <= 1e-4
     qs = np.linspace(0.0, 1.0, 1001)
-    if wt._secrecy_objective_grid(ch, qs).max() <= 0.0:
+    if wt._secrecy_objectives(wt._views(ch)[:, None], qs).max() <= 0.0:
         assert (value, q) == (0.0, 0.0)
 
 
@@ -146,8 +146,8 @@ def test_batched_golden_search_matches_one_search_per_channel(params):
 
 def test_the_mixed_batch_holds_searches_of_both_bracket_widths():
     qs = np.linspace(0.0, 1.0, 201)
-    ends = [int(np.argmax(wt._secrecy_objective_grid(wt.build_wiretap(*lp), qs))) in (0, 200)
-            for lp in MIXED]
+    ends = [int(np.argmax(wt._secrecy_objectives(wt._views(wt.build_wiretap(*lp))[:, None], qs)))
+            in (0, 200) for lp in MIXED]
     assert any(ends) and not all(ends)
     values, qs = wt._secrecy_capacity_search([wt.build_wiretap(*lp) for lp in MIXED], 201)
     assert (values[1], qs[1]) == (0.0, 0.0)
@@ -159,7 +159,7 @@ def test_secrecy_objective_grid_matches_scalar():
     for lam in (0.0, 0.5, 1.0):
         for p in (0.0, 0.5, 1.0):
             ch = wt.build_wiretap(lam, p)
-            grid = wt._secrecy_objective_grid(ch, qs)
+            grid = wt._secrecy_objectives(wt._views(ch)[:, None], qs)
             scalar = np.array([wt.secrecy_objective(ch, q) for q in qs])
             assert np.abs(grid - scalar).max() <= 1e-14, (lam, p)
 
