@@ -384,9 +384,7 @@ def _one_way(lam, p):
 
 
 def _lower_bound(lam, p):
-    # a selection, not np.maximum, so that a tie or a NaN resolves as max(0.0, x)
-    one = _one_way(lam, p)
-    return np.where(one > 0.0, one, 0.0)
+    return np.maximum(_one_way(lam, p), 0.0)
 
 
 def _complement_two_way(lam, p):
@@ -404,9 +402,7 @@ def _continuity_entropic(lam, p):
 
 
 def _continuity_bound(lam, p):
-    # a selection, not np.minimum, so that a tie or a NaN resolves as min(1 - lam, x)
-    two, entropic = _two_way(lam), _continuity_entropic(lam, p)
-    return np.where(entropic < two, entropic, two)
+    return np.minimum(_two_way(lam), _continuity_entropic(lam, p))
 
 
 def one_way_capacity(lam: float, p: float) -> float:
@@ -620,15 +616,6 @@ def derivative_check(
         - one_way_capacity(lam - h_cap, float(p_of_lambda(lam - h_cap)))
     ) / (2.0 * h_cap)
     return analytic, numeric
-
-
-def derivative_condition_margin(p_of_lambda, lam: float) -> float:
-    """p'(lam) - 2 p(lam)/lam: positive margin certifies an increasing capacity."""
-    h = 1e-6
-    lam = _check_stencil_lambda(lam, h)
-    p0 = float(p_of_lambda(lam))
-    p_prime = (float(p_of_lambda(lam + h)) - float(p_of_lambda(lam - h))) / (2.0 * h)
-    return p_prime - 2.0 * p0 / lam
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from . import output
 from . import verify as verify_mod
 from . import wiretap as wt
 from .errors import ChancapError, DomainError, PreconditionViolated
-from .qmath import check_count, check_prob
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -52,9 +51,6 @@ CONFIG_TYPES = {
 }
 # sweep settings that only a custom sweep reads
 CUSTOM_SWEEP_FLAGS = ("lambda", "p", "lambda_min", "lambda_max", "p_min", "p_max")
-# simulate runs at the low end of a lambda or p range, so its config file may
-# also set these keys, which are not simulate flags
-SIMULATE_RANGE_KEYS = ("lambda_min", "p_min")
 # simulate runs at this (lambda, p) unless a flag or the config file says otherwise
 SIMULATE_AT = (0.3, 0.1)
 
@@ -84,17 +80,13 @@ class RunConfig:
     only: Optional[str] = None
 
     def validate(self) -> None:
-        for name in ("lambda_min", "lambda_max", "p_min", "p_max"):
-            check_prob(_flag(name), getattr(self, name))
-        check_count("--points", self.points, 2)
-        check_count("--uses", self.uses, 1)
+        """The rules no library function holds; lambda, p, points, uses and
+        seed are refused by the gate of the function that reads them."""
         if not 1 <= self.terms <= MAX_TERMS:
             raise DomainError(
                 f"--terms must lie in [1, {MAX_TERMS}] (later terms underflow float64), "
                 f"got {self.terms!r}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"--seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.scenario not in SCENARIOS:
             raise DomainError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.format not in FORMATS:
@@ -137,9 +129,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for key, value in file_values.items():
         # args holds the dest of every flag of the command's own parser
-        if not hasattr(args, key) and not (
-            args.command == "simulate" and key in SIMULATE_RANGE_KEYS
-        ):
+        if not hasattr(args, key):
             raise DomainError(f"config key {key} = {value!r} is not read by {args.command}")
 
     def pick(name: str, default=None):

@@ -54,12 +54,12 @@ class HermitianSpectrum:
 def _as_array(x, dtype=complex) -> np.ndarray:
     """``x``, or a state's ``x.matrix``, as a ``dtype`` array, or ShapeMismatch
     unless it is a regular array of numbers: its converted values decide, so a
-    string, bytes, ragged rows or a complex value where ``dtype`` is real are
-    refused in any container, and a numeric array is converted once."""
+    bool, a string, bytes, ragged rows or a complex value where ``dtype`` is
+    real are refused in any container, and a numeric array is converted once."""
     x = getattr(x, "matrix", x)
     try:
         a = np.asarray(x)
-        if a.dtype.kind in ("biuf" if dtype is float else "biufc"):
+        if a.dtype.kind in ("iuf" if dtype is float else "iufc"):
             return a.astype(dtype, copy=False)
     except (TypeError, ValueError):  # ragged rows
         pass

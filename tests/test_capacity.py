@@ -445,6 +445,31 @@ def test_upper_bound():
     assert abs(val - direct) < 1e-15
 
 
+def _edge_grid(n):
+    # n values in [0, 1]: a uniform grid with -0.0 and the float edges
+    edges = [-0.0, 5e-324, 2.0**-53, 0.5 - 2.0**-54, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+    return np.concatenate([np.linspace(0.0, 1.0, n - len(edges)), edges])
+
+
+def _selected_bounds(lam, p):
+    # the bounds written as selections, the form the ufuncs replaced
+    one = cap._one_way(lam, p)
+    two, entropic = cap._two_way(lam), cap._continuity_entropic(lam, p)
+    return np.where(one > 0.0, one, 0.0), np.where(entropic < two, entropic, two)
+
+
+def test_bound_ufuncs_match_the_selections_bit_for_bit():
+    lam, p = np.meshgrid(_edge_grid(1009), _edge_grid(1009))
+    for got, want in zip((cap._lower_bound(lam, p), cap._continuity_bound(lam, p)),
+                         _selected_bounds(lam, p)):
+        assert got.tobytes() == want.tobytes()
+    for lam in _edge_grid(34):
+        for p in _edge_grid(34):
+            got = (cap.coherent_info_lower_bound(lam, p), cap.continuity_upper_bound(lam, p))
+            want = tuple(float(v) for v in _selected_bounds(lam, p))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (lam, p)
+
+
 def test_diamond_distance():
     est, ana = cap.diamond_distance_to_T(0.5, 0.0)
     assert est == 0.0 and ana == 0.0
@@ -526,21 +551,14 @@ def test_derivative_check():
     assert abs(analytic - (binary_entropy(0.3) - 2.0)) < 1e-9
     assert abs(analytic - numeric) < 1e-5
 
-    # sufficient-condition margin p' >= 2p/lam at lam = 0.26
-    margin = cap.derivative_condition_margin(curve, 0.26)
-    assert abs(margin - (4.0 - 2.0 * 0.04 / 0.26)) < 1e-5
-    assert margin > 0.0
-
     with pytest.raises(DomainError):
         cap.derivative_check(curve, 0.2500001)  # p(lam) too close to 0
     with pytest.raises(DomainError):
         cap.derivative_check(lambda l: 0.3, 0.4999999)  # stencil leaves [0, 1/2]
-    # the stencil guard rejects NaN and the ends of [0, 1/2] on both functions
+    # the stencil guard rejects NaN and the ends of [0, 1/2]
     for lam in (0.0, np.nan, -0.1, 0.6):
         with pytest.raises(DomainError):
             cap.derivative_check(lambda l: 0.3, lam)
-        with pytest.raises(DomainError):
-            cap.derivative_condition_margin(lambda l: 0.3, lam)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -264,7 +264,7 @@ def test_simulate_json(capsys):
 
 def test_simulate_config_zero_parameters_are_kept(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("lambda_min = 0\np_min = 0\n")
+    cfg.write_text("lambda = 0\np = 0\n")
     path = tmp_path / "sim.csv"
     assert main(["simulate", "--config", str(cfg), "--uses", "1000", "--out", str(path)]) == 0
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -520,12 +520,19 @@ def test_config_scenario_is_read(tmp_path, capsys):
     assert code == 2 and "fig5" in err
 
 
-def test_domain_errors_exit_2(capsys):
+def test_domain_errors_exit_2(monkeypatch, capsys):
     code, _, err = run(["sweep", "--scenario", "custom", "--lambda-min", "0.5",
                         "--lambda-max", "2.0", "--p", "0.1"], capsys)
     assert code == 2
     code, _, _ = run(["sweep", "--scenario", "fig3", "--points", "1"], capsys)
     assert code == 2
+    # the Monte Carlo run's own gate refuses its uses and seed, naming each
+    for argv, named in ((["--uses", "0"], "uses"), (["--seed", str(2**64)], "seed")):
+        code, out, err = run(["simulate", "--uses", "1000", *argv], capsys)
+        assert (code, out) == (2, "") and f"domain error: {named} must" in err, err
+    monkeypatch.setenv("CHANCAP_SEED", "-1")
+    code, out, err = run(["simulate", "--uses", "1000"], capsys)
+    assert (code, out) == (2, "") and "domain error: seed must" in err, err
 
 
 def test_io_errors_exit_3(tmp_path, capsys):
@@ -566,9 +573,11 @@ def test_config_unknown_kind_exits_2(tmp_path, capsys):
         (["seq"], "seed = abc\n", ("seed", "'abc'", "seq")),
         (["simulate", "--uses", "1000"], "lambda_max = 0.9\n",
          ("lambda_max", "'0.9'", "simulate")),
+        (["simulate", "--uses", "1000"], "lambda_min = 0\n", ("lambda_min", "'0'", "simulate")),
+        (["simulate", "--uses", "1000"], "p_min = 0\n", ("p_min", "'0'", "simulate")),
     ],
     ids=["seq-uses-kind", "verify-uses-kind", "sweep-fixed-lambda", "seq-seed",
-         "simulate-lambda-max"],
+         "simulate-lambda-max", "simulate-lambda-min", "simulate-p-min"],
 )
 def test_config_keys_a_command_does_not_read_exit_2(argv, text, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -576,3 +585,27 @@ def test_config_keys_a_command_does_not_read_exit_2(argv, text, named, tmp_path,
     code, out, err = run(argv + ["--config", str(cfg)], capsys)
     assert code == 2 and out == ""
     assert "config key" in err and all(word in err for word in named), err
+
+
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        (["simulate", "--uses", "1000", "--lambda", "2"], None, "lambda"),
+        (["simulate", "--uses", "1000", "--p", "2"], None, "p"),
+        (["simulate", "--uses", "1000"], "lambda = 2\n", "lambda"),
+        (["sweep", "--scenario", "custom", "--lambda", "2", "--p-min", "0", "--p-max", "1"],
+         None, "lambda"),
+    ],
+    ids=["simulate-lambda", "simulate-p", "simulate-config-lambda", "custom-sweep-lambda"],
+)
+def test_fixed_parameter_errors_name_the_parameter(argv, text, named, tmp_path, capsys):
+    # a fixed lambda or p is refused by the library's gate, which names the
+    # parameter and no range flag the command may not have
+    if text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"domain error: {named} must lie in [0, 1], got 2.0" in err, err
+    assert "--lambda-min" not in err and "--p-min" not in err
