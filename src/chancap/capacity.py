@@ -893,6 +893,12 @@ def two_way_postselected_fidelity(lam: float, p: float) -> float:
     return float(np.abs(target.conj() @ post) ** 2)
 
 
+def bernoulli_std_error(lam: float, uses: int) -> float:
+    """sqrt(lam (1 - lam) / uses): the standard error of a rate of ``uses``
+    rounds each kept with probability 1 - lam, as both protocols' are."""
+    return float(np.sqrt(lam * (1.0 - lam) / uses))
+
+
 def simulate_two_way_protocol(
     lam: float, p: float, uses: int, seed: int
 ) -> tuple[float, float]:
@@ -901,8 +907,8 @@ def simulate_two_way_protocol(
     Each use sends half of a maximally entangled pair, samples a Kraus branch
     with the Born probabilities, and reads the block flag; kept (identity
     block) rounds transmit noiselessly.  Returns (rate estimate, std error)
-    with the Bernoulli standard error sqrt(lam (1 - lam) / uses).  The output
-    is fixed by one uniform per use from stream ``STREAM_QUANTUM_PROTOCOL``,
+    with the standard error ``bernoulli_std_error(lam, uses)``.  The output is
+    fixed by one uniform per use from stream ``STREAM_QUANTUM_PROTOCOL``,
     counted chunk by chunk (``sampling.draw_chunks``).
     """
     lam, p = check_params(lam, p)
@@ -920,6 +926,4 @@ def simulate_two_way_protocol(
     p_kept = float(np.trace(k0 @ pi @ k0.conj().T).real)
     kept = uses - sum(int(np.count_nonzero(dropped)) for (dropped,)
                       in draw_chunks(seed, STREAM_QUANTUM_PROTOCOL, uses, (p_kept,)))
-    rate = kept / uses
-    std_error = float(np.sqrt(lam * (1.0 - lam) / uses))
-    return rate, std_error
+    return kept / uses, bernoulli_std_error(lam, uses)

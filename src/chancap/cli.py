@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from . import capacity as cap
@@ -182,16 +181,28 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _overwrite(path: str, text: str) -> None:
+    """Write ``text`` over ``path`` in place, keeping its inode.
+
+    A file truncated to zero and rewritten is flushed on close (ext4
+    ``auto_da_alloc``), and its next truncation waits for that flush.  So the
+    file is opened without ``O_TRUNC`` and cut at the end of the text, when it
+    is a regular file (``/dev/null`` and FIFOs refuse ``ftruncate``).
+    """
+    with open(path, "w", encoding="utf-8", newline="\n",
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _write(cfg: RunConfig, text: str, plot_columns: Optional[tuple] = None) -> None:
     if cfg.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _overwrite(cfg.out, text)
     if cfg.emit_plot_script and plot_columns:
-        script = output.gnuplot_script(os.path.basename(cfg.out), plot_columns)
-        with open(cfg.out + ".gp", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(script)
+        _overwrite(cfg.out + ".gp", output.gnuplot_script(os.path.basename(cfg.out), plot_columns))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -245,7 +256,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         estimate, second = simulate(lam, p, cfg.uses, cfg.seed)
         rows.append({
             "kind": kind, "lambda": lam, "p": p, "uses": cfg.uses, "seed": cfg.seed,
-            "estimate": estimate, "std_error": float(np.sqrt(lam * (1.0 - lam) / cfg.uses)),
+            "estimate": estimate, "std_error": cap.bernoulli_std_error(lam, cfg.uses),
             "target": target(lam), "leakage": second if kind == "wiretap_feedback" else None,
         })
     if not rows:

@@ -462,7 +462,7 @@ def _check_fig4_endpoint() -> CheckResult:
 @_register("capacity.two_way_protocol_concentration")
 def _check_quantum_protocol() -> CheckResult:
     lam, p, uses = 0.3, 0.2, 100_000
-    sigma = float(np.sqrt(lam * (1.0 - lam) / uses))
+    sigma = cap.bernoulli_std_error(lam, uses)
     rates = (cap.simulate_two_way_protocol(lam, p, uses, seed)[0] for seed in range(10))
     return _result(_worst(abs(rate - (1.0 - lam)) for rate in rates), 3.0 * sigma)
 
@@ -525,7 +525,7 @@ def _check_mi_decomposition() -> CheckResult:
 def _check_feedback_protocol() -> tuple[CheckResult, CheckResult]:
     lam, p, uses = 0.3, 0.1, 100_000
     runs = [wt.simulate_feedback_protocol(lam, p, uses, seed) for seed in range(10)]
-    sigma = float(np.sqrt(lam * (1.0 - lam) / uses))
+    sigma = cap.bernoulli_std_error(lam, uses)
     return (_result(_worst(abs(throughput - (1.0 - lam)) for throughput, _ in runs), 3.0 * sigma),
             _result(_worst(leakage for _, leakage in runs), 1e-2))
 

@@ -441,12 +441,99 @@ def test_config_file_flags_take_precedence(tmp_path):
 
 
 def test_emit_plot_script(tmp_path):
-    path = tmp_path / "fig6.csv"
-    assert main(["sweep", "--scenario", "fig6", "--points", "10", "--out", str(path),
-                 "--emit-plot-script"]) == 0
-    script = (path.parent / "fig6.csv.gp").read_text()
-    assert "set datafile separator" in script
-    assert "fig6.csv" in script
+    # written once to a fresh directory and once over a longer stale script
+    paths = []
+    for name in ("fresh", "old"):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "fig6.csv")
+    (paths[1].parent / "fig6.csv.gp").write_text("# stale\n" * 500)
+    for path in paths:
+        assert main(["sweep", "--scenario", "fig6", "--points", "10", "--out", str(path),
+                     "--emit-plot-script"]) == 0
+    fresh, old = ((path.parent / "fig6.csv.gp").read_bytes() for path in paths)
+    assert b"set datafile separator" in fresh
+    assert b"fig6.csv" in fresh
+    assert old == fresh
+
+
+# one small run of each command that writes --out
+OUT_RUNS = {
+    "verify": ["verify", "--only", "degradable"],
+    "sweep": ["sweep", "--scenario", "fig3", "--points", "5"],
+    "seq": ["seq", "--terms", "3"],
+    "simulate": ["simulate", "--uses", "1000", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command", OUT_RUNS)
+def test_out_overwrites_a_longer_file_in_place(command, tmp_path, capsys):
+    argv = OUT_RUNS[command]
+    code, printed, _ = run(argv, capsys)
+    assert code == 0
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    old.write_bytes(b"x" * (len(printed) + 4096))
+    old.chmod(0o640)
+    before = old.stat()
+    assert main([*argv, "--out", str(old)]) == 0
+    after = old.stat()
+    assert old.read_bytes() == fresh.read_bytes() == printed.encode()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+@pytest.mark.parametrize("command", OUT_RUNS)
+def test_out_writes_through_a_symlink(command, tmp_path, capsys):
+    code, printed, _ = run(OUT_RUNS[command], capsys)
+    assert code == 0
+    target, link = tmp_path / "target.out", tmp_path / "link.out"
+    target.write_text("y" * (len(printed) + 100))
+    link.symlink_to(target)
+    assert main([*OUT_RUNS[command], "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("command", OUT_RUNS)
+def test_out_devnull_exits_0(command, capsys):
+    code, out, err = run([*OUT_RUNS[command], "--out", os.devnull], capsys)
+    assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_out_fifo_is_written_and_not_truncated(tmp_path, capsys):
+    code, printed, _ = run(OUT_RUNS["seq"], capsys)
+    fifo = tmp_path / "seq.fifo"
+    os.mkfifo(fifo)
+    # a non-blocking reader lets the writer open the FIFO; the text fits its buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, err = run([*OUT_RUNS["seq"], "--out", str(fifo)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert os.read(reader, 1 << 16) == printed.encode()
+    finally:
+        os.close(reader)
+
+
+def test_no_output_write_truncates_its_target(tmp_path, monkeypatch):
+    # a truncation to zero makes ext4 flush the rewritten file and the next
+    # truncation wait for it; every --out and .gp write must open without O_TRUNC
+    opened, real_open = [], os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    targets = []
+    for command, argv in OUT_RUNS.items():
+        out = tmp_path / f"{command}.out"
+        out.write_text("z" * 10_000)
+        extra = ["--emit-plot-script"] if command == "sweep" else []
+        assert main([*argv, "--out", str(out), *extra]) == 0
+        targets.append(str(out))
+    targets.append(str(tmp_path / "sweep.out.gp"))
+    assert set(targets) <= {path for path, _ in opened}
+    assert [path for path, flags in opened if flags & os.O_TRUNC] == []
 
 
 @pytest.mark.parametrize(
@@ -536,10 +623,12 @@ def test_domain_errors_exit_2(monkeypatch, capsys):
 
 
 def test_io_errors_exit_3(tmp_path, capsys):
-    missing_dir = tmp_path / "nope" / "out.csv"
-    code, _, err = run(["sweep", "--scenario", "fig3", "--out", str(missing_dir)], capsys)
-    assert code == 3
-    assert "i/o error" in err
+    # a missing directory, and --out naming a directory
+    for out in (tmp_path / "nope" / "out.csv", tmp_path):
+        code, _, err = run(["sweep", "--scenario", "fig3", "--out", str(out)], capsys)
+        assert code == 3
+        assert "i/o error" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parser_dests_are_the_config_keys():
