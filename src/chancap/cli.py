@@ -182,18 +182,25 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _overwrite(path: str, text: str) -> None:
-    """Write ``text`` over ``path`` in place, keeping its inode.
+    """Write ``text`` over ``path`` in place.
 
     A file truncated to zero and rewritten is flushed on close (ext4
     ``auto_da_alloc``), and its next truncation waits for that flush.  So the
-    file is opened without ``O_TRUNC`` and cut at the end of the text, when it
-    is a regular file (``/dev/null`` and FIFOs refuse ``ftruncate``).
+    file is opened without ``O_TRUNC`` and, when it is a regular file
+    (``/dev/null`` and FIFOs refuse ``ftruncate``), cut where the bytes
+    written so far end: after the text, or after the part of it written
+    before a failed write, so that no byte of the old file is left behind.
     """
     with open(path, "w", encoding="utf-8", newline="\n",
               opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+        fd = fh.fileno()
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            fh.write(text)
+            fh.flush()
+        finally:
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _write(cfg: RunConfig, text: str, plot_columns: Optional[tuple] = None) -> None:

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import chancap
 from chancap import capacity as cap
+from chancap import cli
 from chancap import output
 from chancap import wiretap as wt
 from chancap.cli import CONFIG_TYPES, build_parser, main
@@ -466,11 +468,13 @@ OUT_RUNS = {
 
 
 @pytest.mark.parametrize("command", OUT_RUNS)
-def test_out_overwrites_a_longer_file_in_place(command, tmp_path, capsys):
+def test_out_overwrites_its_target(command, tmp_path, capsys):
+    # a longer existing file, a symlink to one and /dev/null each end up
+    # holding exactly what a fresh file gets
     argv = OUT_RUNS[command]
     code, printed, _ = run(argv, capsys)
     assert code == 0
-    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    fresh, old, link = tmp_path / "fresh.out", tmp_path / "old.out", tmp_path / "link.out"
     assert main([*argv, "--out", str(fresh)]) == 0
     old.write_bytes(b"x" * (len(printed) + 4096))
     old.chmod(0o640)
@@ -479,24 +483,36 @@ def test_out_overwrites_a_longer_file_in_place(command, tmp_path, capsys):
     after = old.stat()
     assert old.read_bytes() == fresh.read_bytes() == printed.encode()
     assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    old.write_bytes(b"y" * (len(printed) + 100))
+    link.symlink_to(old)
+    assert main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and old.read_bytes() == printed.encode()
+    assert run([*argv, "--out", os.devnull], capsys) == (0, "", "")
 
 
-@pytest.mark.parametrize("command", OUT_RUNS)
-def test_out_writes_through_a_symlink(command, tmp_path, capsys):
-    code, printed, _ = run(OUT_RUNS[command], capsys)
-    assert code == 0
-    target, link = tmp_path / "target.out", tmp_path / "link.out"
-    target.write_text("y" * (len(printed) + 100))
-    link.symlink_to(target)
-    assert main([*OUT_RUNS[command], "--out", str(link)]) == 0
-    assert link.is_symlink() and os.readlink(link) == str(target)
-    assert target.read_bytes() == printed.encode()
+def test_out_failed_write_leaves_no_old_bytes(tmp_path, monkeypatch, capsys):
+    # a write that fails part-way leaves a prefix of the new text, as a
+    # truncating open did, not the new text followed by the old file's tail
+    code, printed, _ = run(OUT_RUNS["seq"], capsys)
+    out = tmp_path / "seq.out"
+    out.write_bytes(b"x" * (len(printed) + 4096))
+    real_open = open
 
+    def failing_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
 
-@pytest.mark.parametrize("command", OUT_RUNS)
-def test_out_devnull_exits_0(command, capsys):
-    code, out, err = run([*OUT_RUNS[command], "--out", os.devnull], capsys)
-    assert (code, out, err) == (0, "", "")
+        def write(text):
+            type(fh).write(fh, text[: len(text) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code, _, err = run([*OUT_RUNS["seq"], "--out", str(out)], capsys)
+    assert code == 3 and "i/o error" in err
+    assert out.read_bytes() == printed.encode()[: len(printed) // 2]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
