@@ -54,7 +54,7 @@ from .qmath import (
     entropies_bits,
     von_neumann_entropy,
 )
-from .sampling import STREAM_QUANTUM_PROTOCOL, check_run, draw_chunks
+from .sampling import STREAM_QUANTUM_PROTOCOL, check_run, sum_chunks
 
 GRID_STEP = 0.1  # coarse Bloch-ball scan used before pattern refinement
 
@@ -909,7 +909,9 @@ def simulate_two_way_protocol(
     block) rounds transmit noiselessly.  Returns (rate estimate, std error)
     with the standard error ``bernoulli_std_error(lam, uses)``.  The output is
     fixed by one uniform per use from stream ``STREAM_QUANTUM_PROTOCOL``,
-    counted chunk by chunk (``sampling.draw_chunks``).
+    counted chunk by chunk (``sampling.sum_chunks``); a run of at least
+    ``2 * SPAN_USES`` uses is read on one thread per usable CPU, with the
+    same result.
     """
     lam, p = check_params(lam, p)
     uses, seed = check_run(uses, seed)
@@ -924,6 +926,7 @@ def simulate_two_way_protocol(
     k0 = channel_N(lam, p).kraus[0]
     pi = np.eye(2, dtype=complex) / 2
     p_kept = float(np.trace(k0 @ pi @ k0.conj().T).real)
-    kept = uses - sum(int(np.count_nonzero(dropped)) for (dropped,)
-                      in draw_chunks(seed, STREAM_QUANTUM_PROTOCOL, uses, (p_kept,)))
+    (dropped,) = sum_chunks(seed, STREAM_QUANTUM_PROTOCOL, uses, (p_kept,),
+                            lambda dropped: (int(np.count_nonzero(dropped)),))
+    kept = uses - dropped
     return kept / uses, bernoulli_std_error(lam, uses)

@@ -13,7 +13,6 @@ either way.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import channels as chn
-from . import output
+from . import output, sampling
 from . import wiretap as wt
 from .qmath import (
     _as_stack,
@@ -99,16 +98,6 @@ def _owned(i: int) -> list[tuple[str, CheckResult]]:
     return owned
 
 
-def _cpu_quota(path: str = "/sys/fs/cgroup/cpu.max") -> Optional[int]:
-    """CPUs the cgroup v2 quota grants, ``ceil(quota / period)``; None when unlimited or unread."""
-    try:
-        with open(path) as f:
-            quota, period = f.read().split()
-        return -(-int(quota) // int(period))
-    except (OSError, ValueError):  # no such file, or "max" for no quota
-        return None
-
-
 def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     """The results whose names contain ``only`` (all if None), in registry order.
 
@@ -116,9 +105,8 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     or returns anything but its results, every result it owns fails.
 
     When more than one function is selected and the process may run on more
-    than one CPU, the functions run in forked worker processes, one per CPU
-    (``os.sched_getaffinity``, capped by the cgroup CPU quota where one is
-    set); otherwise, and where that call does not exist, they run in-process.
+    than one CPU (``sampling.usable_cpus``), the functions run in forked
+    worker processes, one per CPU; otherwise they run in-process.
     The workers get registry indices, not functions, so lambdas and a patched
     registry work, and the results are gathered in registry order, so the
     report is the same either way.  ``fork`` and not ``spawn``: a fresh
@@ -128,8 +116,7 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     """
     picked = [i for i, (names, _) in enumerate(_REGISTRY)
               if not only or any(only in name for name in names)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    cpus = min(cpus, _cpu_quota() or cpus)
+    cpus = sampling.usable_cpus()
     if len(picked) > 1 and cpus > 1:
         # imported here so that importing cli, which imports this module, does not pay
         import multiprocessing

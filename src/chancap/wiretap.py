@@ -29,7 +29,7 @@ import numpy as np
 from .capacity import Curve, _two_way, bisect
 from .errors import DomainError, NotADistribution
 from .qmath import _as_array, _binary_entropy, as_real, check_count, check_params, check_prob
-from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, draw_chunks
+from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, sum_chunks
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -265,20 +265,20 @@ def simulate_feedback_protocol(
     the first ceil(uses/2) raw words, the flags the next ``uses`` and Eve's
     bits the next floor(uses/2); for odd ``uses`` Eve's first bit is the high
     half of Alice's last word.  How they are counted may change, the draws
-    may not.  They are counted chunk by chunk (``sampling.draw_chunks``), so
-    memory does not grow with ``uses``.
+    may not.  They are counted chunk by chunk (``sampling.sum_chunks``), so
+    memory does not grow with ``uses``; a run of at least ``2 * SPAN_USES``
+    uses is read on one thread per usable CPU, with the same result.
     """
     lam, p = check_params(lam, p)
     uses, seed = check_run(uses, seed)
-    accepted = x1 = z1 = both = 0
-    # flag2 is True where L = 2 (accepted); z is Eve's bit there
-    for x, flag2, z in draw_chunks(seed, STREAM_WIRETAP_PROTOCOL, uses, (None, lam, None)):
+
+    def counts(x, flag2, z):  # flag2 is True where L = 2 (accepted); z is Eve's bit there
         x &= flag2
         z &= flag2
-        accepted += int(np.count_nonzero(flag2))
-        x1 += int(np.count_nonzero(x))
-        z1 += int(np.count_nonzero(z))
-        both += int(np.count_nonzero(x & z))
+        return tuple(int(np.count_nonzero(a)) for a in (flag2, x, z, x & z))
+
+    accepted, x1, z1, both = sum_chunks(
+        seed, STREAM_WIRETAP_PROTOCOL, uses, (None, lam, None), counts)
     throughput = accepted / uses
     if accepted == 0:
         return throughput, 0.0

@@ -11,7 +11,7 @@ import pytest
 
 from chancap import capacity as cap
 from chancap import channels as chn
-from chancap import qmath
+from chancap import qmath, sampling
 from chancap import verify
 from chancap import wiretap as wt
 from chancap.sampling import random_density_matrix, random_hermitian, random_unitary
@@ -159,33 +159,35 @@ def test_no_result_is_reused_by_a_later_run(monkeypatch):
         assert not any(r.passed for r in results), results
 
 
-def _cpus(monkeypatch, cpus, quota=None):
+def _cpus(monkeypatch, tmp_path, cpus, quota=None):
+    cpu_max = tmp_path / "cpu.max"
+    cpu_max.write_text(f"{quota * 100000} 100000\n" if quota else "max 100000\n")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(verify, "_cpu_quota", lambda: quota)
+    monkeypatch.setattr(sampling, "_CPU_MAX", str(cpu_max))
 
 
 def _fields(results):
     return [(r.name, r.passed, r.residual.hex(), r.threshold, r.detail) for r in results]
 
 
-def test_the_pool_gives_the_in_process_results(monkeypatch):
+def test_the_pool_gives_the_in_process_results(monkeypatch, tmp_path):
     runs = []
     for cpus in ({0}, {0, 1}):
-        _cpus(monkeypatch, cpus)
+        _cpus(monkeypatch, tmp_path, cpus)
         runs.append((_fields(verify.run_checks()), verify.run_checks(only="no_such_check")))
     assert runs[0] == runs[1]
     assert [name for name, *_ in runs[1][0]] == NAMES
     assert runs[1][1] == []
 
 
-def test_a_crash_inside_a_worker_fails_every_name_it_owns(monkeypatch):
+def test_a_crash_inside_a_worker_fails_every_name_it_owns(monkeypatch, tmp_path):
     one = verify._result(0.0, 1.0)
     monkeypatch.setattr(verify, "_REGISTRY", [
         (("a.crash",), lambda: 1 / 0),
         (("b.first", "b.second"), lambda: (one,)),
         (("c.pass",), lambda: verify._result(0.0, 1.0, str(os.getpid()))),
     ])
-    _cpus(monkeypatch, {0, 1})
+    _cpus(monkeypatch, tmp_path, {0, 1})
     results = verify.run_checks()
     short = "ValueError: zip() argument 2 is shorter than argument 1"
     assert [(r.name, r.passed, r.residual, r.threshold, r.detail) for r in results[:3]] == [
@@ -209,19 +211,22 @@ def test_a_crash_inside_a_worker_fails_every_name_it_owns(monkeypatch):
     ("max 100000\n", None),
     ("", None),
 ])
-def test_the_cpu_quota_is_read_from_cpu_max(tmp_path, text, cpus):
+def test_the_cpu_quota_is_read_from_cpu_max(monkeypatch, tmp_path, text, cpus):
     path = tmp_path / "cpu.max"
     path.write_text(text)
-    assert verify._cpu_quota(str(path)) == cpus
-    assert verify._cpu_quota(str(tmp_path / "missing")) is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(sampling, "_CPU_MAX", str(path))
+    assert sampling.usable_cpus() == (cpus or 8)
+    monkeypatch.setattr(sampling, "_CPU_MAX", str(tmp_path / "missing"))
+    assert sampling.usable_cpus() == 8
 
 
 @pytest.mark.parametrize("quota, in_process", [(1, True), (2, False), (None, False)])
-def test_a_cpu_quota_caps_the_pool(monkeypatch, quota, in_process):
+def test_a_cpu_quota_caps_the_pool(monkeypatch, tmp_path, quota, in_process):
     monkeypatch.setattr(verify, "_REGISTRY", [
         ((f"a.{i}",), lambda: verify._result(0.0, 1.0, str(os.getpid()))) for i in range(2)
     ])
-    _cpus(monkeypatch, {0, 1, 2, 3}, quota)
+    _cpus(monkeypatch, tmp_path, {0, 1, 2, 3}, quota)
     pids = {r.detail for r in verify.run_checks()}
     assert (pids == {str(os.getpid())}) == in_process
 
@@ -235,11 +240,11 @@ _PATCHED = [
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pool"])
-def test_no_result_is_reused_after_a_full_run(monkeypatch, cpus):
+def test_no_result_is_reused_after_a_full_run(monkeypatch, tmp_path, cpus):
     # the warm-up runs in this process on one CPU, so a cache it filled here
     # shows, and in workers on two, so a worker forked before the patch shows;
     # the patched checks then run alone (in-process) and in a full run
-    _cpus(monkeypatch, cpus)
+    _cpus(monkeypatch, tmp_path, cpus)
     assert all(r.passed for r in verify.run_checks())
     monkeypatch.setattr(cap, "maximize_coherent_information", lambda *a, **k: (0.0, (1, 1, 1)))
     monkeypatch.setattr(wt, "simulate_feedback_protocol", lambda *a, **k: (0.0, 1.0))
