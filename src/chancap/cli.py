@@ -36,10 +36,11 @@ FORMATS = ("csv", "json")
 MAX_TERMS = 5
 # the stamp every JSON export's meta carries
 STAMP = {"tool": "chancap", "version": __version__}
-# the Monte Carlo protocols by kind: the run, and the capacity it estimates
+# the Monte Carlo protocols by kind: the module, its run and the capacity the run
+# estimates, looked up at each call so that a patched module attribute is the one run
 PROTOCOLS = {
-    "quantum_two_way": (cap.simulate_two_way_protocol, cap.two_way_capacity),
-    "wiretap_feedback": (wt.simulate_feedback_protocol, wt.two_way_secrecy_capacity),
+    "quantum_two_way": (cap, "simulate_two_way_protocol", "two_way_capacity"),
+    "wiretap_feedback": (wt, "simulate_feedback_protocol", "two_way_secrecy_capacity"),
 }
 # the type of each key a config file may set; each key is also the dest of its
 # long flag, ``--`` + the key with "-" for "_"
@@ -256,9 +257,10 @@ def cmd_seq(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     lam, p = cfg.lambda_min, cfg.p_min
     rows = []
-    for kind, (simulate, target) in PROTOCOLS.items():
+    for kind, (module, run, capacity) in PROTOCOLS.items():
         if cfg.kind not in (kind, "both"):
             continue
+        simulate, target = getattr(module, run), getattr(module, capacity)
         # the second value is the two-way run's std error, or the wiretap run's leakage
         estimate, second = simulate(lam, p, cfg.uses, cfg.seed)
         rows.append({

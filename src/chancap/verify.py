@@ -5,14 +5,17 @@ iff their fold ``_worst`` meets the stated threshold; a NaN residual fails.
 One function may own several named results (a value and its argmax, say) and
 computes them in one run; nothing is cached between runs, so every
 ``run_checks`` call recomputes what it reports.  The check functions run in
-forked worker processes, one per CPU the process may use; a single selected
-function, or a single CPU, runs in-process.  The report is byte-identical
-either way.
+forked worker processes, one per CPU the process may use, which pull
+registry indices from one pipe and send their results back pickled; a single
+selected function, or a single CPU, runs in-process.  The report is
+byte-identical either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional
@@ -23,6 +26,7 @@ from . import capacity as cap
 from . import channels as chn
 from . import output, sampling
 from . import wiretap as wt
+from .errors import ChancapError
 from .qmath import (
     _as_stack,
     _entropy_bits,
@@ -106,30 +110,75 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
 
     When more than one function is selected and the process may run on more
     than one CPU (``sampling.usable_cpus``), the functions run in forked
-    worker processes, one per CPU; otherwise they run in-process.
-    The workers get registry indices, not functions, so lambdas and a patched
-    registry work, and the results are gathered in registry order, so the
-    report is the same either way.  ``fork`` and not ``spawn``: a fresh
-    interpreter would import numpy and chancap again in every worker and lose
-    the gain.  On Python >= 3.12 ``os.fork`` warns when the process already
-    runs threads.
+    worker processes, one per CPU up to one per function (``_forked``);
+    otherwise they run in-process.  The workers get registry indices, not
+    functions, so lambdas and a patched registry work, and the results are
+    gathered in registry order, so the report is the same either way.  A
+    worker that dies before it reports raises ``ChancapError``.
     """
     picked = [i for i, (names, _) in enumerate(_REGISTRY)
               if not only or any(only in name for name in names)]
     cpus = sampling.usable_cpus()
     if len(picked) > 1 and cpus > 1:
-        # imported here so that importing cli, which imports this module, does not pay
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            min(cpus, len(picked)), mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            runs = list(pool.map(_owned, picked))
+        runs = _forked(picked, min(cpus, len(picked)))
     else:
         runs = map(_owned, picked)
     return [replace(r, name=name) for owned in runs for name, r in owned
             if not only or only in name]
+
+
+# bytes per registry index in the job pipe, written whole before any worker
+# reads it: a pipe holds at least a 4 KiB page, 1,024 indices
+_INDEX_BYTES = 4
+
+
+def _forked(picked: list[int], workers: int) -> list[list[tuple[str, CheckResult]]]:
+    """``_owned(i)`` for each ``i`` in ``picked``, in that order, run in ``workers``
+    forked processes (``_work``) that pull the indices from one pipe, so a worker
+    with fast checks takes more of them.  Every worker is reaped, also when this
+    call fails; one that ended without a full report (``os._exit`` or a signal in
+    a check, a result that cannot be pickled) raises ``ChancapError``."""
+    jobs, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in picked))
+    os.close(feed)
+    reports = {}  # pid -> the read end of its result pipe
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(jobs, write)
+            os.close(write)
+            reports[pid] = open(read, "rb")
+        done = [report.read() for report in reports.values()]
+    finally:
+        os.close(jobs)
+        for report in reports.values():
+            report.close()
+        statuses = {pid: os.waitpid(pid, 0)[1] for pid in reports}
+    for pid, status in statuses.items():
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChancapError(f"check worker {pid} {how} before it reported")
+    owned = dict(pair for data in done for pair in pickle.loads(data))
+    return [owned[i] for i in picked]
+
+
+def _work(jobs: int, write: int) -> None:
+    """A worker: ``_owned`` of each index it reads from ``jobs``, pickled to
+    ``write``; it exits, with status 0 only after a full report."""
+    status = 1
+    try:
+        pairs = []
+        while job := os.read(jobs, _INDEX_BYTES):
+            i = int.from_bytes(job, "little")
+            pairs.append((i, _owned(i)))
+        with open(write, "wb") as out:
+            pickle.dump(pairs, out)
+        status = 0
+    finally:  # never return into the caller's stack, nor run its exit handlers
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,22 @@ def test_simulate_json(capsys):
     assert doc["meta"]["version"]
 
 
+@pytest.mark.parametrize("module, name, kind", [
+    (cap, "simulate_two_way_protocol", "quantum_two_way"),
+    (wt, "simulate_feedback_protocol", "wiretap_feedback"),
+], ids=["quantum_two_way", "wiretap_feedback"])
+def test_simulate_runs_the_protocol_bound_at_call_time(module, name, kind, monkeypatch, capsys):
+    # a wrapper installed after cli was imported, as a tracer installs one, is the one run
+    calls = []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or (0.125, 0.0))
+    code, out, _ = run(["simulate", "--kind", kind, "--lambda", "0.3", "--p", "0.1",
+                        "--uses", "1000", "--seed", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert calls == [(0.3, 0.1, 1000, 2)]
+    [row] = json.loads(out)["rows"]
+    assert (row["kind"], row["estimate"], row["target"]) == (kind, 0.125, 0.7)
+
+
 def test_simulate_config_zero_parameters_are_kept(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lambda = 0\np = 0\n")

@@ -1,19 +1,31 @@
 """The verify registry: names, per-name selection, no results reused across runs,
-the same results from the worker pool as in-process, the same residuals
+the same results from the worker pool as in-process, a typed error for a dead
+worker, the same residuals
 from the stacked checks as from their former per-sample loops, and the calls
 of the oracle's Bloch-ball searches."""
 
+import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import threading
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chancap
 from chancap import capacity as cap
 from chancap import channels as chn
+from chancap import cli
 from chancap import qmath, sampling
 from chancap import verify
 from chancap import wiretap as wt
+from chancap.errors import ChancapError
 from chancap.sampling import random_density_matrix, random_hermitian, random_unitary
 
 NAMES = [
@@ -202,6 +214,79 @@ def test_a_crash_inside_a_worker_fails_every_name_it_owns(monkeypatch, tmp_path)
     assert passed.detail != str(os.getpid())  # it ran in a worker
     [alone] = verify.run_checks(only="c.pass")
     assert alone.detail == str(os.getpid())  # a single function runs in-process
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _sigkill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("end, message", [
+    (_exit_3, "exited with status 3"),
+    (_sigkill, f"was killed by signal {int(signal.SIGKILL)}"),
+    (lambda: replace(verify._result(0.0, 1.0), detail=lambda: 0), "exited with status 1"),
+], ids=["os._exit", "signal", "unpicklable"])
+def test_a_dead_worker_raises_once_every_worker_is_reaped(monkeypatch, tmp_path, capsys,
+                                                          end, message):
+    test_pid = os.getpid()
+
+    def dies():
+        if os.getpid() == test_pid:  # never end the test process
+            raise AssertionError("ran in-process")
+        return end()
+
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        (("a.dies",), dies),
+        (("b.pass",), lambda: verify._result(0.0, 1.0)),
+    ])
+    _cpus(monkeypatch, tmp_path, {0, 1})
+    with pytest.raises(ChancapError, match=f"^check worker [0-9]+ {message} before it reported$"):
+        verify.run_checks()
+    with pytest.raises(ChildProcessError):  # no child is left to reap
+        os.waitpid(-1, os.WNOHANG)
+    assert cli.main(["verify"]) == 1
+    assert capsys.readouterr().err.startswith("error: check worker ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_pool_leaves_no_thread(monkeypatch, tmp_path):
+    _cpus(monkeypatch, tmp_path, {0, 1})
+    before = threading.active_count()
+    assert all(r.passed for r in verify.run_checks(only="qmath."))
+    assert threading.active_count() == before
+
+
+def test_the_pool_forks_without_a_warning_after_a_threaded_run(monkeypatch, tmp_path):
+    # Python >= 3.12 warns when os.fork runs while other threads are alive; the
+    # Monte Carlo reader joins its helper threads before it returns
+    _cpus(monkeypatch, tmp_path, {0, 1})
+    cap.simulate_two_way_protocol(0.3, 0.1, 2**19, 5)  # read on two threads
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = verify.run_checks(only="qmath.")
+    assert caught == []
+    assert len(results) == 5 and all(r.passed for r in results)
+
+
+POOL_PROBE = """
+import json, sys
+from chancap import verify
+results = verify.run_checks(only="qmath.")
+print(json.dumps([len(results), sorted(m for m in ("multiprocessing", "concurrent.futures")
+                                       if m in sys.modules)]))
+"""
+
+
+def test_the_pool_imports_no_process_pool():
+    # a fresh interpreter, so that the test run's own imports do not count
+    env = {**os.environ, "PYTHONPATH": str(Path(chancap.__file__).resolve().parents[1])}
+    probe = subprocess.run([sys.executable, "-c", POOL_PROBE], env=env, capture_output=True,
+                           text=True, check=True)
+    assert json.loads(probe.stdout) == [5, []]
 
 
 @pytest.mark.parametrize("text, cpus", [
