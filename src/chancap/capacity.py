@@ -20,7 +20,6 @@ functions and the sweep rows; ``degradable`` decides where it is certified.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,8 +54,6 @@ from .qmath import (
     von_neumann_entropy,
 )
 from .sampling import STREAM_QUANTUM_PROTOCOL, check_run, sum_chunks
-
-GRID_STEP = 0.1  # coarse Bloch-ball scan used before pattern refinement
 
 
 def degradable(lam, p):
@@ -237,138 +234,109 @@ def _ic_evaluator(lam: float, p: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda rs: _ic_stack(n, nb, _bloch_states(rs))
 
 
-@functools.lru_cache(maxsize=1)
-def _bloch_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 4,169 points of the step-0.1 cubic grid inside the unit ball, in
-    614 classes of points that a rotation about z maps onto each other.
+def _phi(x):
+    """H((1 + sqrt x)/2), the entropy of a qubit state with |r|^2 = x, elementwise.
 
-    Returns ``(pts, first, cls)``: the points sorted by Bloch norm (stable);
-    the index of the first point of each class in that order; and each
-    point's class.  A class is keyed on the exact integer grid coordinates
-    (i^2 + j^2, k) of the point (i, j, k) / 10.  All three are built once
-    and returned read-only.
+    Written through (1 - sqrt x)/2 = (1 - x)/(2(1 + sqrt x)), so that x near
+    1 keeps its digits.
     """
-    ijk = np.stack(np.meshgrid(*[np.arange(-10, 11)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-    ijk = ijk[(ijk * ijk).sum(axis=1) <= 100]
-    ijk = ijk[np.argsort(np.linalg.norm(ijk / 10.0, axis=1), kind="stable")]
-    pts = ijk / 10.0
-    # k in [-10, 10] spans 21 values, so this integer key is one-to-one
-    key = (ijk[:, 0] ** 2 + ijk[:, 1] ** 2) * 21 + ijk[:, 2]
-    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
-    for a in (pts, first, cls):
-        a.flags.writeable = False
-    return pts, first, cls
+    return _binary_entropy((1.0 - x) / (2.0 * (1.0 + np.sqrt(x))))
 
 
-# the pattern search's moves in sweep order: +x, -x, +y, -y, +z, -z
-_MOVES = tuple((d, s) for d in range(3) for s in (1.0, -1.0))
+def _phi_slope(x):
+    """phi'(x) = -atanh(sqrt x)/(2 ln 2 sqrt x) for x in [0, 1), -1/(2 ln 2) at 0."""
+    s = np.sqrt(x)
+    return -np.divide(np.arctanh(s), s, out=np.ones_like(s), where=s > 0.0) / (2.0 * math.log(2.0))
 
 
-def _moves(r: np.ndarray, steps: list[float], first: int = 0) -> np.ndarray:
-    """The moves ``_MOVES[first:]`` from ``r`` at each of ``steps``, ordered by
-    step and then move, each projected back onto the unit ball."""
-    moves = _MOVES[first:]
-    cands = np.tile(r, (len(steps) * len(moves), 1))
-    axes = [d for d, _ in moves] * len(steps)
-    cands[np.arange(len(cands)), axes] += np.outer(steps, [s for _, s in moves]).ravel()
-    # a move can leave the ball only where |r| + step nears 1; there each
-    # candidate keeps its own norm, whose BLAS bits a vectorized norm lacks
-    near = np.linalg.norm(r) + np.array(steps) > 1.0 - 1e-12
-    for i in np.flatnonzero(np.repeat(near, len(moves))):
-        nrm = np.linalg.norm(cands[i])
-        if nrm > 1.0:
-            cands[i] /= nrm
-    return cands
+_BRACKET_WIDTH = 1e-12  # hi - lo at which _one_shot_bracket stops
 
 
-def _maximize_over_bloch_ball(
-    evaluate: Callable[[np.ndarray], np.ndarray], tol: float, slack: float = 1e-12
-) -> tuple[float, np.ndarray]:
-    """Maximize a batched objective of Bloch vectors (..., 3) over the unit ball.
+def _one_shot_bracket(lam: float, p: float) -> tuple[float, float, float]:
+    """(lo, hi, x*) with lo = F(x*) <= max I_c <= hi and hi - lo <= 1e-12, where
+    max I_c is the one-shot coherent information of the glued channel
+    maximized over qubit inputs, for an already checked (lam, p).
 
-    Coarse grid scan (step 0.1) followed by a coordinate pattern search
-    (Hooke and Jeeves, J. ACM 8, 1961) that halves the step down to ``tol``.
-    The objective must be invariant under rotations of the input about z,
-    i.e. depend on (x, y) only through x^2 + y^2: the scan scores one point
-    of each rotation class of ``_bloch_grid`` and gives its value to the
-    whole class.  Both callers score glued-family maps, which are
-    phase-covariant under diag(1, e^{i theta}); entropies and trace norms
-    are unitarily invariant, and a purification picks up only a local
-    unitary.  Within a class the values then differ by roundoff alone
-    (<= 4e-16), and each class is scored at its first point in grid order,
-    so the scan starts where a scan of every point would.
-    Returns (value, argmax Bloch vector).  Values within ``slack`` of each
-    other count as ties, which are broken toward the smallest Bloch norm so
-    that flat landscapes report the maximally mixed input; the default suits
-    objectives built from O(1) entropies, whose roundoff is absolute.
+    Lemma: at a fixed |r|^2 = x, the coherent information of the input with
+    Bloch vector r is largest on the equator, where it is
+    F(x) = (1 - lam) phi(x) - lam phi(c^2 x) + lam phi(c^2), c = 1 - 2p.
+    So max I_c = max over x in [0, 1] of F(x).
 
-    Each sweep tries the six moves +x, -x, +y, -y, +z, -z in order and takes
-    every move that beats the current value by more than ``slack``; a step
-    is swept until a sweep takes no move, then halved.  Each round scores,
-    in one ``evaluate`` call, either the moves of the current step still to
-    try or, after a full sweep that took no move, a ladder: the six moves of
-    every remaining step.  It takes the first improving candidate and goes
-    on from the move after it, at that candidate's step; a ladder that takes
-    none ends the search.  ``evaluate`` scores each vector of a stack as it
-    scores that vector alone, so the trajectory, value and argmax are those
-    of the one-move-at-a-time search.  A maximum at a grid point costs three
-    calls: grid, one sweep, one ladder.
+    Proof.  phi(x) = H((1 + sqrt x)/2) = 1 - (1/ln 2) sum_k x^k/(2k(2k - 1)),
+    so phi decreases and is concave on [0, 1].  The glued channel and its
+    complement are phase-covariant under diag(1, e^{i theta}), so I_c
+    depends on (r_x, r_y) only through u^2 = r_x^2 + r_y^2.  The output is
+    (1 - lam) rho plus lam times the complementary dephasing of rho, the
+    environment a flag plus lam times the dephasing of rho, which maps
+    (u, z) to (c u, z); the complementary dephasing's output has squared
+    Bloch length c^2 + (1 - c^2) z^2.  With t = z^2 and u^2 = x - t,
+
+        I_c = (1 - lam) phi(x) + lam [phi(a + d) - phi(a)],
+        a = c^2 x + (1 - c^2) t,  d = c^2 (1 - x) >= 0.
+
+    At fixed x, d is fixed and a rises with t; concavity makes
+    phi(a + d) - phi(a) nonincreasing in a, so I_c is largest at t = 0,
+    where a = c^2 x and a + d = c^2.
+
+    Search: a branch-and-bound on [0, 1] from 16 cells.  F(0) and F(1) are
+    scored first; each round scores the cells' midpoints, raises lo where one
+    is strictly higher (so ties keep the first, smallest x, and the
+    degradable region, where F falls, reports x* = 0), and bounds each cell
+    [a, b] by the smaller of
+
+    * tangent plus chord: (1 - lam) phi lies under its tangent at the
+      midpoint, the convex -lam phi(c^2 x) under its chord, and their sum,
+      a line, peaks at a or b;
+    * a monotone split: F = (1 - lam)[phi(x) - phi(c^2 x)]
+      + (1 - 2 lam) phi(c^2 x) + lam phi(c^2), whose first term is
+      nonincreasing (phi' <= phi'(c^2 x) <= c^2 phi'(c^2 x) <= 0) and whose
+      second term is monotone, so it peaks at a or b.
+
+    The split bound keeps the flat case (lam = 1/2, p in {0, 1}) from
+    splitting every cell; the tangent bound closes interior maxima.  hi is
+    the largest bound (at least lo); the search stops once hi - lo <= 1e-12
+    and otherwise drops every cell whose bound is at most lo + 1e-12 and
+    halves the others.
     """
-    pts, first, cls = _bloch_grid()
-    # one evaluation per rotation class, whose points score alike up to roundoff
-    vals = evaluate(pts[first])[cls]
-    # smallest-norm point within slack of the grid maximum, so that flat
-    # landscapes resolve to the maximally mixed input
-    best = int(np.argmax(vals >= vals.max() - slack))
-    r, f = pts[best].copy(), float(vals[best])
-
-    steps, step = [], GRID_STEP
-    while step >= tol:
-        steps.append(step)
-        step /= 2.0
-    i, j, ladder = 0, 0, False
-    while i < len(steps):
-        # a ladder scores every remaining step's moves, a sweep the rest of steps[i]'s
-        cands = _moves(r, steps[i:]) if ladder else _moves(r, steps[i : i + 1], j)
-        fc = evaluate(cands)
-        hits = np.flatnonzero(fc > f + slack)
-        if hits.size:
-            k = int(hits[0])
-            r, f = cands[k].copy(), float(fc[k])
-            # go on from the move after it, at its step; after -z, sweep that step again
-            i, j, ladder = i + (j + k) // len(_MOVES), (j + k + 1) % len(_MOVES), False
-        elif j:
-            j = 0  # the sweep took a move: sweep this step again
-        elif ladder:
-            break
-        else:
-            i, ladder = i + 1, True
-    return f, r
+    c2 = (1.0 - 2.0 * p) ** 2
+    w, v, top = 1.0 - lam, 1.0 - 2.0 * lam, lam * float(_phi(c2))
+    ends = w * _phi(np.array([0.0, 1.0])) - lam * _phi(np.array([0.0, c2])) + top
+    lo, x_star = float(ends.max()), float(ends[1] > ends[0])
+    edges = np.linspace(0.0, 1.0, 17)
+    a, b = edges[:-1], edges[1:]
+    while True:
+        m = 0.5 * (a + b)
+        pa, pm, qa, qm, qb = _phi(np.concatenate((a, m, c2 * a, c2 * m, c2 * b))).reshape(5, -1)
+        f = w * pm - lam * qm + top
+        k = int(np.argmax(f))
+        if f[k] > lo:
+            lo, x_star = float(f[k]), float(m[k])
+        slope = _phi_slope(m)
+        tangent = np.maximum(w * (pm + slope * (a - m)) - lam * qa,
+                             w * (pm + slope * (b - m)) - lam * qb)
+        split = w * (pa - qa) + np.maximum(v * qa, v * qb)
+        bound = np.minimum(tangent, split) + top
+        hi = max(lo, float(bound.max()))
+        if hi - lo <= _BRACKET_WIDTH:
+            return lo, hi, x_star
+        keep = bound > lo + _BRACKET_WIDTH
+        a, m, b = a[keep], m[keep], b[keep]
+        a, b = np.column_stack((a, m)).ravel(), np.column_stack((m, b)).ravel()
 
 
-def maximize_coherent_information(
-    lam: float, p: float, tol: float = 1e-6
-) -> tuple[float, np.ndarray]:
-    """Maximize the one-shot coherent information over the Bloch ball.
+def maximize_coherent_information(lam: float, p: float) -> tuple[float, np.ndarray]:
+    """Maximize the one-shot coherent information of the glued channel over
+    qubit inputs.
 
-    Returns (value, argmax Bloch vector); see ``_maximize_over_bloch_ball``
-    for the search and its tie-breaking toward the maximally mixed input.
-    ``tol``, the final step size, must be a finite real >= 1e-8.
-
-    The search cannot resolve the thin shell 1 - tol < |r| < 1: its last
-    step is at least ``tol``, and a move past the sphere is projected back
-    onto it.  Where the maximum lies in that shell, the reported value is
-    too low: at (lam, p) = (0.8556, 0.05) it reports 0.0 at (-1, 0, 0),
-    while the coherent information at (-(1 - 3.0e-7), 0, 0) is 3.16e-8; at
-    (0.95, 0.2) it reports 0.0, while (-(1 - 2.7e-7), 0, 0) gives 9.9e-9.
+    Returns (value, argmax Bloch vector): the lower end lo of
+    ``_one_shot_bracket``, within 1e-12 of the maximum, and the equator point
+    (sqrt x*, 0, 0) where the coherent information is lo.  Ties keep the
+    smallest |r|, so where the channel is ``degradable`` the maximally mixed
+    input (0, 0, 0) is reported.
     """
-    evaluate = _ic_evaluator(lam, p)  # channel_N checks lam and p
-    t = as_real("tol", tol)
-    if not math.isfinite(t):
-        raise DomainError(f"tol must be finite, got {tol!r}")
-    if t < 1e-8:
-        raise DomainError(f"tol must be >= 1e-8, got {tol!r}")
-    return _maximize_over_bloch_ball(evaluate, t)
+    lam, p = check_params(lam, p)
+    lo, _, x_star = _one_shot_bracket(lam, p)
+    return lo, np.array([math.sqrt(x_star), 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +410,13 @@ def coherent_info_lower_bound(lam: float, p: float) -> float:
 
     This is the one-shot coherent information of the maximally mixed input.
     It equals the capacity for lam <= 1/2 but is loose above 1/2, where
-    other inputs do better: ``maximize_coherent_information`` gives 0.0124
-    at (lam, p) = (0.8, 0.2), where the bound is 0, and 0.0272 at
-    (0.65, 0.9), where it is 0.0048.  The gap opens just above 1/2 for p
-    near 0 or 1 (at lam ~ 0.505 for p = 0.001, ~ 0.56 for p = 0.05) and
-    later for p nearer 1/2.
+    other inputs do better: ``maximize_coherent_information`` gives 0.012436
+    at (lam, p) = (0.8, 0.2), where the bound is 0, and 0.027171 at
+    (0.65, 0.9), where it is 0.004847.  The gap opens just above 1/2 for p
+    near 0 or 1 (at lam ~ 0.5015 for p = 0.001, ~ 0.5525 for p = 0.05) and
+    later for p nearer 1/2 (~ 0.7355 for p = 0.2); each onset is the first
+    lam on the grid 1/2 + k 0.0005 where the maximizer's value exceeds this
+    bound by more than 1e-9.
     """
     return float(_lower_bound(*check_params(lam, p)))
 
@@ -491,17 +461,13 @@ def diamond_distance_to_T(lam: float, p: float) -> tuple[float, float]:
     is the exact value.  For a qubit-input channel the stabilized trace
     distance is attained on purifications (sqrt(rho) (x) I)|Phi+> sqrt(2) of
     single-qubit states rho (channel on the first qubit, reference on the
-    second), so ``estimate`` runs the same Bloch-ball search as
-    ``maximize_coherent_information`` over rho, scoring each input by the
-    trace norm of the output difference.  The optimum rho = |1><1| is a grid
-    point, so the estimate matches the analytic value to roundoff.  Ties get
-    no slack: the objective scales with lam sqrt(p), so an absolute tie width
-    would flatten it for tiny lam or p.
+    second); the optimum is rho = |1><1|, the pole (0, 0, -1), so
+    ``estimate`` is the trace norm of the output difference there.
+    ``verify`` checks that no other input scores above ``analytic``.
     """
     lam, p = check_params(lam, p)
-    analytic = float(_closeness(lam, p))
-    estimate, _ = _maximize_over_bloch_ball(_diamond_evaluator(lam, p), 1e-6, slack=0.0)
-    return estimate, analytic
+    estimate = float(_diamond_evaluator(lam, p)(np.array([[0.0, 0.0, -1.0]]))[0])
+    return estimate, float(_closeness(lam, p))
 
 
 # ---------------------------------------------------------------------------

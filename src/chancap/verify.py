@@ -373,6 +373,30 @@ def _check_oneway_oracle() -> tuple[CheckResult, CheckResult]:
             _result(_worst(bloch for _, bloch in runs), 1e-3))
 
 
+def _shell_heavy(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` random Bloch vectors, uniform in direction, at log-uniform
+    distances 10^-U(0, 12) below the unit sphere: most lie near it."""
+    rs = rng.normal(size=(n, 3))
+    rs /= np.linalg.norm(rs, axis=1, keepdims=True)
+    return rs * (1.0 - 10.0 ** -rng.uniform(0.0, 12.0, size=(n, 1)))
+
+
+@_register("capacity.equator_lemma")
+def _check_equator_lemma() -> CheckResult:
+    # the eigen route, on random inputs and at the bracket's argmax: no input
+    # beats hi, and the equator point (sqrt x*, 0, 0) scores lo
+    def residuals():
+        rng = np.random.default_rng(112)
+        for _ in range(10):
+            lam, p = rng.uniform(0.0, 1.0, size=2)
+            lo, hi, x_star = cap._one_shot_bracket(lam, p)
+            rs = np.vstack([_shell_heavy(rng, 64), [math.sqrt(x_star), 0.0, 0.0]])
+            ic = cap._ic_evaluator(lam, p)(rs)
+            yield float(ic[:-1].max()) - hi
+            yield abs(float(ic[-1]) - lo)
+    return _result(_worst(residuals()), 1e-12)
+
+
 @_register("capacity.degradable_composition")
 def _check_degradable() -> CheckResult:
     grid = product(np.linspace(0.0, 0.5, 6), np.linspace(0.0, 1.0, 5))
@@ -437,13 +461,16 @@ def _check_fig3() -> tuple[CheckResult, CheckResult]:
 
 @_register("capacity.diamond_estimate_is_lower_bound", "capacity.diamond_estimate_reaches_value")
 def _check_diamond() -> tuple[CheckResult, CheckResult]:
+    # the estimate scores the pole; no other input may score above the value
     rng = np.random.default_rng(110)
     runs = []
     for _ in range(10):
         lam, p = rng.uniform(0.0, 1.0, size=2)
-        runs.append(cap.diamond_distance_to_T(lam, p))
-    return (_result(_worst(est - ana for est, ana in runs), 1e-9),
-            _result(_worst(ana - est for est, ana in runs), 1e-3))
+        est, ana = cap.diamond_distance_to_T(lam, p)
+        others = cap._diamond_evaluator(lam, p)(_shell_heavy(rng, 64))
+        runs.append((max(est, float(others.max())), est, ana))
+    return (_result(_worst(top - ana for top, _, ana in runs), 1e-9),
+            _result(_worst(ana - est for _, est, ana in runs), 1e-3))
 
 
 @_register("capacity.sequence_invariants")

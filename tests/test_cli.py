@@ -360,9 +360,10 @@ def test_default_output_digests(capsys, monkeypatch):
         ("seq", "--format", "json"):
             "bb9fd835b604c892a9cc27939c0d9606d234e4f656c45009fd8359dbfb96ef8f",
         # the full verify report; its residual digits depend on the LAPACK build.
-        # Summing every entropy as a full row moved one line only:
-        # capacity.choi_state_ic_consistency, from 6.661338e-16 to 8.881784e-16
-        ("verify",): "1a292096c6e9edb3837d1f9859aaf6a47acc461b386c83dea752088497e580fc",
+        # The 1-D one-shot bracket added capacity.equator_lemma and moved
+        # capacity.oneway_oracle_value (3.330669e-16 to 2.220446e-16) and
+        # capacity.diamond_estimate_reaches_value (2.220446e-16 to 1.110223e-16)
+        ("verify",): "b7886616cc375079473a07f509da91e626080eac6938a56f0fd6297631ee467b",
         # each protocol alone at the default lambda, p, uses and seed
         ("simulate", "--kind", "quantum_two_way"):
             "0f424dc45eff6e40c7cc3399d9a19c149d9fbbf700961ee848229c56655ac966",

@@ -725,14 +725,6 @@ def test_factor_dimensions_must_be_ints():
     assert chn.channel_from_isometry(v, (np.int64(4), 3), "first").dim_out == 4
 
 
-def test_maximize_tol_must_be_a_finite_real():
-    for tol in (float("nan"), float("inf"), np.inf, "1e-6", None, True):
-        with pytest.raises(DomainError, match="tol must be"):
-            cap.maximize_coherent_information(0.3, 0.2, tol=tol)
-    with pytest.raises(DomainError, match=r"^tol must be >= 1e-8, got 1e-09$"):
-        cap.maximize_coherent_information(0.3, 0.2, tol=1e-9)
-
-
 def test_probabilities_refuse_non_reals():
     for bad in (None, "0.5", b"0.5", True, False, np.bool_(True), 0.5j):
         with pytest.raises(DomainError, match="lambda must be a real number"):

@@ -1,8 +1,7 @@
 """The verify registry: names, per-name selection, no results reused across runs,
 the same results from the worker pool as in-process, a typed error for a dead
-worker, the same residuals
-from the stacked checks as from their former per-sample loops, and the calls
-of the oracle's Bloch-ball searches."""
+worker, and the same residuals from the stacked checks as from their former
+per-sample loops."""
 
 import json
 import math
@@ -41,6 +40,7 @@ NAMES = [
     "channels.block_orthogonality",
     "capacity.oneway_oracle_value",
     "capacity.oneway_oracle_argmax",
+    "capacity.equator_lemma",
     "capacity.degradable_composition",
     "capacity.pauli_conjugation_invariance",
     "capacity.bounds_ordering",
@@ -515,25 +515,3 @@ def test_a_nan_in_one_stacked_sample_fails_its_check(monkeypatch, name, module, 
     [result] = verify.run_checks(only=name)
     assert len(hits) == 1
     assert not result.passed and math.isnan(result.residual), result
-
-
-def test_each_oracle_search_makes_three_calls(monkeypatch):
-    # the maximum of each search sits at the grid point r = 0: the grid call,
-    # one sweep at the first step and one ladder over the remaining steps
-    original, searches = cap._ic_evaluator, []
-
-    def counted(lam, p):
-        evaluate, sizes = original(lam, p), []
-        searches.append(sizes)
-
-        def logged(rs):
-            sizes.append(len(rs))
-            return evaluate(rs)
-
-        return logged
-
-    monkeypatch.setattr(cap, "_ic_evaluator", counted)
-    [result] = verify.run_checks(only="capacity.oneway_oracle_value")
-    assert result.passed, result
-    # 614 rotation classes, six moves at step 0.1, six at each of the 16 halvings
-    assert searches == [[614, 6, 96]] * 20
