@@ -249,7 +249,60 @@ def _phi_slope(x):
     return -np.divide(np.arctanh(s), s, out=np.ones_like(s), where=s > 0.0) / (2.0 * math.log(2.0))
 
 
-_BRACKET_WIDTH = 1e-12  # hi - lo at which _one_shot_bracket stops
+def _phi_bracket(alpha: float, beta: float, c2: float, total: float) -> tuple[float, float, float]:
+    """(lo, hi, x*) with lo = G(x*) <= max G <= hi and hi - lo <= 1e-12 for
+    G(x) = alpha phi(x) + beta [phi(c2 x) - phi(c2)] on [0, 1], c2 in [0, 1],
+    given ``total`` = alpha + beta in closed form.  G(1) = 0.
+
+    A branch-and-bound from 16 cells.  G(0) and G(1) are scored first; each
+    round scores the cells' midpoints, raises lo where one is strictly higher
+    (so ties keep the smallest x), and bounds each cell [a, b] by the smaller of
+
+    * tangent plus chord: phi is concave, so a term with a positive
+      coefficient lies under its tangent at the midpoint and one with a
+      negative coefficient (sign bit set, -0 included) under its chord; the
+      sum of the two lines peaks at a or b;
+    * a monotone split: G = alpha [phi(x) - phi(c2 x)] + total phi(c2 x) + const,
+      whose bracket is nonincreasing (phi' <= phi'(c2 x) <= c2 phi'(c2 x) <= 0),
+      so each term peaks at a or b (the first at a if alpha is positive).
+
+    The split bound keeps flat cases from splitting every cell; the tangent
+    bound closes interior maxima.  hi is the largest bound (at least lo); the
+    search stops once hi - lo <= 1e-12, else halves each cell whose bound
+    exceeds lo + 1e-12 and drops the others.
+    """
+    top = -beta * float(_phi(c2))
+    ends = alpha * _phi(np.array([0.0, 1.0])) + beta * _phi(np.array([0.0, c2])) + top
+    lo, x_star = float(ends.max()), float(ends[1] > ends[0])
+    alpha_tangent, beta_tangent = (math.copysign(1.0, k) > 0.0 for k in (alpha, beta))
+    edges = np.linspace(0.0, 1.0, 17)
+    a, b = edges[:-1], edges[1:]
+    while True:
+        m = 0.5 * (a + b)
+        pa, pm, qa, qm, qb = _phi(np.concatenate((a, m, c2 * a, c2 * m, c2 * b))).reshape(5, -1)
+        f = alpha * pm + beta * qm + top
+        k = int(np.argmax(f))
+        if f[k] > lo:
+            lo, x_star = float(f[k]), float(m[k])
+        if alpha_tangent:  # each line at both ends a, b of its cell
+            slope = _phi_slope(m)
+            line, drop = [alpha * (pm + slope * (e - m)) for e in (a, b)], pa - qa
+        else:
+            pb = _phi(b)
+            line, drop = [alpha * pa, alpha * pb], pb - qb
+        if beta_tangent:
+            slope = c2 * _phi_slope(c2 * m)
+            line = [y + beta * (qm + slope * (e - m)) for y, e in zip(line, (a, b))]
+        else:
+            line = [line[0] + beta * qa, line[1] + beta * qb]
+        split = alpha * drop + np.maximum(total * qa, total * qb)
+        bound = np.minimum(np.maximum(*line), split) + top
+        hi = max(lo, float(bound.max()))
+        if hi - lo <= 1e-12:
+            return lo, hi, x_star
+        keep = bound > lo + 1e-12
+        a, m, b = a[keep], m[keep], b[keep]
+        a, b = np.column_stack((a, m)).ravel(), np.column_stack((m, b)).ravel()
 
 
 def _one_shot_bracket(lam: float, p: float) -> tuple[float, float, float]:
@@ -260,7 +313,7 @@ def _one_shot_bracket(lam: float, p: float) -> tuple[float, float, float]:
     Lemma: at a fixed |r|^2 = x, the coherent information of the input with
     Bloch vector r is largest on the equator, where it is
     F(x) = (1 - lam) phi(x) - lam phi(c^2 x) + lam phi(c^2), c = 1 - 2p.
-    So max I_c = max over x in [0, 1] of F(x).
+    So max I_c = max over x in [0, 1] of F(x), bracketed by ``_phi_bracket``.
 
     Proof.  phi(x) = H((1 + sqrt x)/2) = 1 - (1/ln 2) sum_k x^k/(2k(2k - 1)),
     so phi decreases and is concave on [0, 1].  The glued channel and its
@@ -277,51 +330,8 @@ def _one_shot_bracket(lam: float, p: float) -> tuple[float, float, float]:
     At fixed x, d is fixed and a rises with t; concavity makes
     phi(a + d) - phi(a) nonincreasing in a, so I_c is largest at t = 0,
     where a = c^2 x and a + d = c^2.
-
-    Search: a branch-and-bound on [0, 1] from 16 cells.  F(0) and F(1) are
-    scored first; each round scores the cells' midpoints, raises lo where one
-    is strictly higher (so ties keep the first, smallest x, and the
-    degradable region, where F falls, reports x* = 0), and bounds each cell
-    [a, b] by the smaller of
-
-    * tangent plus chord: (1 - lam) phi lies under its tangent at the
-      midpoint, the convex -lam phi(c^2 x) under its chord, and their sum,
-      a line, peaks at a or b;
-    * a monotone split: F = (1 - lam)[phi(x) - phi(c^2 x)]
-      + (1 - 2 lam) phi(c^2 x) + lam phi(c^2), whose first term is
-      nonincreasing (phi' <= phi'(c^2 x) <= c^2 phi'(c^2 x) <= 0) and whose
-      second term is monotone, so it peaks at a or b.
-
-    The split bound keeps the flat case (lam = 1/2, p in {0, 1}) from
-    splitting every cell; the tangent bound closes interior maxima.  hi is
-    the largest bound (at least lo); the search stops once hi - lo <= 1e-12
-    and otherwise drops every cell whose bound is at most lo + 1e-12 and
-    halves the others.
     """
-    c2 = (1.0 - 2.0 * p) ** 2
-    w, v, top = 1.0 - lam, 1.0 - 2.0 * lam, lam * float(_phi(c2))
-    ends = w * _phi(np.array([0.0, 1.0])) - lam * _phi(np.array([0.0, c2])) + top
-    lo, x_star = float(ends.max()), float(ends[1] > ends[0])
-    edges = np.linspace(0.0, 1.0, 17)
-    a, b = edges[:-1], edges[1:]
-    while True:
-        m = 0.5 * (a + b)
-        pa, pm, qa, qm, qb = _phi(np.concatenate((a, m, c2 * a, c2 * m, c2 * b))).reshape(5, -1)
-        f = w * pm - lam * qm + top
-        k = int(np.argmax(f))
-        if f[k] > lo:
-            lo, x_star = float(f[k]), float(m[k])
-        slope = _phi_slope(m)
-        tangent = np.maximum(w * (pm + slope * (a - m)) - lam * qa,
-                             w * (pm + slope * (b - m)) - lam * qb)
-        split = w * (pa - qa) + np.maximum(v * qa, v * qb)
-        bound = np.minimum(tangent, split) + top
-        hi = max(lo, float(bound.max()))
-        if hi - lo <= _BRACKET_WIDTH:
-            return lo, hi, x_star
-        keep = bound > lo + _BRACKET_WIDTH
-        a, m, b = a[keep], m[keep], b[keep]
-        a, b = np.column_stack((a, m)).ravel(), np.column_stack((m, b)).ravel()
+    return _phi_bracket(1.0 - lam, -lam, (1.0 - 2.0 * p) ** 2, 1.0 - 2.0 * lam)
 
 
 def maximize_coherent_information(lam: float, p: float) -> tuple[float, np.ndarray]:

@@ -381,20 +381,29 @@ def _shell_heavy(rng: np.random.Generator, n: int) -> np.ndarray:
     return rs * (1.0 - 10.0 ** -rng.uniform(0.0, 12.0, size=(n, 1)))
 
 
-@_register("capacity.equator_lemma")
-def _check_equator_lemma() -> CheckResult:
-    # the eigen route, on random inputs and at the bracket's argmax: no input
-    # beats hi, and the equator point (sqrt x*, 0, 0) scores lo
+def _bracket_lemma(seed: int, bracket, score) -> CheckResult:
+    """A bracket (lo, hi, argmax) of a one-letter maximum against an
+    independent route, at 10 random (lam, p): ``score(rng, lam, p, argmax)``
+    scores 64 random inputs and then the argmax.  No input may beat hi, and
+    the argmax must score lo, both to 1e-12."""
     def residuals():
-        rng = np.random.default_rng(112)
+        rng = np.random.default_rng(seed)
         for _ in range(10):
             lam, p = rng.uniform(0.0, 1.0, size=2)
-            lo, hi, x_star = cap._one_shot_bracket(lam, p)
-            rs = np.vstack([_shell_heavy(rng, 64), [math.sqrt(x_star), 0.0, 0.0]])
-            ic = cap._ic_evaluator(lam, p)(rs)
-            yield float(ic[:-1].max()) - hi
-            yield abs(float(ic[-1]) - lo)
+            lo, hi, arg = bracket(lam, p)
+            values = score(rng, lam, p, arg)
+            yield float(values[:-1].max()) - hi
+            yield abs(float(values[-1]) - lo)
     return _result(_worst(residuals()), 1e-12)
+
+
+@_register("capacity.equator_lemma")
+def _check_equator_lemma() -> CheckResult:
+    # the eigen route; the argmax is the equator point (sqrt x*, 0, 0)
+    def score(rng, lam, p, x_star):
+        rs = np.vstack([_shell_heavy(rng, 64), [math.sqrt(x_star), 0.0, 0.0]])
+        return cap._ic_evaluator(lam, p)(rs)
+    return _bracket_lemma(112, cap._one_shot_bracket, score)
 
 
 @_register("capacity.degradable_composition")
@@ -546,10 +555,19 @@ def _check_postselect_fidelity() -> CheckResult:
 def _check_wiretap_oracle() -> tuple[CheckResult, CheckResult]:
     rng = np.random.default_rng(112)
     params = [(rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0)) for _ in range(20)]
-    values, qs = wt._secrecy_capacity_search([wt.build_wiretap(lam, p) for lam, p in params], 201)
-    closed = np.array([wt.one_way_secrecy_capacity(lam, p) for lam, p in params])
-    return (_result(_worst(np.abs(values - closed).tolist()), 1e-4),
-            _result(_worst(np.abs(qs - 0.5).tolist()), 1e-4))
+    runs = [(wt.secrecy_capacity_bruteforce(lam, p), wt.one_way_secrecy_capacity(lam, p))
+            for lam, p in params]
+    return (_result(_worst(abs(value - closed) for (value, _), closed in runs), 1e-4),
+            _result(_worst(abs(q - 0.5) for (_, q), _ in runs), 1e-4))
+
+
+@_register("wiretap.no_prefix_lemma")
+def _check_no_prefix_lemma() -> CheckResult:
+    # the joint-table route at input laws q = P(x = 0); the argmax is q*
+    def score(rng, lam, p, q_star):
+        qs = np.append(rng.uniform(0.0, 1.0, size=64), q_star)
+        return wt._secrecy_objectives(wt._views(wt.build_wiretap(lam, p))[:, None], qs)
+    return _bracket_lemma(114, wt._secrecy_bracket, score)
 
 
 @_register("wiretap.degraded_composition")

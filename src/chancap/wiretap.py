@@ -15,24 +15,31 @@ Closed forms, in bits per use:
 Each is one unchecked function of floats or arrays, shared by the scalar
 functions and ``FIG6``'s rows; ``degraded`` decides where it is certified.
 
+The secrecy objective of the Bernoulli(q) input, q = P(x = 0), splits by
+the flag, which does not depend on x: with h the binary entropy,
+g(q) = I(X; Y, L) - I(X; Z, L) = (1 - 2 lam) h(q) + lam h(q * p) - lam h(p),
+q * p = q (1 - p) + (1 - q) p.  With x = (1 - 2q)^2 and c = 1 - 2p,
+h(q) = phi(x) = H((1 + sqrt x)/2), as h is symmetric about 1/2, and
+1 - 2 (q * p) = c (1 - 2q), so h(q * p) = phi(c^2 x).  So g(q) is
+G(x) = (1 - 2 lam) phi(x) + lam [phi(c^2 x) - phi(c^2)], which
+``capacity._phi_bracket`` brackets as it does the glued channel's coherent
+information; ``secrecy_objective`` scores g from the joint table instead.
+
 The joint table is indexed ``table[x, y, z, l]`` with ``l = 0`` meaning L = 1
 and ``l = 1`` meaning L = 2.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import Curve, _two_way, bisect
+from .capacity import Curve, _phi_bracket, _two_way, bisect
 from .errors import DomainError, NotADistribution
-from .qmath import _as_array, _binary_entropy, as_real, check_count, check_params, check_prob
+from .qmath import _as_array, _binary_entropy, as_real, check_params, check_prob
 from .sampling import STREAM_WIRETAP_PROTOCOL, check_run, sum_chunks
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class WiretapChannel:
@@ -141,63 +148,27 @@ def decomposition_residual(ch: WiretapChannel, q: float) -> float:
     return abs(full - per_flag)
 
 
-def secrecy_capacity_bruteforce(ch: WiretapChannel, grid: int = 201) -> tuple[float, float]:
-    """Maximize the secrecy objective over the input law: (value, argmax q).
+def _secrecy_bracket(lam: float, p: float) -> tuple[float, float, float]:
+    """(lo, hi, q*) of g at an already checked (lam, p): ``_phi_bracket`` of G,
+    and q* = (1 - sqrt x*)/2, written as in phi so that x* near 1 keeps its digits."""
+    lo, hi, x_star = _phi_bracket(1.0 - 2.0 * lam, lam, (1.0 - 2.0 * p) ** 2, 1.0 - lam)
+    return lo, hi, (1.0 - x_star) / (2.0 * (1.0 + math.sqrt(x_star)))
 
-    Scans a uniform grid in q (at least 101 points), then refines around the
-    best point with a golden-section search to 1e-10 in q, kept only if it
-    does strictly better.  Ties thus go to the smallest grid q: where the
-    objective is nowhere positive, e.g. (lam, p) = (1/2, 1/2) or (0.75, 0.2),
-    the search reports q = 0.  This is ``_secrecy_capacity_search`` of the
-    batch of one channel.
+
+def secrecy_capacity_bruteforce(lam: float, p: float) -> tuple[float, float]:
+    """Maximize the secrecy objective g of ``build_wiretap(lam, p)`` over the
+    input law: (value, argmax q), the lower end of ``_secrecy_bracket``, within
+    1e-12 of the maximum, and the q* where g takes it.  Ties keep the smallest
+    x = (1 - 2q)^2: where g is flat, as at (lam, p) = (1/2, 1/2), (1, 0) and
+    (1, 1), q = 1/2; at (0.75, 0.2) the maximum 0 is reached only at q = 0.
 
     For lam <= 1/2 the channel is degraded and this maximum is the secrecy
     capacity.  Above 1/2 it is not degraded, and the maximum over the input
     law alone, with no prefix channel U -> X (Csiszar and Korner 1978), is
     only a lower bound on the secrecy capacity.
     """
-    values, qs = _secrecy_capacity_search([ch], grid)
-    return float(values[0]), float(qs[0])
-
-
-def _secrecy_capacity_search(
-    chs: Sequence[WiretapChannel], grid: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``secrecy_capacity_bruteforce`` of each channel of a non-empty batch,
-    as arrays of values and of argmax q, each entry the call on that channel.
-
-    One grid call scores every channel.  The golden-section searches then
-    run in rounds while any bracket is wider than 1e-10: each round scores
-    one new point per channel in one call, and only the brackets still that
-    wide take their narrowed ends.  Each channel's conditionals are built once.
-    """
-    grid = check_count("grid", grid, 101)
-    views = np.stack([_views(ch) for ch in chs], axis=1)  # (2, n, 2, 2, 2)
-    qs = np.linspace(0.0, 1.0, grid)
-    vals = _secrecy_objectives(views[:, :, None], np.tile(qs, (len(chs), 1)))
-    i = np.argmax(vals, axis=1)
-    lo = qs[np.maximum(i - 1, 0)]
-    hi = qs[np.minimum(i + 1, grid - 1)]
-
-    c = hi - GOLDEN * (hi - lo)
-    d = lo + GOLDEN * (hi - lo)
-    fc, fd = _secrecy_objectives(views[:, None], np.stack([c, d]))
-    while (running := hi - lo > 1e-10).any():
-        # keep [lo, d] where f(c) >= f(d), else [c, hi]; score the one new point
-        left = fc >= fd
-        nlo, nhi = np.where(left, lo, c), np.where(left, d, hi)
-        x = np.where(left, nhi - GOLDEN * (nhi - nlo), nlo + GOLDEN * (nhi - nlo))
-        fx = _secrecy_objectives(views, x)
-        new = (nlo, nhi, np.where(left, x, d), np.where(left, c, x),
-               np.where(left, fx, fd), np.where(left, fc, fx))
-        # a finished bracket keeps its ends
-        lo, hi, c, d, fc, fd = (np.where(running, a, b)
-                                for a, b in zip(new, (lo, hi, c, d, fc, fd)))
-    q_best = 0.5 * (lo + hi)
-    f_best = _secrecy_objectives(views, q_best)
-    top = vals.max(axis=1)
-    on_grid = top >= f_best
-    return np.where(on_grid, top, f_best), np.where(on_grid, qs[i], q_best)
+    lo, _, q_star = _secrecy_bracket(*check_params(lam, p))
+    return lo, q_star
 
 
 def degraded(lam, p):

@@ -134,7 +134,7 @@ def test_criterion_8_wiretap_capacity_oracle():
     for _ in range(20):
         lam = rng.uniform(0.0, 0.5)
         p = rng.uniform(0.0, 1.0)
-        value, q = wt.secrecy_capacity_bruteforce(wt.build_wiretap(lam, p))
+        value, q = wt.secrecy_capacity_bruteforce(lam, p)
         worst_value = max(worst_value, abs(value - wt.one_way_secrecy_capacity(lam, p)))
         worst_argmax = max(worst_argmax, abs(q - 0.5))
     assert worst_value <= 1e-4

@@ -362,8 +362,13 @@ def test_default_output_digests(capsys, monkeypatch):
         # the full verify report; its residual digits depend on the LAPACK build.
         # The 1-D one-shot bracket added capacity.equator_lemma and moved
         # capacity.oneway_oracle_value (3.330669e-16 to 2.220446e-16) and
-        # capacity.diamond_estimate_reaches_value (2.220446e-16 to 1.110223e-16)
-        ("verify",): "b7886616cc375079473a07f509da91e626080eac6938a56f0fd6297631ee467b",
+        # capacity.diamond_estimate_reaches_value (2.220446e-16 to 1.110223e-16).
+        # The wiretap's bracket on the same kernel, in place of the
+        # golden-section search, added wiretap.no_prefix_lemma (2.498002e-16)
+        # and moved wiretap.bruteforce_oracle_value (2.220446e-16 to
+        # 1.110223e-16) and wiretap.bruteforce_oracle_argmax (8.326536e-09
+        # to 0.000000e+00)
+        ("verify",): "28b9a554a5647182789029e0fdd4f5e9efa5068f95e5ee50989659578f02946d",
         # each protocol alone at the default lambda, p, uses and seed
         ("simulate", "--kind", "quantum_two_way"):
             "0f424dc45eff6e40c7cc3399d9a19c149d9fbbf700961ee848229c56655ac966",

@@ -784,6 +784,16 @@ def test_degradable_lambda_refuses_non_reals():
     assert cap.one_way_capacity(np.float32(0.25), 0.1) == cap.one_way_capacity(0.25, 0.1)
 
 
+def test_secrecy_bruteforce_refuses_bad_lambda_and_p():
+    for bad in (*NON_REALS, np.nan, -0.1, 1.5):
+        for name, call in (("lambda", lambda: wt.secrecy_capacity_bruteforce(bad, 0.2)),
+                           ("p", lambda: wt.secrecy_capacity_bruteforce(0.3, bad))):
+            with pytest.raises(DomainError, match=f"^{name} must "):
+                call()
+    assert wt.secrecy_capacity_bruteforce(np.float32(0.5), np.int64(1)) == \
+        wt.secrecy_capacity_bruteforce(0.5, 1.0)
+
+
 def test_stencil_lambda_refuses_non_reals():
     for bad in NON_REALS:
         with pytest.raises(DomainError, match="lambda must be a real number"):
@@ -798,16 +808,14 @@ def test_fig4_lambda_refuses_non_reals():
 
 
 def _counted_calls():
-    ch = wt.build_wiretap(0.3, 0.2)
     q_lb, q_ub, q_tw = cap.sequence_bound_curves()
     return {
-        "grid": (lambda n: wt.secrecy_capacity_bruteforce(ch, n), 101),
         "points": (lambda n: cap.sweep(cap.FIG3, n), 2),
         "n_terms": (lambda n: cap.alternating_bounds_sequence(q_lb, q_ub, q_tw, 0.0, 1e-4, n), 1),
     }
 
 
-@pytest.mark.parametrize("name", ["grid", "points", "n_terms"])
+@pytest.mark.parametrize("name", ["points", "n_terms"])
 def test_counts_must_be_ints(name):
     call, lo = _counted_calls()[name]
     for bad in (lo + 0.5, float(lo), float("nan"), str(lo), True, None, np.float64(lo)):

@@ -57,6 +57,7 @@ NAMES = [
     "capacity.two_way_postselect_fidelity",
     "wiretap.bruteforce_oracle_value",
     "wiretap.bruteforce_oracle_argmax",
+    "wiretap.no_prefix_lemma",
     "wiretap.degraded_composition",
     "wiretap.oneway_below_twoway",
     "wiretap.fig6_opposite_monotonicity",
@@ -448,7 +449,7 @@ def _old_wiretap_oracle():
     for _ in range(20):
         lam = rng.uniform(0.0, 0.5)
         p = rng.uniform(0.0, 1.0)
-        value, q = wt.secrecy_capacity_bruteforce(wt.build_wiretap(lam, p))
+        value, q = wt.secrecy_capacity_bruteforce(lam, p)
         yield abs(value - wt.one_way_secrecy_capacity(lam, p)), abs(q - 0.5)
 
 
@@ -481,7 +482,10 @@ def test_stacked_checks_give_the_former_residuals(name):
 
 
 def _nan_row(out):
-    """A copy of a stacked kernel's output with a NaN in row 1 (of each array)."""
+    """A copy of a stacked kernel's output with a NaN in row 1 (of each array);
+    a float, the output of a kernel called once per sample, becomes NaN."""
+    if isinstance(out, float):
+        return math.nan
     if isinstance(out, qmath.HermitianSpectrum):
         w = out.eigenvalues.copy()
         w[1, 0] = math.nan
@@ -506,8 +510,9 @@ def _nan_row(out):
     ("channels.entropy_decomposition_complement", verify, "_stacked_entropies", 3),
     ("channels.block_orthogonality", chn, "_apply_stack", 1),
     ("capacity.choi_state_ic_consistency", verify, "_stacked_entropies", 1),
-    ("wiretap.bruteforce_oracle_value", wt, "_secrecy_capacity_search", 1),
-    ("wiretap.bruteforce_oracle_argmax", wt, "_secrecy_capacity_search", 1),
+    ("wiretap.bruteforce_oracle_value", wt, "_phi_bracket", 1),
+    ("wiretap.bruteforce_oracle_argmax", wt, "_phi_bracket", 1),
+    ("wiretap.no_prefix_lemma", wt, "_phi_bracket", 1),
 ])
 def test_a_nan_in_one_stacked_sample_fails_its_check(monkeypatch, name, module, attr, call):
     hits = _inject(monkeypatch, module, attr,
