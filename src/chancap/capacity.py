@@ -885,9 +885,8 @@ def simulate_two_way_protocol(
     block) rounds transmit noiselessly.  Returns (rate estimate, std error)
     with the standard error ``bernoulli_std_error(lam, uses)``.  The output is
     fixed by one uniform per use from stream ``STREAM_QUANTUM_PROTOCOL``,
-    counted chunk by chunk (``sampling.sum_chunks``); a run of at least
-    ``2 * SPAN_USES`` uses is read on one thread per usable CPU, with the
-    same result.
+    counted chunk by chunk on the calling thread (``sampling.sum_chunks``),
+    so memory does not grow with ``uses``.
     """
     lam, p = check_params(lam, p)
     uses, seed = check_run(uses, seed)

@@ -13,6 +13,7 @@ import argparse
 import os
 import stat
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -182,8 +183,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _overwrite(path: str, text: str) -> None:
-    """Write ``text`` over ``path`` in place.
+def _overwrite(path: str, blocks: Iterable[str]) -> None:
+    """Write ``blocks`` of text over ``path`` in place, one ``write`` per block.
 
     A file truncated to zero and rewritten is flushed on close (ext4
     ``auto_da_alloc``), and its next truncation waits for that flush.  So the
@@ -197,20 +198,28 @@ def _overwrite(path: str, text: str) -> None:
         fd = fh.fileno()
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         try:
-            fh.write(text)
+            for block in blocks:
+                fh.write(block)
             fh.flush()
         finally:
             if regular:
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
-def _write(cfg: RunConfig, text: str, plot_columns: Optional[tuple] = None) -> None:
+def _write(cfg: RunConfig, blocks: Iterable[str], plot_columns: Optional[tuple] = None) -> None:
+    """Write ``blocks`` of text, one ``write`` per block, to ``--out`` or stdout.
+
+    The target is opened before the first block is read, so whatever can
+    refuse the run runs before this call, not in the blocks.
+    """
     if cfg.out is None:
-        sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block)
     else:
-        _overwrite(cfg.out, text)
+        _overwrite(cfg.out, blocks)
     if cfg.emit_plot_script and plot_columns:
-        _overwrite(cfg.out + ".gp", output.gnuplot_script(os.path.basename(cfg.out), plot_columns))
+        script = output.gnuplot_script(os.path.basename(cfg.out), plot_columns)
+        _overwrite(cfg.out + ".gp", [script])
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -226,7 +235,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         lines.append(line)
     failures = sum(not r.passed for r in results)
     lines.append(f"{len(results) - failures}/{len(results)} checks passed")
-    _write(cfg, "\n".join(lines) + "\n")
+    _write(cfg, ["\n".join(lines) + "\n"])
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
@@ -236,11 +245,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         curve = CURVES[cfg.scenario]
     points = cap.sweep(curve, cfg.points)
+    # rendered block by block as it is written, so memory follows the table, not its text
     if cfg.format == "json":
-        text = output.sweep_json(points, {**curve.meta(), **STAMP})
+        blocks = output.sweep_json_blocks(points, {**curve.meta(), **STAMP})
     else:
-        text = output.sweep_csv(points)
-    _write(cfg, text, plot_columns=points.columns)
+        blocks = output.sweep_csv_blocks(points)
+    _write(cfg, blocks, plot_columns=points.columns)
     return EXIT_OK
 
 
@@ -250,7 +260,7 @@ def cmd_seq(cfg: RunConfig) -> int:
     rows = [asdict(it) for it in items]
     text = (output.rows_json(rows, meta) if cfg.format == "json"
             else output.rows_csv(output.SEQ_HEADER, rows, meta))
-    _write(cfg, text, plot_columns=tuple(output.SEQ_HEADER.split(",")))
+    _write(cfg, [text], plot_columns=tuple(output.SEQ_HEADER.split(",")))
     return EXIT_OK
 
 
@@ -272,7 +282,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise DomainError(f"unknown simulation kind {cfg.kind!r}")
     text = (output.rows_json(rows, STAMP) if cfg.format == "json"
             else output.rows_csv(output.SIM_HEADER, rows))
-    _write(cfg, text)
+    _write(cfg, [text])
     return EXIT_OK
 
 

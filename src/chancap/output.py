@@ -1,19 +1,25 @@
 """Machine-readable export: CSV and JSON writers for sweeps, sequences, sims.
 
 All writers are pure string builders so output files are byte-deterministic
-for a fixed (config, seed, version).  CSV floats carry 17 significant digits,
+for a fixed (config, seed, version).  A sweep is also rendered in blocks of
+rows (``sweep_csv_blocks``, ``sweep_json_blocks``), so that a file can be
+written in memory that follows the table, not its text; the whole-text
+writers join the same blocks.  CSV floats carry 17 significant digits,
 enough for exact float64 round-trips.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from collections.abc import Iterator, Sequence
+from itertools import chain
+from typing import Optional
 
 from .capacity import SweepTable
 
 SIM_HEADER = "kind,lambda,p,uses,seed,estimate,std_error,target,leakage"
 SEQ_HEADER = "n,x_n,q_lb,q_ub,q_two_way"
+_BLOCK_ROWS = 1024  # sweep rows rendered per block
 
 
 def fmt(x: Optional[float]) -> str:
@@ -23,22 +29,46 @@ def fmt(x: Optional[float]) -> str:
     return f"{float(x):.17g}"
 
 
-def _sweep_rows(points: SweepTable, keys: Sequence[str], row: str, sep: str, absent: str) -> str:
-    """``row % values`` for each row of the table's columns ``keys``, joined by ``sep``.
+def _sweep_rows(points: SweepTable, keys: Sequence[str], row: str, sep: str,
+                absent: str) -> Iterator[str]:
+    """``row % values`` for each row of the table's columns ``keys``, joined by
+    ``sep``, in blocks of ``_BLOCK_ROWS`` rows; each block after the first
+    starts with ``sep``.
 
     Only an absent one-way value is NaN in a sweep table, and neither a finite
-    float nor a column name contains the letters "nan", so one replace writes
-    ``absent`` there.
+    float nor a column name contains the letters "nan", so one replace per
+    block writes ``absent`` there.
     """
-    cells = zip(*[points.column(k).tolist() for k in keys])
-    return sep.join([row % values for values in cells]).replace("nan", absent)
+    columns = [points.column(k) for k in keys]
+    for start in range(0, len(points), _BLOCK_ROWS):
+        cells = zip(*[c[start:start + _BLOCK_ROWS].tolist() for c in columns])
+        block = sep.join([row % values for values in cells]).replace("nan", absent)
+        yield sep + block if start else block
+
+
+def sweep_csv_blocks(points: SweepTable) -> Iterator[str]:
+    """The text of ``sweep_csv(points)`` as its header line, then blocks of rows."""
+    columns = points.columns
+    rows = _sweep_rows(points, columns, ",".join(["%.17g"] * len(columns)), "\n", "")
+    return chain([",".join(columns) + "\n"], rows, ["\n"])
 
 
 def sweep_csv(points: SweepTable) -> str:
     """CSV of a sweep table's ``columns``; absent values are empty."""
-    columns = points.columns
-    rows = _sweep_rows(points, columns, ",".join(["%.17g"] * len(columns)), "\n", "")
-    return ",".join(columns) + "\n" + rows + "\n"
+    return "".join(sweep_csv_blocks(points))
+
+
+def sweep_json_blocks(points: SweepTable, meta: dict) -> Iterator[str]:
+    """The text of ``sweep_json(points, meta)`` as its head, then blocks of rows.
+
+    ``meta`` is rendered by this call, so a meta that ``json`` refuses raises here,
+    before the first block is read.
+    """
+    keys = sorted(points.columns)
+    row = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %r" for k in keys) + "\n    }"
+    head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    rows = _sweep_rows(points, keys, row, ",\n", "null")
+    return chain(['{\n  "meta": ' + head + ',\n  "rows": [\n'], rows, ["\n  ]\n}\n"])
 
 
 def sweep_json(points: SweepTable, meta: dict) -> str:
@@ -48,11 +78,7 @@ def sweep_json(points: SweepTable, meta: dict) -> str:
     through ``json``; each row fills one template of its sorted keys with
     ``repr`` of each float (what ``json`` writes for a finite float) or null.
     """
-    keys = sorted(points.columns)
-    row = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %r" for k in keys) + "\n    }"
-    head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
-    rows = _sweep_rows(points, keys, row, ",\n", "null")
-    return '{\n  "meta": ' + head + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
+    return "".join(sweep_json_blocks(points, meta))
 
 
 def _csv_row(cells) -> str:

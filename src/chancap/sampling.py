@@ -5,19 +5,15 @@ All stochastic code draws from Philox (4x64, 10 rounds) as implemented by
 documented bit-exactly and reproduces across platforms.  Independent streams
 are derived from the 128-bit key ``(seed, stream)``, so every simulation is a
 pure function of its inputs and seed.  Word ``i`` of a stream is a pure
-function of the key and ``i``, so ``draw_chunks`` can read each draw from any
-use on, one chunk at a time, and ``sum_chunks`` can read a long run as
-contiguous spans of chunks, one per usable CPU, on threads (Philox releases
-the GIL while it fills a chunk).  The words read are the same either way.
+function of the key and ``i``, so ``draw_chunks`` can read each draw one
+chunk at a time, and ``sum_chunks`` counts a long run chunk by chunk on the
+calling thread, in memory that does not grow with the run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections.abc import Callable, Iterator, Sequence
-from itertools import takewhile
 from typing import Optional
 
 import numpy as np
@@ -30,22 +26,6 @@ STREAM_QUANTUM_PROTOCOL = 0
 STREAM_WIRETAP_PROTOCOL = 1
 
 CHUNK_USES = 2**15  # uses per chunk of ``draw_chunks``
-SPAN_USES = 2**17  # least uses one thread of ``sum_chunks`` reads, >= CHUNK_USES
-
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"  # the cgroup v2 CPU quota, "<quota> <period>" or "max ..."
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity (``os.sched_getaffinity``, 1
-    where that call does not exist), capped by the cgroup v2 CPU quota
-    ``ceil(quota / period)`` where one is set."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    try:
-        with open(_CPU_MAX) as f:
-            quota, period = f.read().split()
-        return min(cpus, -(-int(quota) // int(period)) or cpus)
-    except (OSError, ValueError):  # no such file, or "max" for no quota
-        return cpus
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -116,38 +96,30 @@ def _uniforms(seed: int, stream: int, word: int, t: float):
 
 def draw_chunks(
     seed: int, stream: int, uses: int, draws: Sequence[Optional[float]],
-    lo: int = 0, hi: Optional[int] = None,
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """The draws of one ``stream_rng(seed, stream)`` for uses ``lo`` to ``hi``
-    (all ``uses`` by default), ``CHUNK_USES`` uses at a time.
+    """The draws of one ``stream_rng(seed, stream)``, ``CHUNK_USES`` uses at a time.
 
     ``draws`` lists the generator's calls in order, each of ``uses`` values:
     None for ``integers(0, 2, size=uses, dtype=np.int32)``, yielded as bool,
     and a float t for ``random(uses) >= t``.  Each chunk is a tuple with one
-    bool array per draw, and the chunks concatenated equal those calls' values
-    ``lo`` to ``hi`` bit for bit.  A bit draw reads ceil(n/2) words for its n
-    values; a uniform draw reads one word per value and leaves a pending high
-    half for the next bit draw, so after an odd bit draw the next bit draw
-    starts with the high half of its last word.  Each reader starts at use
-    ``lo`` of its draw: a uniform at word ``lo`` of the draw, a bit at half
-    word ``lo``, which is the pending high half of a word when it is odd.
+    bool array per draw, and the chunks concatenated equal those calls'
+    values bit for bit.  A bit draw reads ceil(n/2) words for its n values; a
+    uniform draw reads one word per value and leaves a pending high half for
+    the next bit draw, so after an odd bit draw the next bit draw starts with
+    the high half of its last word.
     """
-    hi = uses if hi is None else hi
     readers, word, carry = [], 0, None
     for t in draws:
         if t is None:
-            half = lo - (carry is not None)  # -1: value lo is the carried high half
-            pending = carry if half < 0 else word + half // 2 if half % 2 else None
-            readers.append(_bits(seed, stream, word + (half + 1) // 2, pending))
+            readers.append(_bits(seed, stream, word, carry))
             n = uses - (carry is not None)
             word += (n + 1) // 2
             carry = word - 1 if n % 2 else None
         else:
-            readers.append(_uniforms(seed, stream, word + lo, t))
+            readers.append(_uniforms(seed, stream, word, t))
             word += uses
-    for start in range(lo, hi, CHUNK_USES):
-        n = min(CHUNK_USES, hi - start)
-        yield tuple(read(n) for read in readers)
+    for start in range(0, uses, CHUNK_USES):
+        yield tuple(read(min(CHUNK_USES, uses - start)) for read in readers)
 
 
 def sum_chunks(
@@ -155,54 +127,10 @@ def sum_chunks(
     count: Callable[..., tuple[int, ...]],
 ) -> tuple[int, ...]:
     """The sum over the chunks of ``draw_chunks(seed, stream, uses, draws)`` of
-    ``count(*chunk)``, a tuple of ints.
-
-    The chunks are split into contiguous spans, one per thread, with
-    ``min(usable_cpus(), uses // SPAN_USES)`` threads, at least one: below
-    ``2 * SPAN_USES`` uses the run is read serially.
-    The calling thread reads the first span and daemon helpers the others,
-    and every helper is joined before the call returns.  Integer sums do not
-    depend on the order they are added in, so the result is the serial one.
-    An exception in any span is raised from this call, the first span's
-    first; it stops the other spans at their next chunk.
-    """
-    chunks = -(-uses // CHUNK_USES)
-    threads = max(1, uses // SPAN_USES)  # at most ``chunks``, as SPAN_USES >= CHUNK_USES
-    if threads > 1:  # a serial run does not read the CPU count
-        threads = min(threads, usable_cpus())
-    edges = [min(uses, chunks * i // threads * CHUNK_USES) for i in range(threads + 1)]
-    sums: list[list[int]] = [[]] * threads
-    errors: list[Optional[BaseException]] = [None] * threads
-    stop = threading.Event()
-
-    def span(i: int) -> None:
-        read = draw_chunks(seed, stream, uses, draws, edges[i], edges[i + 1])
-        counts = (count(*chunk) for chunk in takewhile(lambda _: not stop.is_set(), read))
-        sums[i] = [sum(column) for column in zip(*counts)]
-
-    def helper(i: int) -> None:
-        try:
-            span(i)
-        except BaseException as exc:  # raised from the call, not lost to threading.excepthook
-            errors[i] = exc
-            stop.set()
-
-    helpers = [threading.Thread(target=helper, args=(i,), daemon=True)
-               for i in range(1, threads)]
-    for thread in helpers:
-        thread.start()
-    try:
-        span(0)
-        for thread in helpers:
-            thread.join()
-    finally:  # on an exception here, the helpers stop at their next chunk
-        stop.set()
-        for thread in helpers:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return tuple(map(sum, zip(*sums)))
+    ``count(*chunk)``, a tuple of ints, counted one chunk at a time on the
+    calling thread."""
+    counts = (count(*chunk) for chunk in draw_chunks(seed, stream, uses, draws))
+    return tuple(map(sum, zip(*counts)))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

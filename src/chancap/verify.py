@@ -24,7 +24,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import channels as chn
-from . import output, sampling
+from . import output
 from . import wiretap as wt
 from .errors import ChancapError
 from .qmath import (
@@ -102,6 +102,22 @@ def _owned(i: int) -> list[tuple[str, CheckResult]]:
     return owned
 
 
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"  # the cgroup v2 CPU quota, "<quota> <period>" or "max ..."
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity (``os.sched_getaffinity``, 1
+    where that call does not exist), capped by the cgroup v2 CPU quota
+    ``ceil(quota / period)`` where one is set."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    try:
+        with open(_CPU_MAX) as f:
+            quota, period = f.read().split()
+        return min(cpus, -(-int(quota) // int(period)) or cpus)
+    except (OSError, ValueError):  # no such file, or "max" for no quota
+        return cpus
+
+
 def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     """The results whose names contain ``only`` (all if None), in registry order.
 
@@ -109,7 +125,7 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     or returns anything but its results, every result it owns fails.
 
     When more than one function is selected and the process may run on more
-    than one CPU (``sampling.usable_cpus``), the functions run in forked
+    than one CPU (``usable_cpus``), the functions run in forked
     worker processes, one per CPU up to one per function (``_forked``);
     otherwise they run in-process.  The workers get registry indices, not
     functions, so lambdas and a patched registry work, and the results are
@@ -118,7 +134,7 @@ def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     """
     picked = [i for i, (names, _) in enumerate(_REGISTRY)
               if not only or any(only in name for name in names)]
-    cpus = sampling.usable_cpus()
+    cpus = usable_cpus()
     if len(picked) > 1 and cpus > 1:
         runs = _forked(picked, min(cpus, len(picked)))
     else:

@@ -64,6 +64,10 @@ class WiretapChannel:
         flag = t[:, :, :, 0].sum(axis=(1, 2))
         if not np.abs(flag - lam).max() <= 1e-12:
             raise NotADistribution("flag probability must be input-independent = lambda")
+        # p is free at lam = 0, where the flag check leaves this slice within 1e-12 of 0
+        flip = t[[0, 1], [1, 0], [0, 1], 0]  # P(y = 1 - x, z = x, L = 1 | x)
+        if not np.abs(flip - lam * p).max() <= 1e-12:
+            raise NotADistribution(f"flag-1 flip probabilities {flip} != lambda * p = {lam * p!r}")
         object.__setattr__(self, "lam", check_prob("lambda", lam))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "table", t)
@@ -236,9 +240,8 @@ def simulate_feedback_protocol(
     the first ceil(uses/2) raw words, the flags the next ``uses`` and Eve's
     bits the next floor(uses/2); for odd ``uses`` Eve's first bit is the high
     half of Alice's last word.  How they are counted may change, the draws
-    may not.  They are counted chunk by chunk (``sampling.sum_chunks``), so
-    memory does not grow with ``uses``; a run of at least ``2 * SPAN_USES``
-    uses is read on one thread per usable CPU, with the same result.
+    may not.  They are counted chunk by chunk on the calling thread
+    (``sampling.sum_chunks``), so memory does not grow with ``uses``.
     """
     lam, p = check_params(lam, p)
     uses, seed = check_run(uses, seed)

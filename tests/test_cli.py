@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,53 @@ def test_sweep_csv_roundtrip(tmp_path):
         assert two_way == cap.two_way_capacity(lam)
         assert lower == cap.coherent_info_lower_bound(lam, p)
         assert upper == cap.continuity_upper_bound(lam, p)
+
+
+# a lambda sweep whose absent one-way cells (lambda > 1/2) cross a 3-row
+# block edge at 4 and 7 points
+BLOCK_SWEEPS = {
+    "fig3": ["--scenario", "fig3"],
+    "fig6": ["--scenario", "fig6"],
+    "custom": ["--scenario", "custom", "--lambda-min", "0.2", "--lambda-max", "0.9",
+               "--p", "0.3"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("points", [2, 3, 4, 7])
+@pytest.mark.parametrize("sweep", BLOCK_SWEEPS)
+def test_sweep_blocks_write_the_bytes_of_one_block(sweep, points, fmt, tmp_path, monkeypatch,
+                                                   capsys):
+    argv = ["sweep", *BLOCK_SWEEPS[sweep], "--points", str(points), "--format", fmt]
+    code, want, _ = run(argv, capsys)  # one block of at most 7 rows
+    assert code == 0
+    monkeypatch.setattr(output, "_BLOCK_ROWS", 3)
+    out = tmp_path / f"sweep.{fmt}"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert run(argv, capsys) == (0, want, "")
+    assert out.read_bytes() == want.encode()
+    curve = cli.CURVES.get(sweep) or cap.custom_curve(0.2, 0.9, 0.3, 0.3)
+    points = cap.sweep(curve, points)
+    text = (output.sweep_json(points, {**curve.meta(), **cli.STAMP}) if fmt == "json"
+            else output.sweep_csv(points))
+    assert text == want
+
+
+def test_sweep_memory_does_not_grow_with_its_text():
+    main(["sweep", "--scenario", "fig3", "--points", "100", "--format", "json",
+          "--out", os.devnull])  # caches filled outside the trace
+    peaks = []
+    for call in (lambda: cap.sweep(cap.FIG3, 200_000),
+                 lambda: main(["sweep", "--scenario", "fig3", "--points", "200000",
+                               "--format", "json", "--out", os.devnull])):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    table, written = peaks
+    assert written < table + 2_000_000, f"sweep peaked at {written} bytes, its table at {table}"
 
 
 def test_seq_rows_and_meta(tmp_path, capsys):

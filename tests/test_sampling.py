@@ -1,4 +1,3 @@
-import sys
 import threading
 import tracemalloc
 
@@ -11,7 +10,6 @@ from chancap import wiretap as wt
 from chancap.errors import DomainError
 from chancap.sampling import (
     CHUNK_USES,
-    SPAN_USES,
     STREAM_WIRETAP_PROTOCOL,
     draw_chunks,
     least_word_at_least,
@@ -143,82 +141,28 @@ def test_draw_chunks_equal_the_generator_calls(n):
         assert np.array_equal(_concat(chunks, i), values), (n, i)
 
 
-@pytest.mark.parametrize("spans", [False, True], ids=["whole", "spans"])
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("draws", [(None, 0.5, None), (None, None, 0.3, None), (0.7,), (None,)])
-def test_draw_chunks_carry_the_half_word_across_every_chunk_edge(monkeypatch, chunk, draws,
-                                                                   spans):
-    # with spans, every [lo, hi) is read by readers positioned at use lo,
-    # bit draws starting on a high half word (odd lo, or even lo after an
-    # odd carry) included
+def test_draw_chunks_carry_the_half_word_across_every_chunk_edge(monkeypatch, chunk, draws):
     monkeypatch.setattr(sampling, "CHUNK_USES", chunk)
     for n in range(1, 14):
-        want = _generator_calls(9, 1, n, draws)
-        bounds = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
-        for lo, hi in bounds if spans else [(0, n)]:
-            chunks = list(draw_chunks(9, 1, n, draws, lo, hi) if spans
-                          else draw_chunks(9, 1, n, draws))
-            assert [len(c[0]) for c in chunks] == [min(chunk, hi - s) for s in range(lo, hi, chunk)]
-            for i, values in enumerate(want):
-                assert np.array_equal(_concat(chunks, i), values[lo:hi]), (n, lo, hi, i)
-
-
-class _Started(threading.Thread):
-    """A Thread that records itself when started."""
-
-    log: list = []
-
-    def start(self):
-        self.log.append(self)
-        super().start()
-
-
-@pytest.fixture
-def started(monkeypatch):
-    monkeypatch.setattr(_Started, "log", [])
-    monkeypatch.setattr(threading, "Thread", _Started)
-    return _Started.log
+        chunks = list(draw_chunks(9, 1, n, draws))
+        assert [len(c[0]) for c in chunks] == [min(chunk, n - s) for s in range(0, n, chunk)]
+        for i, values in enumerate(_generator_calls(9, 1, n, draws)):
+            assert np.array_equal(_concat(chunks, i), values), (n, i)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("uses", [2 * SPAN_USES + 1, 3 * SPAN_USES + 12_345],
-                         ids=["floor+1", "odd"])
-def test_protocols_give_the_serial_result_on_any_cpu_count(monkeypatch, started, protocol,
-                                                          uses):
-    results = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(sampling, "usable_cpus", lambda: cpus)
-        before = threading.active_count()
-        del started[:]
-        results.append(protocol(0.3, 0.2, uses, 7))
-        assert threading.active_count() == before
-        assert len(started) == min(cpus, uses // SPAN_USES) - 1
-        assert all(t.daemon and not t.is_alive() for t in started)
-    assert results[1:] == results[:1] * 2, results
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_protocols_give_the_serial_result_on_small_spans(monkeypatch, started, protocol):
-    # chunks of 3 uses, so some span of the wiretap protocol's odd run
-    # starts each bit draw on a high half word; 8 threads, more than the
-    # cores, switching as often as they can
-    want = protocol(0.3, 0.2, 101, 7)  # one chunk, serial
+def test_protocols_give_the_one_chunk_result_in_small_chunks(monkeypatch, protocol):
+    # chunks of 3 uses, so the wiretap protocol's odd bit draws carry a
+    # pending half word across chunk edges
+    want = protocol(0.3, 0.2, 101, 7)  # one chunk
     monkeypatch.setattr(sampling, "CHUNK_USES", 3)
-    monkeypatch.setattr(sampling, "SPAN_USES", 6)
-    monkeypatch.setattr(sampling, "usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert [protocol(0.3, 0.2, 101, 7) for _ in range(20)] == [want] * 20
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(started) == 20 * 7
+    assert protocol(0.3, 0.2, 101, 7) == want
 
 
-def test_sum_chunks_reads_the_first_span_on_the_calling_thread(monkeypatch, started):
+def test_sum_chunks_counts_every_chunk_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(sampling, "CHUNK_USES", 5)
-    monkeypatch.setattr(sampling, "SPAN_USES", 10)
-    monkeypatch.setattr(sampling, "usable_cpus", lambda: 3)
     readers = []
 
     def count(x, flag):
@@ -226,34 +170,10 @@ def test_sum_chunks_reads_the_first_span_on_the_calling_thread(monkeypatch, star
         return x.size, int(np.count_nonzero(x & flag))
 
     want = _generator_calls(9, 1, 43, (None, 0.5))
-    assert sum_chunks(9, 1, 43, (None, 0.5), count) == (43, int(np.count_nonzero(want[0] & want[1])))
-    assert len(started) == 2
-    # 9 chunks in 3 spans of 3; the caller reads the first
-    mine = [size for ident, size in readers if ident == threading.get_ident()]
-    assert mine == [5, 5, 5]
-    assert sorted(size for _, size in readers) == [3] + [5] * 8
-
-
-@pytest.mark.parametrize("where", ["helper", "caller"])
-def test_an_exception_in_any_span_is_raised_from_sum_chunks(monkeypatch, started, where):
-    monkeypatch.setattr(sampling, "CHUNK_USES", 4)
-    monkeypatch.setattr(sampling, "SPAN_USES", 8)
-    monkeypatch.setattr(sampling, "usable_cpus", lambda: 2)
-    hooked = []
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    caller = threading.get_ident()
-
-    def count(x):
-        if (threading.get_ident() == caller) == (where == "caller"):
-            raise ZeroDivisionError(where)
-        return (x.size,)
-
     before = threading.active_count()
-    with pytest.raises(ZeroDivisionError, match=where):
-        sum_chunks(9, 1, 1000, (0.5,), count)
+    assert sum_chunks(9, 1, 43, (None, 0.5), count) == (43, int(np.count_nonzero(want[0] & want[1])))
     assert threading.active_count() == before
-    assert len(started) == 1 and not started[0].is_alive()
-    assert hooked == []
+    assert readers == [(threading.get_ident(), 5)] * 8 + [(threading.get_ident(), 3)]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -21,7 +21,7 @@ import chancap
 from chancap import capacity as cap
 from chancap import channels as chn
 from chancap import cli
-from chancap import qmath, sampling
+from chancap import qmath
 from chancap import verify
 from chancap import wiretap as wt
 from chancap.errors import ChancapError
@@ -176,7 +176,7 @@ def _cpus(monkeypatch, tmp_path, cpus, quota=None):
     cpu_max = tmp_path / "cpu.max"
     cpu_max.write_text(f"{quota * 100000} 100000\n" if quota else "max 100000\n")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(sampling, "_CPU_MAX", str(cpu_max))
+    monkeypatch.setattr(verify, "_CPU_MAX", str(cpu_max))
 
 
 def _fields(results):
@@ -261,11 +261,11 @@ def test_the_pool_leaves_no_thread(monkeypatch, tmp_path):
     assert threading.active_count() == before
 
 
-def test_the_pool_forks_without_a_warning_after_a_threaded_run(monkeypatch, tmp_path):
+def test_the_pool_forks_without_a_warning_after_a_long_monte_carlo_run(monkeypatch, tmp_path):
     # Python >= 3.12 warns when os.fork runs while other threads are alive; the
-    # Monte Carlo reader joins its helper threads before it returns
+    # Monte Carlo reader counts every chunk on the calling thread
     _cpus(monkeypatch, tmp_path, {0, 1})
-    cap.simulate_two_way_protocol(0.3, 0.1, 2**19, 5)  # read on two threads
+    cap.simulate_two_way_protocol(0.3, 0.1, 2**19, 5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         results = verify.run_checks(only="qmath.")
@@ -301,10 +301,10 @@ def test_the_cpu_quota_is_read_from_cpu_max(monkeypatch, tmp_path, text, cpus):
     path = tmp_path / "cpu.max"
     path.write_text(text)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(sampling, "_CPU_MAX", str(path))
-    assert sampling.usable_cpus() == (cpus or 8)
-    monkeypatch.setattr(sampling, "_CPU_MAX", str(tmp_path / "missing"))
-    assert sampling.usable_cpus() == 8
+    monkeypatch.setattr(verify, "_CPU_MAX", str(path))
+    assert verify.usable_cpus() == (cpus or 8)
+    monkeypatch.setattr(verify, "_CPU_MAX", str(tmp_path / "missing"))
+    assert verify.usable_cpus() == 8
 
 
 @pytest.mark.parametrize("quota, in_process", [(1, True), (2, False), (None, False)])

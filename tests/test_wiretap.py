@@ -41,6 +41,33 @@ def test_build_wiretap_extremes():
         wt.build_wiretap(1.2, 0.0)
 
 
+def test_wiretap_channel_refuses_a_table_of_another_p():
+    table = wt.build_wiretap(0.3, 0.2).table
+    with pytest.raises(NotADistribution, match="flip probabilities"):
+        wt.WiretapChannel(0.3, 0.9, table)
+    # one input's flip probability off by more than 1e-12
+    bad = table.copy()
+    bad[1, 0, 1, 0] += 1e-9
+    bad[1, 1, 1, 0] -= 1e-9
+    with pytest.raises(NotADistribution, match="flip probabilities"):
+        wt.WiretapChannel(0.3, 0.2, bad)
+    # at lam = 0 the flag-1 slice is zero, so any p goes with the table
+    for p in (0.0, 0.5, 1.0):
+        assert wt.WiretapChannel(0.0, p, wt.build_wiretap(0.0, 0.2).table).p == p
+
+
+_GRID = [(lam, p) for lam in (0.0, 0.5, 1.0) for p in (0.0, 0.5, 1.0)]
+_RANDOM = [tuple(map(float, lp)) for lp in np.random.default_rng(33).random((8, 2))]
+
+
+@pytest.mark.parametrize("lam, p", _GRID + _RANDOM)
+def test_build_wiretap_round_trips_through_the_constructor(lam, p):
+    ch = wt.build_wiretap(lam, p)
+    again = wt.WiretapChannel(ch.lam, ch.p, ch.table)
+    assert (again.lam, again.p) == (lam, p)
+    assert np.array_equal(again.table, ch.table)
+
+
 def test_mutual_information_examples():
     assert wt.mutual_information(np.full((2, 2), 0.25)) == 0.0
     assert abs(wt.mutual_information(np.diag([0.5, 0.5])) - 1.0) < 1e-12
