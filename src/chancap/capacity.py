@@ -422,11 +422,16 @@ def coherent_info_lower_bound(lam: float, p: float) -> float:
     It equals the capacity for lam <= 1/2 but is loose above 1/2, where
     other inputs do better: ``maximize_coherent_information`` gives 0.012436
     at (lam, p) = (0.8, 0.2), where the bound is 0, and 0.027171 at
-    (0.65, 0.9), where it is 0.004847.  The gap opens just above 1/2 for p
-    near 0 or 1 (at lam ~ 0.5015 for p = 0.001, ~ 0.5525 for p = 0.05) and
-    later for p nearer 1/2 (~ 0.7355 for p = 0.2); each onset is the first
-    lam on the grid 1/2 + k 0.0005 where the maximizer's value exceeds this
-    bound by more than 1e-9.
+    (0.65, 0.9), where it is 0.004847.
+
+    The gap opens at lam* = 1/(1 + c^2), c = 1 - 2p.  On the equator form F
+    of ``_one_shot_bracket``, F(0) = 1 - lam (2 - H(p)) is this bound before
+    its clamp at 0, and F'(0) = phi'(0) (1 - lam (1 + c^2)) with phi'(0) < 0.
+    So above lam*, F'(0) > 0, x = 0 is no maximum, and the gap is positive
+    while F(0) >= 0, up to lam = 1/(2 - H(p)) >= lam* (as H(p) >= 4p(1 - p)
+    = 1 - c^2).  The first lam on the grid 1/2 + k 0.0005 with a gap above
+    1e-9 (0.5015, 0.5525, 0.7355 at p = 0.001, 0.05, 0.2) is each time the
+    first grid lam above lam*.  Below lam* the gap is 0 as measured, not proven.
     """
     return float(_lower_bound(*check_params(lam, p)))
 

@@ -397,7 +397,7 @@ def choi(ch: KrausChannel) -> ChoiState:
     """
     din, dout = ch.dim_in, ch.dim_out
     s = ch.superoperator.reshape(dout, dout, din, din).transpose(2, 0, 3, 1)
-    m = qmath._require_supported(s.reshape(din * dout, din * dout) / din)
+    m = qmath._as_matrix(s.reshape(din * dout, din * dout) / din)
     state = _unchecked(DensityMatrix, matrix=m)
     return _unchecked(ChoiState, dim_in=din, dim_out=dout, state=state)
 

@@ -97,12 +97,14 @@ class RunConfig:
 
 
 def _read_config_file(path: str) -> dict:
+    """The settings of a config file by dest; DomainError, naming the lines, on
+    a key set twice or a fixed value (lambda, p) beside its range ends."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,7 +115,14 @@ def _read_config_file(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in CONFIG_TYPES:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        if key in seen:
+            raise DomainError(f"{path}:{seen[key]}, {lineno}: config key {key} is set twice")
+        values[key], seen[key] = value, lineno
+    for name in ("lambda", "p"):
+        clash = sorted(seen[k] for k in (name, f"{name}_min", f"{name}_max") if k in seen)
+        if name in seen and len(clash) > 1:
+            raise DomainError(f"{path}:{', '.join(map(str, clash))}: config key {name} "
+                              f"excludes {name}_min and {name}_max")
     return values
 
 
@@ -140,8 +149,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         return default if value is None else value
 
     def pick_range(name: str, default: Optional[float]) -> dict:
-        # a flag beats every config key; at each level the fixed value
-        # (--lambda, or the key lambda) beats the range ends
+        # a flag beats every config key; a fixed value and its range ends
+        # exclude each other among the flags, as among the keys
         lo, hi = f"{name}_min", f"{name}_max"
         fixed = getattr(args, name, None)
         ends_given = getattr(args, lo, None) is not None or getattr(args, hi, None) is not None

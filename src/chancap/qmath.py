@@ -67,55 +67,21 @@ def _as_array(x, dtype=complex) -> np.ndarray:
 
 
 def _as_matrix(m) -> np.ndarray:
+    """``m``, or a state's ``m.matrix``, as a complex matrix: the one gate of
+    every matrix entry.  In this order: ShapeMismatch unless it is a regular
+    array of numbers (``_as_array``), 2-D, square and of dimension >= 1, then
+    DimensionTooLarge above dimension 16."""
     a = _as_array(m)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got array of ndim {a.ndim}")
-    return a
-
-
-def _require_square(a: np.ndarray) -> int:
     d = a.shape[0]
     if d != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
     if d == 0:
         raise ShapeMismatch("expected a matrix of dimension >= 1, got shape (0, 0)")
-    return d
-
-
-def _require_supported(a: np.ndarray) -> np.ndarray:
-    """``a`` if square of dimension 1 to 16: after ``_as_matrix``, the shape
-    gate of a single matrix, as ``_as_stack`` is that of a stack."""
-    d = _require_square(a)
     if d > MAX_DIM:
         raise DimensionTooLarge(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
     return a
-
-
-def _as_stack(ms) -> np.ndarray:
-    """Matrices as one complex stack (k, d, d), after the shape checks of the
-    single-matrix path on each.
-
-    ``ms`` is a non-empty sequence of square matrices of one dimension <= 16,
-    such as an array (k, d, d).  A refusal raises the error the single path
-    raises for the first bad matrix, its message prefixed with that matrix's
-    index; an empty stack is a ShapeMismatch.
-    """
-    try:
-        a = _as_array(ms)
-        if a.ndim == 3 and len(a) and 0 < a.shape[1] == a.shape[2] <= MAX_DIM:
-            return a
-    except ShapeMismatch:  # matrices of different shapes, or one not numeric
-        pass
-    if len(ms) == 0:
-        raise ShapeMismatch("expected a non-empty stack of matrices")
-    for k, m in enumerate(ms):
-        try:
-            b = _require_supported(_as_matrix(m))
-            if b.shape != np.shape(ms[0]):
-                raise ShapeMismatch(f"shape {b.shape} differs from matrix 0's {np.shape(ms[0])}")
-        except (ShapeMismatch, DimensionTooLarge) as exc:
-            raise type(exc)(f"matrix {k}: {exc}") from None
-    raise ShapeMismatch(f"expected a stack of matrices, got {type(ms).__name__}")
 
 
 def _refuse(bad, error: type, message: str, *values: np.ndarray) -> None:
@@ -197,7 +163,7 @@ def hermitian_eig(m) -> HermitianSpectrum:
     numbers, DimensionTooLarge above dimension 16, and NonHermitian on a
     non-finite entry or if max|m - m^dag| exceeds 1e-10.
     """
-    return _hermitian_spectrum(_require_supported(_as_matrix(m)))
+    return _hermitian_spectrum(_as_matrix(m))
 
 
 def _entropy_bits(w: np.ndarray) -> np.ndarray:
@@ -234,7 +200,7 @@ def _state_spectrum(a: np.ndarray) -> np.ndarray:
 
 def state_eigenvalues(rho) -> np.ndarray:
     """Eigenvalues of a density operator, validated and clamped to >= 0."""
-    return _state_spectrum(_require_supported(_as_matrix(rho)))
+    return _state_spectrum(_as_matrix(rho))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -323,7 +289,7 @@ def _trace_norm(a: np.ndarray):
 
 def trace_norm(m) -> float:
     """Sum of singular values of a square matrix (dimension <= 16)."""
-    return float(_trace_norm(_require_supported(_as_matrix(m))))
+    return float(_trace_norm(_as_matrix(m)))
 
 
 def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -333,10 +299,9 @@ def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
     to trace out ("first" traces out A, "second" traces out B).
     """
     a = _as_matrix(m)
-    d = _require_square(a)
     da, db = check_dims(dims)
-    if da * db != d:
-        raise ShapeMismatch(f"dims {dims} do not factor dimension {d}")
+    if da * db != len(a):
+        raise ShapeMismatch(f"dims {dims} do not factor dimension {len(a)}")
     if side not in ("first", "second"):
         raise ShapeMismatch(f"side must be 'first' or 'second', got {side!r}")
     return _partial_traces(a, (da, db), side)
@@ -352,5 +317,5 @@ def _partial_traces(a: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarr
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    """Kronecker product of two matrices, itself of dimension <= 16."""
+    return _as_matrix(np.kron(_as_matrix(a), _as_matrix(b)))

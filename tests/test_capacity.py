@@ -379,6 +379,15 @@ def test_lower_bound():
     assert abs(binary_entropy(1e-4) - 1.47303e-3) < 1e-8
 
 
+@pytest.mark.parametrize("p", (0.001, 0.05, 0.2, 0.9))
+def test_lower_bound_gap_opens_above_its_threshold(p):
+    # just above lam = 1/(1 + c^2) the maximum leaves the maximally mixed input
+    lam = 1.0 / (1.0 + (1.0 - 2.0 * p) ** 2) + 5e-4
+    value, bloch = cap.maximize_coherent_information(lam, p)
+    assert value - cap.coherent_info_lower_bound(lam, p) > 1e-12
+    assert bloch[0] > 0.0
+
+
 def test_upper_bound():
     assert cap.continuity_upper_bound(0.3, 0.0) == 0.0
     assert abs(cap.continuity_upper_bound(0.6, 0.5) - 0.4) < 1e-12

@@ -681,6 +681,33 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "bogus" in err and ":2:" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("scenario = fig3\npoints = 5\npoints = 7\n", ":2, 3: config key points is set twice"),
+    ("lambda_min = 0.1\n# note\nlambda-min = 0.2\n", ":1, 3: config key lambda_min is set twice"),
+])
+def test_config_key_set_twice_exits_2(text, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"domain error: {cfg}{line}\n"
+
+
+@pytest.mark.parametrize("text, lines, name", [
+    ("scenario = custom\nlambda = 0.3\nlambda_min = 0.1\nlambda_max = 0.9\np_min = 0\np_max = 1\n",
+     "2, 3, 4", "lambda"),
+    ("scenario = custom\np_max = 1\nlambda_min = 0.1\nlambda_max = 0.9\np = 0.2\n", "2, 5", "p"),
+])
+def test_config_fixed_value_beside_its_range_ends_exits_2(text, lines, name, tmp_path, capsys):
+    # as --lambda and --lambda-min together do; the fixed key used to win silently
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    message = f"config key {name} excludes {name}_min and {name}_max"
+    assert err == f"domain error: {cfg}:{lines}: {message}\n"
+
+
 def test_config_scenario_is_read(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scenario = fig6\npoints = 3\n")

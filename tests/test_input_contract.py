@@ -484,27 +484,31 @@ def test_reject_paths_keep_type_and_message(entry, kind):
 
 
 def _stacked(kernel):
-    """The stacked call of a qmath kernel, as ``verify`` makes it."""
-    return lambda ms: kernel(qmath._as_stack(ms))
+    """The stacked call of a qmath kernel, as ``verify`` makes it on the stacks it builds."""
+    return lambda ms: kernel(np.stack(ms))
 
 
-# each stacked call (a kernel behind the stack gate) against the
-# single-matrix call (the same kernel behind the matrix gate)
+# each stacked call (a kernel on a stack) against the single-matrix call
+# (the same kernel behind the matrix gate)
 STACKED = {
     "checked_hermitian": (
         _stacked(qmath._checked_hermitian),
-        lambda m: qmath._checked_hermitian(qmath._require_supported(qmath._as_matrix(m))),
+        lambda m: qmath._checked_hermitian(qmath._as_matrix(m)),
     ),
     "hermitian_eig": (_stacked(qmath._hermitian_spectrum), qmath.hermitian_eig),
     "state_eigenvalues": (_stacked(qmath._state_spectrum), qmath.state_eigenvalues),
-    "von_neumann_entropy": (verify._stacked_entropies, qmath.von_neumann_entropy),
+    "von_neumann_entropy": (_stacked(verify._stacked_entropies), qmath.von_neumann_entropy),
     "trace_norm": (_stacked(qmath._trace_norm), qmath.trace_norm),
 }
+# the kinds of REJECTS that a stack of 2 x 2 matrices can hold: the shape
+# refusals belong to the matrix gate alone
+STACKED_REJECTS = ("nan", "nan_imag", "inf", "-inf", "asymmetric", "trace",
+                   "negative_eigenvalue", "overflow")
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", sorted(STACKED))
-@pytest.mark.parametrize("kind", sorted(REJECTS))
+@pytest.mark.parametrize("kind", STACKED_REJECTS)
 @pytest.mark.parametrize("k, size", ((0, 4), (2, 4), (0, 1)))
 def test_stacked_validators_refuse_what_the_single_one_refuses(entry, kind, k, size):
     # a stack of one bad matrix keeps the "matrix 0: " prefix: a stack is
@@ -519,18 +523,6 @@ def test_stacked_validators_refuse_what_the_single_one_refuses(entry, kind, k, s
             stacked(ms)
     else:
         stacked(ms)
-
-
-@pytest.mark.parametrize("entry", sorted(STACKED))
-def test_stacked_validators_refuse_empty_and_mixed_stacks(entry):
-    stacked, _ = STACKED[entry]
-    for empty in ([], np.zeros((0, 2, 2), dtype=complex)):
-        with pytest.raises(ShapeMismatch, match="^expected a non-empty stack of matrices$"):
-            stacked(empty)
-    mixed = [np.eye(2) / 2, np.eye(2) / 2, np.eye(3) / 3]
-    message = "matrix 2: shape (3, 3) differs from matrix 0's (2, 2)"
-    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
-        stacked(mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +590,8 @@ def test_zero_dimension_is_a_shape_mismatch_at_every_matrix_entry():
         qmath.trace_norm,
         chn.DensityMatrix,
         lambda m: qmath.partial_trace(m, (1, 1), "first"),
+        lambda m: qmath.tensor(m, I2),
+        lambda m: qmath.tensor(I2, m),
     ):
         with pytest.raises(ShapeMismatch, match="dimension >= 1"):
             f(empty)
@@ -611,6 +605,8 @@ def test_non_numeric_input_is_a_shape_mismatch_at_every_matrix_entry(bad):
         qmath.von_neumann_entropy,
         qmath.trace_norm,
         lambda m: qmath.partial_trace(m, (1, 2), "first"),
+        lambda m: qmath.tensor(m, I2),
+        lambda m: qmath.tensor(I2, m),
         chn.DensityMatrix,
         lambda m: cap.coherent_information(_N, _NB, m),
         lambda m: cap.coherent_information_state(m, (1, 2)),

@@ -185,6 +185,17 @@ def test_partial_trace_shape_errors():
         partial_trace(np.eye(6), (2, 2), "first")
     with pytest.raises(ShapeMismatch):
         partial_trace(np.eye(4), (2, 2), "third")
+    with pytest.raises(DimensionTooLarge, match="^dimension 20 exceeds the supported maximum 16$"):
+        partial_trace(np.eye(20) / 20, (4, 5), "first")
+
+
+def test_tensor_shape_errors():
+    # each factor and the product pass the matrix gate
+    with pytest.raises(DimensionTooLarge, match="^dimension 32 exceeds the supported maximum 16$"):
+        tensor(np.eye(8), np.eye(4))
+    for a, b in ((np.ones((2, 3)), np.eye(2)), (np.eye(2), np.ones((2, 3)))):
+        with pytest.raises(ShapeMismatch, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            tensor(a, b)
 
 
 def test_tensor_identity():

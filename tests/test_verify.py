@@ -273,6 +273,22 @@ def test_the_pool_forks_without_a_warning_after_a_long_monte_carlo_run(monkeypat
     assert len(results) == 5 and all(r.passed for r in results)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
+def test_a_fork_after_blas_work_leaves_the_parent_only_its_python_threads():
+    # Python >= 3.12 warns at os.fork when the parent's /proc/self/stat counts
+    # more than one OS thread, native threads included.  OpenBLAS keeps worker
+    # threads after a BLAS call; its fork handler stops them until the next one.
+    a = np.ones((256, 256))
+    a @ a
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    with open("/proc/self/stat") as f:  # num_threads, field 20
+        threads = int(f.read().rsplit(")", 1)[1].split()[17])
+    os.waitpid(pid, 0)
+    assert threads == threading.active_count()
+
+
 POOL_PROBE = """
 import json, sys
 from chancap import verify
