@@ -438,10 +438,19 @@ ENTRIES = {
     "hermitian_eig": qmath.hermitian_eig,
     "DensityMatrix": chn.DensityMatrix,
     "coherent_information": lambda m: cap.coherent_information(_N, _NB, m),
+    "apply": lambda m: chn.apply(_N, m),
+    "apply_with_reference": lambda m: chn.apply_with_reference(_N, m, 1),
+    "ic_conjugation_residual": lambda m: cap.ic_conjugation_residual(0.3, 0.2, m),
+    "coherent_information_state": lambda m: cap.coherent_information_state(m, (1, 2)),
+    "trace_norm": qmath.trace_norm,
+    "partial_trace": lambda m: qmath.partial_trace(m, (1, 2), "first"),
+    "tensor_first": lambda m: qmath.tensor(m, [[1.0]]),
+    "tensor_second": lambda m: qmath.tensor([[1.0]], m),
 }
 NON_FINITE = (NonHermitian, "matrix has non-finite entries")
-# (bad input, error, message) shared by the four matrix entry points; the
-# channel path checks the state's shape against the channel input first
+# (bad input, error, message) shared by the matrix entry points; the channel
+# paths check the state's shape against the channel input first, and
+# coherent_information_state against its declared dims
 REJECTS = {
     "nan": NON_FINITE,
     "nan_imag": NON_FINITE,
@@ -465,20 +474,48 @@ CHANNEL_SHAPE = {
     "non_square": "state shape (2, 3) != channel input (2, 2)",
     "3d": "state shape (2, 2, 2) != channel input (2, 2)",
 }
-# hermitian_eig takes any finite Hermitian matrix: trace and sign are no concern of it
+CHANNEL_ENTRIES = ("coherent_information", "apply", "apply_with_reference",
+                   "ic_conjugation_residual")
+DIMS_SHAPE = {
+    "17x17": "state shape (17, 17) does not match dims (1, 2)",
+    "0x0": "state shape (0, 0) does not match dims (1, 2)",
+    "non_square": "state shape (2, 3) does not match dims (1, 2)",
+    "3d": "state shape (2, 2, 2) does not match dims (1, 2)",
+}
+# the kinds of REJECTS that a 2 x 2 matrix of numbers can hold: the matrix
+# gate passes them, and the shape refusals belong to it alone
+CONTENT_KINDS = ("nan", "nan_imag", "inf", "-inf", "asymmetric", "trace",
+                 "negative_eigenvalue", "overflow")
+FINITE_KINDS = tuple(kind for kind in CONTENT_KINDS if kind not in ("inf", "-inf"))
+# hermitian_eig takes any finite Hermitian matrix: trace and sign are no concern
+# of it; trace_norm any finite matrix; partial_trace and tensor any matrix
 EIG_ACCEPTS = ("trace", "negative_eigenvalue", "overflow")
+ACCEPTS = {
+    "hermitian_eig": EIG_ACCEPTS,
+    "trace_norm": ("asymmetric", *EIG_ACCEPTS),
+    "partial_trace": CONTENT_KINDS,
+    "tensor_first": FINITE_KINDS,
+    "tensor_second": FINITE_KINDS,
+}
+# a complex inf times 1 has an inf * 0 in its imaginary part: numpy's product
+# is NaN with a RuntimeWarning, so tensor meets no infinite entry here
+REJECT_PAIRS = [(kind, entry) for entry in sorted(ENTRIES) for kind in sorted(REJECTS)
+                if not (entry.startswith("tensor") and kind in ("inf", "-inf"))]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("entry", sorted(ENTRIES))
-@pytest.mark.parametrize("kind", sorted(REJECTS))
+@pytest.mark.parametrize("kind, entry", REJECT_PAIRS)
 def test_reject_paths_keep_type_and_message(entry, kind):
-    if entry == "hermitian_eig" and kind in EIG_ACCEPTS:
+    if kind in ACCEPTS.get(entry, ()):
         ENTRIES[entry](_bad(kind))
         return
     error, message = REJECTS[kind]
-    if entry == "coherent_information" and kind in CHANNEL_SHAPE:
+    if entry in CHANNEL_ENTRIES and kind in CHANNEL_SHAPE:
         error, message = ShapeMismatch, CHANNEL_SHAPE[kind]
+    if entry == "coherent_information_state" and kind in DIMS_SHAPE:
+        error, message = ShapeMismatch, DIMS_SHAPE[kind]
+    if entry == "trace_norm" and REJECTS[kind] == NON_FINITE:
+        error = DomainError
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         ENTRIES[entry](_bad(kind))
 
@@ -500,15 +537,11 @@ STACKED = {
     "von_neumann_entropy": (_stacked(verify._stacked_entropies), qmath.von_neumann_entropy),
     "trace_norm": (_stacked(qmath._trace_norm), qmath.trace_norm),
 }
-# the kinds of REJECTS that a stack of 2 x 2 matrices can hold: the shape
-# refusals belong to the matrix gate alone
-STACKED_REJECTS = ("nan", "nan_imag", "inf", "-inf", "asymmetric", "trace",
-                   "negative_eigenvalue", "overflow")
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", sorted(STACKED))
-@pytest.mark.parametrize("kind", STACKED_REJECTS)
+@pytest.mark.parametrize("kind", CONTENT_KINDS)
 @pytest.mark.parametrize("k, size", ((0, 4), (2, 4), (0, 1)))
 def test_stacked_validators_refuse_what_the_single_one_refuses(entry, kind, k, size):
     # a stack of one bad matrix keeps the "matrix 0: " prefix: a stack is
